@@ -92,16 +92,7 @@ class EndoAlgebra:
                 raise ValueError("input %d has arity %d, vertex wants %d"
                                  % (i + 1, x.n, idx.arity(base.sigma[i])))
         deco = {base.sigma[i]: inputs[i] for i in range(base.arity)}
-
-        def rec(v):
-            acc = deco[v]
-            for s in range(idx.arity(v) - 1, -1, -1):
-                kind, ref = idx.child_entries[v][s]
-                if kind == "v":
-                    acc = endo_compose(acc, s + 1, rec(ref))
-            return acc
-
-        acc = rec(0)
+        acc = T.fold(idx, deco.__getitem__, endo_compose)
         # the fold orders arguments by planar leaf position; relabel by tau
         n = len(base.tau)
         tauinv = [0] * n

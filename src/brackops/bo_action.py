@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import trees as T
 from .bracketings import Bracketing
-from .operads import OElement, BOElement
+from .operads import OElement
 from .cacti import (MSElement, unit_cactus, ms_unit, ms_compose,
                     scaling_map, relabel_cactus, renormalize)
 from .plmaps import identity_map, pl_compose, pl_invert, pl_convex_combination
@@ -74,14 +74,6 @@ def lambda_MS(elem, inputs, order="last-first"):
                              % (i + 1, x.cactus.k, idx.arity(elem.sigma[i])))
     deco = {elem.sigma[i]: inputs[i] for i in range(elem.arity)}
 
-    def rec_desc(v):
-        acc = deco[v]
-        for s in range(idx.arity(v) - 1, -1, -1):
-            kind, ref = idx.child_entries[v][s]
-            if kind == "v":
-                acc = ms_compose(acc, s + 1, rec_desc(ref))
-        return acc
-
     def rec_asc(v):
         acc = deco[v]
         pos = 1
@@ -94,7 +86,10 @@ def lambda_MS(elem, inputs, order="last-first"):
                 pos += 1
         return acc
 
-    acc = rec_desc(0) if order == "last-first" else rec_asc(0)
+    if order == "last-first":
+        acc = T.fold(idx, deco.__getitem__, ms_compose)
+    else:
+        acc = rec_asc(0)
     # lobe at planar position p gets the label of the leaf living there
     tauinv = [0] * len(elem.tau)
     for j, p in enumerate(elem.tau):
@@ -124,34 +119,17 @@ def augment(base, brackets):
     "Build the augmented labelled tree for a bracket set on base.tree."
     sets = _canon_sets(brackets)
     Bracketing(base.tree, sets)  # validates nesting
-    by_root = {}
-    for j, b in enumerate(sets):
-        by_root.setdefault(T.subtree_root(base.tree, b), []).append(j)
-    idx = T.index(base.tree)
-
-    def build(v):
-        node = ("v", v, [build(ref) if kind == "v" else ("l", ref)
-                         for kind, ref in idx.child_entries[v]])
-        # smaller brackets wrap first, so the largest ends nearest the root
-        for j in sorted(by_root.get(v, []), key=lambda j: len(sets[j])):
-            node = ("b", j, [node])
-        return node
-
+    root, verts, _ = T.open_nest(base.tree, lambda v: ("v", v), lambda p: None)
+    # smaller brackets wrap first, so the largest ends nearest the root
+    for j in sorted(range(len(sets)), key=lambda j: len(sets[j])):
+        node = verts[T.subtree_root(base.tree, sets[j])]
+        inner = T.Nest(node.label, node.children)
+        node.label, node.children = ("b", j), [inner]
+    tree2, nodes, _ = T.close_nest(root)
     vmap, bmap = {}, {}
-    counter = [0]
-
-    def emit(node):
-        if node[0] == "l":
-            return T.ETA
-        nid = counter[0]
-        counter[0] += 1
-        if node[0] == "v":
-            vmap[node[1]] = nid
-        else:
-            bmap[node[1]] = nid
-        return T.PlanarTree(tuple(emit(c) for c in node[2]))
-
-    tree2 = emit(build(0))
+    for nid, node in enumerate(nodes):
+        kind, ref = node.label
+        (vmap if kind == "v" else bmap)[ref] = nid
     sigma2 = tuple(vmap[v] for v in base.sigma) \
         + tuple(bmap[j] for j in range(len(sets)))
     elem = OElement(tree2, sigma2, base.tau)
@@ -229,7 +207,13 @@ def _ms_action(base, weight_items, cacti):
     "The un-renormalized MS element of a weighted action."
     if base.tree.is_eta:
         return ms_unit()
-    aug, gs, hs = _assembly(base, weight_items, cacti)
+    return _compose_assembly(base, cacti,
+                             _assembly(base, weight_items, cacti))
+
+
+def _compose_assembly(base, cacti, assembly):
+    "Compose the inputs with their scaling maps along the augmented tree."
+    aug, gs, hs = assembly
     ms_inputs = [MSElement(cacti[i], gs[i]) for i in range(base.arity)]
     ms_inputs += [MSElement(unit_cactus(), h) for h in hs]
     return lambda_MS(aug.element, ms_inputs)
@@ -278,13 +262,21 @@ def bracket_scaling(ctx, j):
 
 def lam(element, inputs):
     "The action: compose the inputs along the bracketed labelled tree."
-    base = element.base
-    if base.tree.is_eta:
+    if element.base.tree.is_eta:
         if inputs:
             raise ValueError("the vertexless tree takes no inputs")
         return unit_cactus()
+    return lam_traced(element, inputs)[0]
+
+
+def lam_traced(element, inputs):
+    """One evaluation of the action on a tree with vertices, with its
+    intermediates: (result, un-renormalized MS element, (augmented tree,
+    per-input maps, per-bracket maps))."""
     ctx = ActionContext(element, inputs)
-    return renormalize(_ms_action(base, element.weighted.weights, ctx.inputs))
+    assembly = _assembly(element.base, element.weighted.weights, ctx.inputs)
+    ms = _compose_assembly(element.base, ctx.inputs, assembly)
+    return renormalize(ms), ms, assembly
 
 
 def act(ctx):

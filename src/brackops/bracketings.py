@@ -4,7 +4,6 @@ bracketings with their chain form."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .trees import (
@@ -246,7 +245,3 @@ def weighted_to_obj(w):
 def weighted_from_obj(tree, obj):
     return WeightedBracketing(
         tree, [(frozenset(d["vertices"]), frac_from_str(d["w"])) for d in obj])
-
-
-def bracketing_to_json(b):
-    return json.dumps(bracketing_to_obj(b), sort_keys=True, separators=(",", ":"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .trees import frac_to_str
 from .plmaps import (
     PLMap, identity_map, monotone_reparam, pl_compose, pl_invert,
 )
@@ -119,11 +120,6 @@ EMPTY_CACTUS = _EmptyCactus()
 
 def unit_cactus():
     return Cactus(1, [(ZERO, ONE, 1)])
-
-
-def validate_cactus(k, arcs):
-    "Canonical Cactus, or a CactusError naming the violated invariant."
-    return Cactus(k, arcs)
 
 
 class MSElement:
@@ -380,7 +376,8 @@ def cactus_to_obj(x):
     if x is EMPTY_CACTUS or getattr(x, "k", None) == 0:
         return {"k": 0, "arcs": []}
     return {"k": x.k,
-            "arcs": [[_fs(a), _fs(b), lab] for a, b, lab in x.arcs]}
+            "arcs": [[frac_to_str(a), frac_to_str(b), lab]
+                     for a, b, lab in x.arcs]}
 
 
 def cactus_from_obj(obj):
@@ -396,7 +393,3 @@ def cactus_to_json(x):
 
 def cactus_from_json(text):
     return cactus_from_obj(json.loads(text))
-
-
-def _fs(q):
-    return "%d/%d" % (q.numerator, q.denominator)

@@ -7,6 +7,7 @@ rationals are rendered as "p/q" strings throughout."""
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import trees as T
@@ -18,7 +19,7 @@ from .wconstruction import (w_from_obj, w_to_obj, normalize_W, compose_W,
                             psi)
 from . import dendroidal as D
 from .cacti import (cactus_from_obj, cactus_to_obj, cact1_compose,
-                    validate_cactus, cactus_metric)
+                    cactus_metric)
 from .plmaps import pl_to_obj
 from . import bo_action
 from .algebras import TerminalAlgebra
@@ -35,20 +36,36 @@ def _emit(obj):
     sys.stdout.write(_dump(obj) + "\n")
 
 
-def _load(path):
-    with open(path) as fh:
-        return json.load(fh)
+class InputError(Exception):
+    "Bad input on the command line or in an input file (exit code 2)."
+
+
+def _load(path, parse=lambda obj: obj):
+    "Read a JSON file and build an object from it with `parse`."
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError("%s: %s: %s"
+                         % (path, type(exc).__name__, exc)) from exc
+
+
+# shorthand -> (builder, least N)
+_SHORTHANDS = {"caterpillar": (caterpillar, 1), "star": (star, 0),
+               "corolla": (corolla, 0)}
 
 
 def _tree_from_arg(arg):
     """A tree argument: a JSON file path, or one of the shorthands
-    caterpillar:N, star:N, corolla:N."""
+    caterpillar:N (N >= 1), star:N, corolla:N (N >= 0)."""
     kind, sep, rest = arg.partition(":")
-    if sep and kind in ("caterpillar", "star", "corolla"):
-        n = int(rest)
-        return {"caterpillar": caterpillar, "star": star,
-                "corolla": corolla}[kind](n)
-    return T.tree_from_obj(_load(arg))
+    if sep and kind in _SHORTHANDS:
+        build, least = _SHORTHANDS[kind]
+        if not re.fullmatch("[0-9]+", rest) or int(rest) < least:
+            raise InputError("%s:N needs an integer N >= %d, got %r"
+                             % (kind, least, rest))
+        return build(int(rest))
+    return _load(arg, T.tree_from_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -69,32 +86,32 @@ def cmd_brackets(args):
 
 
 def cmd_bo(args):
-    a = bo_from_obj(_load(args.lhs))
-    b = bo_from_obj(_load(args.rhs))
+    a = _load(args.lhs, bo_from_obj)
+    b = _load(args.rhs, bo_from_obj)
     _emit(bo_to_obj(compose_BO(a, args.slot, b)))
     return 0
 
 
 def cmd_w(args):
     if args.action == "normalize":
-        _emit(w_to_obj(normalize_W(w_from_obj(_load(args.input)))))
+        _emit(w_to_obj(normalize_W(_load(args.input, w_from_obj))))
     elif args.action == "psi":
-        _emit(bo_to_obj(psi(w_from_obj(_load(args.input)))))
+        _emit(bo_to_obj(psi(_load(args.input, w_from_obj))))
     else:
-        a = w_from_obj(_load(args.lhs))
-        b = w_from_obj(_load(args.rhs))
+        a = _load(args.lhs, w_from_obj)
+        b = _load(args.rhs, w_from_obj)
         _emit(w_to_obj(compose_W(a, args.slot, b)))
     return 0
 
 
 def cmd_omega(args):
     if args.action == "compose":
-        g = D.tilde_from_obj(_load(args.lhs))
-        f = D.tilde_from_obj(_load(args.rhs))
+        g = _load(args.lhs, D.tilde_from_obj)
+        f = _load(args.rhs, D.tilde_from_obj)
         _emit(D.tilde_to_obj(D.compose_omega_tilde(g, f)))
         return 0
     if args.action == "image":
-        g = D.morphism_from_obj(_load(args.input))
+        g = _load(args.input, D.morphism_from_obj)
         images = [D.corolla_image(g, v)
                   for v in range(T.num_vertices(g.source))]
         _emit({"vertices": [sorted(s) for s in images],
@@ -109,8 +126,8 @@ def cmd_omega(args):
 
 def cmd_cacti(args):
     if args.action == "compose":
-        x = cactus_from_obj(_load(args.lhs))
-        y = cactus_from_obj(_load(args.rhs))
+        x = _load(args.lhs, cactus_from_obj)
+        y = _load(args.rhs, cactus_from_obj)
         _emit(cactus_to_obj(cact1_compose(x, args.slot, y)))
         return 0
     if args.action == "validate":
@@ -123,8 +140,8 @@ def cmd_cacti(args):
         _emit({"valid": True})
         return 0
     if args.action == "metric":
-        x = cactus_from_obj(_load(args.lhs))
-        y = cactus_from_obj(_load(args.rhs))
+        x = _load(args.lhs, cactus_from_obj)
+        y = _load(args.rhs, cactus_from_obj)
         _emit({"distance": frac_to_str(cactus_metric(x, y))})
         return 0
     return _print_witness()
@@ -147,27 +164,30 @@ def cmd_witness(args):
 
 
 def cmd_bo_action(args):
-    elem = bo_from_obj(_load(args.element))
-    inputs = [cactus_from_obj(o) for o in _load(args.inputs)]
-    result = bo_action.lam(elem, inputs)
-    out = {"result": cactus_to_obj(result)}
-    if args.trace and not elem.base.tree.is_eta:
-        aug, gs, hs = bo_action._assembly(elem.base, elem.weighted.weights,
-                                          inputs)
-        ms = bo_action._ms_action(elem.base, elem.weighted.weights, inputs)
-        out["trace"] = {
+    elem = _load(args.element, bo_from_obj)
+    inputs = _load(args.inputs,
+                   lambda objs: [cactus_from_obj(o) for o in objs])
+    if not args.trace or elem.base.tree.is_eta:
+        _emit({"result": cactus_to_obj(bo_action.lam(elem, inputs))})
+        return 0
+    result, ms, (aug, gs, hs) = bo_action.lam_traced(elem, inputs)
+    _emit({
+        "result": cactus_to_obj(result),
+        "trace": {
             "g": [pl_to_obj(g) for g in gs],
             "h": [pl_to_obj(h) for h in hs],
             "brackets": [sorted(b) for b in aug.brackets],
             "ms": {"cactus": cactus_to_obj(ms.cactus),
                    "reparam": pl_to_obj(ms.reparam)},
-        }
-    _emit(out)
+        }})
     return 0
 
 
 def cmd_verify(args):
-    cfg = RunConfig(seed=args.seed, limit=args.limit, samples=args.samples)
+    try:
+        cfg = RunConfig(seed=args.seed, limit=args.limit, samples=args.samples)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     try:
         report = run_suite(args.suite, cfg)
     except KeyError as exc:
@@ -310,7 +330,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        _emit({"error": str(exc)})
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,12 +11,11 @@ vertexless tree has the single edge ("leaf", 0)."""
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 
 from . import trees as T
 from .trees import ETA, PlanarTree
-from .bracketings import Bracketing, WeightedBracketing
+from .bracketings import WeightedBracketing
 from .operads import OElement, BOElement
 
 
@@ -137,10 +136,6 @@ def corolla_image(g, v):
     return g.vertex_images[v]
 
 
-def is_degenerate_at(g, v):
-    return not g.vertex_images[v]
-
-
 def identity_omega(tree):
     em = {e: e for e in edges(tree)}
     n = 0 if tree.is_eta else T.num_vertices(tree)
@@ -163,13 +158,6 @@ def compose_omega(g, f):
 
 # ---------------------------------------------------------------------------
 # Generating morphisms.
-
-def edge_inclusion(tree, edge):
-    "The morphism from the vertexless tree hitting one edge."
-    if edge not in set(edges(tree)):
-        raise ValueError("%r is not an edge" % (edge,))
-    return OmegaMorphism(ETA, tree, {("leaf", 0): edge}, ())
-
 
 def subtree_inclusion(tree, vset):
     "The outer-face composite embedding the subtree on vset."
@@ -318,125 +306,6 @@ def isomorphisms(s, t):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration.
-
-def enumerate_morphisms(s, t, budget=200000, degeneracies=True):
-    """Every morphism s -> t, by direct extensional search: pick the image
-    of each vertex root-first and match boundary edges to input slots.
-    Raises if more than `budget` candidates are generated."""
-    if s.is_eta:
-        return [edge_inclusion(t, e) for e in edges(t)]
-    idxS = T.index(s)
-    rooted = {}
-    if not t.is_eta:
-        for sub in T.enumerate_subtrees(t):
-            r = T.subtree_root(t, sub.vertex_set)
-            rooted.setdefault(r, []).append(sub.vertex_set)
-    bnd_cache = {}
-
-    def boundary(vset):
-        if vset not in bnd_cache:
-            bnd_cache[vset] = boundary_edge_list(t, vset)
-        return bnd_cache[vset]
-
-    count = [0]
-
-    def rec(v, e):
-        opts = []
-        ents = idxS.child_entries[v]
-        if degeneracies and len(ents) == 1:
-            kind, ref = ents[0]
-            if kind == "l":
-                opts.append(({("out", v): e, ("leaf", ref): e},
-                             {v: frozenset()}))
-            else:
-                for em2, im2 in rec(ref, e):
-                    em = dict(em2)
-                    em[("out", v)] = e
-                    im = dict(im2)
-                    im[v] = frozenset()
-                    opts.append((em, im))
-        if e[0] == "out":
-            for vset in rooted.get(e[1], ()):
-                bnd = boundary(vset)
-                if len(bnd) != len(ents):
-                    continue
-                for perm in itertools.permutations(range(len(bnd))):
-                    slot_opts = []
-                    ok = True
-                    for s_slot, (kind, ref) in enumerate(ents):
-                        be = bnd[perm[s_slot]]
-                        if kind == "l":
-                            slot_opts.append([({("leaf", ref): be}, {})])
-                        else:
-                            sub = rec(ref, be)
-                            if not sub:
-                                ok = False
-                                break
-                            slot_opts.append(sub)
-                    if not ok:
-                        continue
-                    for combo in itertools.product(*slot_opts):
-                        em = {("out", v): e}
-                        im = {v: frozenset(vset)}
-                        for em2, im2 in combo:
-                            em.update(em2)
-                            im.update(im2)
-                        opts.append((em, im))
-                        count[0] += 1
-                        if count[0] > budget:
-                            raise RuntimeError("enumeration budget exceeded")
-        return opts
-
-    out = set()
-    for e in edges(t):
-        for em, im in rec(0, e):
-            imgs = [im[v] for v in range(idxS.num_vertices())]
-            out.add(OmegaMorphism(s, t, em, imgs))
-    return sorted(out, key=lambda m: sorted(m.edge_map.items()))
-
-
-def _connected_partitions(tree):
-    "All partitions of the vertex set into connected blocks."
-    if tree.is_eta:
-        return [[]]
-    idx = T.index(tree)
-    rooted = {}
-    for sub in T.enumerate_subtrees(tree):
-        r = T.subtree_root(tree, sub.vertex_set)
-        rooted.setdefault(r, []).append(sub.vertex_set)
-
-    def rec(r):
-        outs = []
-        for block in rooted[r]:
-            exits = [ref for v in block
-                     for kind, ref in idx.child_entries[v]
-                     if kind == "v" and ref not in block]
-            for combo in itertools.product(*[rec(c) for c in exits]):
-                outs.append([block] + [blk for part in combo for blk in part])
-        return outs
-
-    return rec(0)
-
-
-def enumerate_face_morphisms(s, t):
-    """Morphisms s -> t that are composites of inner and outer faces only
-    (no isomorphisms, no degeneracies)."""
-    out = set()
-    if t.is_eta:
-        return [identity_omega(ETA)] if s.is_eta else []
-    if s.is_eta:
-        return [edge_inclusion(t, e) for e in edges(t)]
-    for sub in T.enumerate_subtrees(t):
-        inc = subtree_inclusion(t, sub.vertex_set)
-        for parts in _connected_partitions(inc.source):
-            cm = collapse_morphism(inc.source, parts)
-            if cm.source == s:
-                out.add(compose_omega(inc, cm))
-    return sorted(out, key=lambda m: sorted(m.edge_map.items()))
-
-
-# ---------------------------------------------------------------------------
 # The weighted thickening.
 
 class OmegaTildeMorphism:
@@ -517,10 +386,6 @@ def lift_omega(base):
     return OmegaTildeMorphism(base)
 
 
-def forget_omega_brackets(m):
-    return m.base
-
-
 def compose_omega_tilde(G, F):
     """Composite in the thickened category: the brackets over a source
     vertex w collect the images of G's brackets, the images of the
@@ -589,20 +454,8 @@ def q_morphism(gs):
     return OmegaTildeMorphism(total, fams)
 
 
-def factorization_bracketing(gs, v):
-    "The bracketing of the image of the corolla at v, on its own tree."
-    return q_morphism(gs).weighted_bracketing(v).bracketing
-
-
 # ---------------------------------------------------------------------------
 # The nerve of an algebra handle.
-
-def phi_object(P, tree):
-    "Factor arities of the product assigned to a tree."
-    if tree.is_eta:
-        return ()
-    return tuple(T.arities(tree))
-
 
 def phi_morphism(P, m, values):
     """Pull values indexed by the target's vertices back along a thickened
@@ -685,7 +538,3 @@ def tilde_from_obj(obj):
     if not fams:
         return OmegaTildeMorphism(base)
     return OmegaTildeMorphism(base, fams)
-
-
-def morphism_to_json(g):
-    return json.dumps(morphism_to_obj(g), sort_keys=True, separators=(",", ":"))

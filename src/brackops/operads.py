@@ -16,10 +16,9 @@ from fractions import Fraction
 
 from . import trees as T
 from .bracketings import (
-    WeightedBracketing, bracketing_from_obj, weighted_from_obj,
-    weighted_to_obj,
+    WeightedBracketing, weighted_from_obj, weighted_to_obj,
 )
-from .trees import ETA, PlanarTree, corolla, num_leaves, num_vertices
+from .trees import ETA, corolla, num_leaves, num_vertices
 
 
 class OElement:

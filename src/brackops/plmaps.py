@@ -7,8 +7,9 @@ cactus modules."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+
+from .trees import frac_to_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -148,18 +149,10 @@ def average_of_steps(maps):
 
 
 def pl_to_obj(f):
-    return {"x": [_fs(x) for x in f.breakpoints],
-            "y": [_fs(y) for y in f.values]}
+    return {"x": [frac_to_str(x) for x in f.breakpoints],
+            "y": [frac_to_str(y) for y in f.values]}
 
 
 def pl_from_obj(obj):
     return PLMap([Fraction(x) for x in obj["x"]],
                  [Fraction(y) for y in obj["y"]])
-
-
-def _fs(q):
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
-def pl_to_json(f):
-    return json.dumps(pl_to_obj(f), sort_keys=True, separators=(",", ":"))

@@ -8,16 +8,16 @@ import itertools
 from fractions import Fraction
 
 from . import trees as T
-from .trees import caterpillar, star, corolla
+from .trees import caterpillar, star
 from .bracketings import (enumerate_bracketings, maximal_bracketings,
                           nerve_statistics, WeightedBracketing)
-from .operads import (OElement, BOElement, o_unit, unit_BO, eta_BO,
+from .operads import (OElement, BOElement, unit_BO, eta_BO,
                       eta_element, compose_O, compose_BO, sigma_act_BO,
                       forget_brackets, bo_element)
 from .wconstruction import normalize_W, compose_W, psi, psi_inverse
 from . import dendroidal as D
-from .plmaps import identity_map, pl_invert, average_of_steps
-from .cacti import (Cactus, MSElement, cactus_map, phi, coend_compose,
+from .plmaps import identity_map, average_of_steps
+from .cacti import (Cactus, cactus_map, phi, coend_compose,
                     cact1_compose, ms_compose, cactus_metric,
                     rescaling_identity_check, renormalize)
 from . import bo_action

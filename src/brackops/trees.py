@@ -1,4 +1,5 @@
-"""Rooted planar trees: grafting, substitution, subtrees.
+"""Rooted planar trees: grafting, substitution, subtrees, mutable nests
+for surgery and a bottom-up fold.
 
 Trees are stored recursively.  A tree is either the vertexless tree Eta
 (one edge, no vertices) or a root vertex with an ordered tuple of
@@ -183,73 +184,87 @@ def arities(tree):
 
 
 # ---------------------------------------------------------------------------
-# Surgery.  Internally trees are turned into tagged mutable nests so that
-# provenance of every vertex and leaf survives the operation.
+# Mutable nests.  Surgery opens a tree into labelled nodes, splices, and
+# closes the result; the labels carry each vertex's and leaf's provenance
+# through the operation.
 
-def _tag(tree, src):
-    "Mutable nest ['V', (src, vid), [children]] / ['L', (src, leafpos)]."
-    vc = itertools.count()
-    lc = itertools.count()
+class Nest:
+    "A mutable tree node: `children` is a list of nodes, or None on a leaf."
+
+    __slots__ = ("label", "children")
+
+    def __init__(self, label, children=None):
+        self.label = label
+        self.children = children
+
+
+def open_nest(tree, vertex, leaf):
+    """The tree as a nest whose vertex v is labelled vertex(v) and whose
+    leaf at planar position p is labelled leaf(p).  Returns the root, the
+    vertex nodes in DFS order and the (parent node, slot) of each leaf in
+    planar order; the vertexless tree is a lone leaf with parent None."""
+    verts = []
+    leaves = []
 
     def rec(node):
-        me = ["V", (src, next(vc)), []]
-        for ch in node.children:
+        me = Nest(vertex(len(verts)), [])
+        verts.append(me)
+        for s, ch in enumerate(node.children):
             if ch.is_eta:
-                me[2].append(["L", (src, next(lc))])
+                me.children.append(Nest(leaf(len(leaves))))
+                leaves.append((me, s))
             else:
-                me[2].append(rec(ch))
+                me.children.append(rec(ch))
         return me
 
     if tree.is_eta:
-        return ["L", (src, 0)]
-    return rec(tree)
+        return Nest(leaf(0)), verts, [(None, None)]
+    return rec(tree), verts, leaves
 
 
-def _untag(nest):
-    "Rebuild a PlanarTree plus vertex/leaf provenance maps."
-    vmap = {}
-    lmap = {}
-    vc = itertools.count()
-    lc = itertools.count()
+def close_nest(root):
+    """(tree, vertex nodes in DFS order, leaf nodes in planar order) of a
+    nest."""
+    verts = []
+    leaves = []
 
     def rec(node):
-        if node[0] == "L":
-            lmap[node[1]] = next(lc)
+        if node.children is None:
+            leaves.append(node)
             return ETA
-        vmap[node[1]] = next(vc)
-        return PlanarTree(tuple(rec(c) for c in node[2]))
+        verts.append(node)
+        return PlanarTree(tuple(rec(c) for c in node.children))
 
-    t = rec(nest)
-    return t, vmap, lmap
-
-
-def _find(nest, kind, tag):
-    if nest[0] == kind and nest[1] == tag:
-        return nest, None, None
-    if nest[0] == "V":
-        for s, c in enumerate(nest[2]):
-            got = _find(c, kind, tag)
-            if got[0] is not None:
-                if got[1] is None:
-                    return got[0], nest, s
-                return got
-    return None, None, None
+    return rec(root), verts, leaves
 
 
-def _leaves_of(nest):
-    if nest[0] == "L":
-        return [(None, None)]
-    out = []
+def fold(idx, value, graft):
+    """Evaluate along an indexed tree bottom-up: start from value(v) at
+    each vertex, then acc = graft(acc, s, child's result) for the vertex
+    children at slot s (1-based), last slot first.  Returns the value at
+    the root."""
 
-    def rec(node, par):
-        for s, c in enumerate(node[2]):
-            if c[0] == "L":
-                out.append((node, s))
-            else:
-                rec(c, node)
+    def rec(v):
+        acc = value(v)
+        entries = idx.child_entries[v]
+        for s in range(len(entries) - 1, -1, -1):
+            kind, ref = entries[s]
+            if kind == "v":
+                acc = graft(acc, s + 1, rec(ref))
+        return acc
 
-    rec(nest, None)
-    return out
+    return rec(0)
+
+
+# ---------------------------------------------------------------------------
+# Surgery.  Host nodes are labelled (0, id), guest nodes (1, id).
+
+def _host(k):
+    return (0, k)
+
+
+def _guest(k):
+    return (1, k)
 
 
 class SurgeryResult:
@@ -257,42 +272,30 @@ class SurgeryResult:
     `vmap_guest` take old vertex ids to new ones, `leafmap_host` /
     `leafmap_guest` likewise for planar leaf positions."""
 
-    def __init__(self, tree, vmap, lmap):
-        self.tree = tree
-        self.vmap_host = {k[1]: v for k, v in vmap.items() if k[0] == "a"}
-        self.vmap_guest = {k[1]: v for k, v in vmap.items() if k[0] == "b"}
-        self.leafmap_host = {k[1]: v for k, v in lmap.items() if k[0] == "a"}
-        self.leafmap_guest = {k[1]: v for k, v in lmap.items() if k[0] == "b"}
+    def __init__(self, root):
+        self.tree, verts, leaves = close_nest(root)
+        self.vmap_host, self.vmap_guest = vmaps = {}, {}
+        self.leafmap_host, self.leafmap_guest = leafmaps = {}, {}
+        for maps, nodes in ((vmaps, verts), (leafmaps, leaves)):
+            for new, node in enumerate(nodes):
+                side, old = node.label
+                maps[side][old] = new
 
 
 def graft_with_maps(t, i, t2):
     "Attach the root of t2 at leaf i (1-based planar index) of t."
-    nl = num_leaves(t)
-    if not 1 <= i <= nl:
-        raise IndexError("leaf index %d out of range (tree has %d leaves)" % (i, nl))
-    if t2.is_eta:
-        # unit: nothing changes, identity maps
-        res = SurgeryResult(t, {}, {})
-        res.vmap_host = {v: v for v in range(num_vertices(t))}
-        res.leafmap_host = {p: p for p in range(nl)}
-        res.vmap_guest = {}
-        res.leafmap_guest = {}
-        return res
-    if t.is_eta:
-        res = SurgeryResult(t2, {}, {})
-        res.vmap_host = {}
-        res.leafmap_host = {}
-        res.vmap_guest = {v: v for v in range(num_vertices(t2))}
-        res.leafmap_guest = {p: p for p in range(num_leaves(t2))}
-        return res
-    na = _tag(t, "a")
-    nb = _tag(t2, "b")
-    node, par, slot = _find(na, "L", ("a", i - 1))
-    if par is None:
-        raise IndexError("leaf not found")
-    par[2][slot] = nb
-    tree, vmap, lmap = _untag(na)
-    return SurgeryResult(tree, vmap, lmap)
+    root, _, leaves = open_nest(t, _host, _host)
+    if not 1 <= i <= len(leaves):
+        raise IndexError("leaf index %d out of range (tree has %d leaves)"
+                         % (i, len(leaves)))
+    if not t2.is_eta:
+        guest = open_nest(t2, _guest, _guest)[0]
+        parent, slot = leaves[i - 1]
+        if parent is None:
+            root = guest
+        else:
+            parent.children[slot] = guest
+    return SurgeryResult(root)
 
 
 def graft(t, i, t2):
@@ -304,50 +307,29 @@ def substitute_with_maps(t, v, t2, tau=None):
     the leaves of t2.  `tau` (optional) is a tuple with tau[j] = planar
     leaf position of t2 that receives input j of v; identity if omitted.
     Requires arity(v) == num_leaves(t2)."""
-    idx = index(t)
-    if not 0 <= v < idx.num_vertices():
+    root, verts, _ = open_nest(t, _host, _host)
+    if not 0 <= v < len(verts):
         raise IndexError("no vertex %r" % (v,))
-    m = idx.arity(v)
-    if num_leaves(t2) != m:
+    node = verts[v]
+    m = len(node.children)
+    guest, _, slots = open_nest(t2, _guest, _guest)
+    if len(slots) != m:
         raise ValueError("arity mismatch: vertex has %d inputs, tree has %d leaves"
-                         % (m, num_leaves(t2)))
+                         % (m, len(slots)))
     if tau is None:
         tau = tuple(range(m))
     if sorted(tau) != list(range(m)):
         raise ValueError("tau is not a permutation of 0..%d" % (m - 1))
-    na = _tag(t, "a")
-    node, par, slot = _find(na, "V", ("a", v))
-    old_children = node[2]
     if t2.is_eta:
         # v removed, its single input identified with its output
-        repl = old_children[0]
+        guest = node.children[0]
     else:
-        nb = _tag(t2, "b")
-        # leaf at planar position q of t2 receives child tau^{-1}(q)
-        inv = [0] * m
         for j, q in enumerate(tau):
-            inv[q] = j
-        for q, (lp, ls) in enumerate(_leaves_of(nb)):
-            lp[2][ls] = old_children[inv[q]]
-        repl = nb
-    if par is None:
-        na = repl
-    else:
-        par[2][slot] = repl
-    if na[0] == "L":
-        tree, vmap, lmap = ETA, {}, {na[1]: 0}
-    else:
-        tree, vmap, lmap = _untag(na)
-    return SurgeryResult(tree, vmap, lmap)
-
-
-def substitute(t, v, t2):
-    return substitute_with_maps(t, v, t2).tree
-
-
-def substitute_labelled(t, v, tau2, t2):
-    "Permute the inputs of v by tau2, then substitute t2."
-    return substitute_with_maps(t, v, t2, tau=tuple(tau2)).tree
+            parent, slot = slots[q]
+            parent.children[slot] = node.children[j]
+    # the replacement takes v's place: v's node adopts its label and children
+    node.label, node.children = guest.label, guest.children
+    return SurgeryResult(root)
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +515,6 @@ def enumerate_subtrees(tree, min_vertices=1):
     return [Subtree(tree, s) for s in sets if len(s) >= min_vertices]
 
 
-def is_nested(s1, s2):
-    "Nestedness of two subtrees of the same parent tree."
-    if s1.parent != s2.parent:
-        raise ValueError("subtrees of different parent trees")
-    inter = s1.vertex_set & s2.vertex_set
-    return inter in (frozenset(), s1.vertex_set, s2.vertex_set)
-
-
 def vsets_nested(a, b):
     inter = a & b
     return not inter or inter == a or inter == b
@@ -548,31 +522,6 @@ def vsets_nested(a, b):
 
 # ---------------------------------------------------------------------------
 # Enumeration of tree shapes (test/CLI grids).
-
-def planar_skeletons(n):
-    """All planar trees with n vertices and no extra leaves (every child
-    of every vertex is a vertex)."""
-    if n == 0:
-        return [ETA]
-    if n == 1:
-        return [PlanarTree(())]
-    out = []
-    for split in _compositions(n - 1):
-        for forest in itertools.product(*[planar_skeletons(k) for k in split]):
-            out.append(PlanarTree(forest))
-    return out
-
-
-def _compositions(n):
-    "Ordered compositions of n into positive parts (n >= 1)."
-    if n == 0:
-        return [()]
-    out = []
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            out.append((first,) + rest)
-    return out
-
 
 def planar_trees(num_verts, num_lvs):
     "All planar trees with the given vertex and leaf counts."
@@ -652,11 +601,10 @@ def tree_from_json(text):
 
 
 def frac_to_str(q):
-    q = Fraction(q)
+    "A Fraction or int as a 'p/q' string."
     return "%d/%d" % (q.numerator, q.denominator)
 
 
 def frac_from_str(s):
-    if isinstance(s, int):
-        return Fraction(s)
+    "Inverse of frac_to_str; also accepts an int."
     return Fraction(s)

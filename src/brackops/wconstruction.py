@@ -12,7 +12,6 @@ rebuilds the shape as the nesting forest of the brackets."""
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from .operads import (
     BOElement, OElement, compose_O, compose_O_with_maps, eta_element,
     o_from_obj, o_to_obj, o_unit, sigma_act_O,
 )
-from .trees import ETA, PlanarTree
 
 
 class WTree:
@@ -96,84 +94,66 @@ class WTree:
                    [str(x) for x in self.lengths], list(self.decorations)))
 
 
-def w_unit(n):
-    "Single unary shape vertex with the identity decoration."
-    return WTree(PlanarTree((ETA,)), (0,), (), (o_unit(n),))
-
-
 # ---------------------------------------------------------------------------
-# Mutable nest form used for surgery.
+# Surgery on the shape, opened as a trees.Nest.
 
 class _N:
-    __slots__ = ("deco", "length", "children")
+    """Nest label of a shape vertex: its decoration and the length of its
+    outgoing edge (None at the root)."""
 
-    def __init__(self, deco, length, children):
+    __slots__ = ("deco", "length")
+
+    def __init__(self, deco, length):
         self.deco = deco
         self.length = length
-        self.children = children  # list of _N or ("leaf", global_label)
 
 
-def _to_nest(w):
-    idx = T.index(w.shape)
-    label_of_pos = {pos: i for i, pos in enumerate(w.leaf_order)}
-
-    def rec(v, length):
-        ch = []
-        for kind, ref in idx.child_entries[v]:
-            if kind == "l":
-                ch.append(("leaf", label_of_pos[ref]))
-            else:
-                ch.append(rec(ref, w.lengths[ref - 1]))
-        return _N(w.decorations[v], length, ch)
-
-    return rec(0, None)
+def _to_nest(w, relabel=lambda label: label):
+    """Open w as a nest (trees.open_nest) with _N vertex labels; the leaf
+    receiving global input i is labelled relabel(i).  Returns the root
+    and the (parent node, slot) of each leaf in planar order."""
+    lengths = (None,) + w.lengths
+    label_at = [None] * len(w.leaf_order)
+    for i, pos in enumerate(w.leaf_order):
+        label_at[pos] = relabel(i)
+    root, _, leaves = T.open_nest(
+        w.shape, lambda v: _N(w.decorations[v], lengths[v]),
+        label_at.__getitem__)
+    return root, leaves
 
 
 def _from_nest(root):
-    decorations = []
-    lengths = []
-    labels = []
-
-    def rec(node):
-        decorations.append(node.deco)
-        if node.length is not None:
-            lengths.append(node.length)
-        ch = []
-        for c in node.children:
-            if isinstance(c, tuple):
-                labels.append(c[1])
-                ch.append(ETA)
-            else:
-                ch.append(rec(c))
-        return PlanarTree(tuple(ch))
-
-    shape = rec(root)
-    leaf_order = [None] * len(labels)
-    for pos, lab in enumerate(labels):
-        leaf_order[lab] = pos
-    return WTree(shape, leaf_order, lengths, decorations)
+    shape, verts, leaves = T.close_nest(root)
+    leaf_order = [None] * len(leaves)
+    for pos, leaf in enumerate(leaves):
+        leaf_order[leaf.label] = pos
+    return WTree(shape, leaf_order, [n.label.length for n in verts[1:]],
+                 [n.label.deco for n in verts])
 
 
 def _merge_child(parent, slot):
     "Compose the vertex child at `slot` into the parent (edge collapse)."
     child = parent.children[slot]
-    parent.deco = compose_O(parent.deco, slot + 1, child.deco)
+    parent.label.deco = compose_O(parent.label.deco, slot + 1,
+                                  child.label.deco)
     parent.children[slot:slot + 1] = child.children
 
 
 def _slide_unary(parent, slot):
     "Compose a unary vertex child downward into the parent."
     child = parent.children[slot]
-    parent.deco = compose_O(parent.deco, slot + 1, child.deco)
+    parent.label.deco = compose_O(parent.label.deco, slot + 1,
+                                  child.label.deco)
     grand = child.children[0]
-    if isinstance(grand, _N) and grand.length is not None and child.length is not None:
-        grand.length = max(grand.length, child.length)
+    if (grand.children is not None and grand.label.length is not None
+            and child.label.length is not None):
+        grand.label.length = max(grand.label.length, child.label.length)
     parent.children[slot] = grand
 
 
 def _remove_nullary(parent, slot):
     "Compose a childless vertex into the parent, deleting the slot."
-    parent.deco = compose_O(parent.deco, slot + 1, eta_element())
+    parent.label.deco = compose_O(parent.label.deco, slot + 1, eta_element())
     del parent.children[slot]
 
 
@@ -183,14 +163,15 @@ def _moves(root, mode):
 
     def scan(node):
         for s, c in enumerate(node.children):
-            if not isinstance(c, _N):
+            if c.children is None:
                 continue
-            if c.length == 0:
+            if c.label.length == 0:
                 out.append(("collapse", lambda n=node, s=s: _merge_child(n, s)))
             elif mode == "W0" and len(c.children) == 0:
                 out.append(("nullary", lambda n=node, s=s: _remove_nullary(n, s)))
             elif len(c.children) == 1 and (
-                    mode == "W0" or c.deco == o_unit(c.deco.leaf_count)):
+                    mode == "W0"
+                    or c.label.deco == o_unit(c.label.deco.leaf_count)):
                 out.append(("unary", lambda n=node, s=s: _slide_unary(n, s)))
             scan(c)
 
@@ -200,13 +181,13 @@ def _moves(root, mode):
 
 def _root_move(root, mode):
     "Rewrite applying at the root vertex, if any (returns new root or None)."
-    if len(root.children) == 1 and isinstance(root.children[0], _N):
+    if len(root.children) == 1 and root.children[0].children is not None:
         child = root.children[0]
-        if child.length == 0 or mode == "W0" or (
-                root.deco == o_unit(root.deco.leaf_count)):
-            new = _N(compose_O(root.deco, 1, child.deco), None,
-                     child.children)
-            return new
+        deco = root.label.deco
+        if child.label.length == 0 or mode == "W0" or (
+                deco == o_unit(deco.leaf_count)):
+            return T.Nest(_N(compose_O(deco, 1, child.label.deco), None),
+                          child.children)
     return None
 
 
@@ -214,15 +195,15 @@ def _canon(node):
     "Sort children canonically, adjusting the decoration; returns the key."
     keys = []
     for c in node.children:
-        if isinstance(c, tuple):
-            keys.append((0, c[1]))
+        if c.children is None:
+            keys.append((0, c.label))
         else:
             sub = _canon(c)
-            keys.append((1, c.length, _deco_key(c.deco)) + (sub,))
+            keys.append((1, c.label.length, _deco_key(c.label.deco)) + (sub,))
     order = sorted(range(len(keys)), key=lambda s: keys[s])
     if order != list(range(len(keys))):
         node.children = [node.children[s] for s in order]
-        node.deco = sigma_act_O(order, node.deco)
+        node.label.deco = sigma_act_O(order, node.label.deco)
     return tuple(sorted(keys))
 
 
@@ -236,7 +217,7 @@ def normalize_W(w, mode="W0", rng=None):
     test confluence); the result must not depend on it."""
     if mode not in ("W", "W0"):
         raise ValueError("mode must be 'W' or 'W0'")
-    root = _to_nest(w)
+    root = _to_nest(w)[0]
     while True:
         new_root = _root_move(root, mode)
         if new_root is not None:
@@ -264,33 +245,13 @@ def compose_W(a, i, b, mode="W0"):
     if a.input_colors()[i - 1] != b.out_color:
         raise ValueError("color mismatch: input %d wants %d, argument offers %d"
                          % (i, a.input_colors()[i - 1], b.out_color))
-    ka = len(a.leaf_order)
     kb = len(b.leaf_order)
-    na = _to_nest(a)
-    nb = _to_nest(b)
-    nb.length = Fraction(1)
-
-    def shift(node, delta, base):
-        for s, c in enumerate(node.children):
-            if isinstance(c, tuple):
-                node.children[s] = ("leaf", c[1] + base + delta)
-            else:
-                shift(c, delta, base)
-
-    # relabel: a's inputs > i shift up by kb-1; b's inputs sit at i..i+kb-1
-    def relabel_a(node):
-        for s, c in enumerate(node.children):
-            if isinstance(c, tuple):
-                lab = c[1]
-                if lab == i - 1:
-                    node.children[s] = nb
-                elif lab > i - 1:
-                    node.children[s] = ("leaf", lab + kb - 1)
-            else:
-                relabel_a(c)
-
-    shift(nb, 0, i - 1)
-    relabel_a(na)
+    # a's inputs after i shift up by kb-1; b's inputs sit at i..i+kb-1
+    na, leaves = _to_nest(a, lambda lab: lab if lab < i else lab + kb - 1)
+    nb = _to_nest(b, lambda lab: lab + i - 1)[0]
+    nb.label.length = Fraction(1)
+    parent, slot = leaves[a.leaf_order[i - 1]]
+    parent.children[slot] = nb
     return normalize_W(_from_nest(na), mode)
 
 
@@ -300,23 +261,18 @@ def compose_W(a, i, b, mode="W0"):
 def project_with_provenance(w):
     """Total composite of the decorations; returns (OElement, map from
     the composite's vertex ids to the shape vertex they came from)."""
-    idx = T.index(w.shape)
 
-    def val(v):
-        acc = w.decorations[v]
-        prov = {u: v for u in range(acc.arity)}
-        entries = idx.child_entries[v]
-        for s in range(len(entries) - 1, -1, -1):
-            kind, ref = entries[s]
-            if kind != "v":
-                continue
-            bval, bprov = val(ref)
-            acc, ma, mb = compose_O_with_maps(acc, s + 1, bval)
-            prov = {ma[u]: pv for u, pv in prov.items() if u in ma} | \
-                   {mb[u]: pv for u, pv in bprov.items()}
-        return acc, prov
+    def value(v):
+        deco = w.decorations[v]
+        return deco, {u: v for u in range(deco.arity)}
 
-    acc, prov = val(0)
+    def graft(a, s, b):
+        (acc, prov), (bval, bprov) = a, b
+        acc, ma, mb = compose_O_with_maps(acc, s, bval)
+        return acc, ({ma[u]: pv for u, pv in prov.items() if u in ma}
+                     | {mb[u]: pv for u, pv in bprov.items()})
+
+    acc, prov = T.fold(T.index(w.shape), value, graft)
     if w.leaf_order:
         acc = sigma_act_O(w.leaf_order, acc)
     return acc, prov
@@ -345,7 +301,7 @@ def psi_inverse(x):
     "Rebuild the shape as the nesting forest of the brackets."
     tree = x.base.tree
     if tree.is_eta:
-        return _from_nest(_N(eta_element(), None, []))
+        return _from_nest(T.Nest(_N(eta_element(), None), []))
     label_of_vertex = {v: i for i, v in enumerate(x.base.sigma)}
     items = sorted(x.weighted.weights, key=lambda it: (len(it[0]), sorted(it[0])))
 
@@ -367,11 +323,11 @@ def psi_inverse(x):
             slots[q] = build(vset, sub_inner, wt, None)
         for u in region:
             if slots[to_q[u]] is None:
-                slots[to_q[u]] = ("leaf", label_of_vertex[u])
+                slots[to_q[u]] = T.Nest(label_of_vertex[u])
         if tau is None:
             tau = tuple(range(T.num_leaves(qt)))
         deco = OElement(qt, tuple(range(m)), tau)
-        return _N(deco, weight, slots)
+        return T.Nest(_N(deco, weight), slots)
 
     region = frozenset(range(T.num_vertices(tree)))
     root = build(region, [(vset, wt) for vset, wt in items], None, x.base.tau)

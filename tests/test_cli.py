@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from brackops import bo_action
 from brackops.cli import main
 from brackops.trees import caterpillar
 from brackops.operads import bo_element, bo_to_json
@@ -94,25 +95,61 @@ def test_omega_segal_terminal(capsys):
     assert code == 0 and json.loads(out)["segal"] is True
 
 
-def test_bo_action_eval_with_trace(tmp_path, capsys):
+def test_bo_action_eval_with_trace(tmp_path, capsys, monkeypatch):
     e = bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
                    {frozenset({1, 2}): F(1, 2)})
     xs = [Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])] * 3
     ep = write(tmp_path, "e.json", bo_to_json(e))
     xp = write(tmp_path, "xs.json",
                json.dumps([cactus_to_obj(x) for x in xs]))
+    calls = []
+    assembly = bo_action._assembly
+
+    def counted(*args):
+        calls.append(args)
+        return assembly(*args)
+
+    monkeypatch.setattr(bo_action, "_assembly", counted)
     code, out = run(capsys, "bo-action", "eval",
                     "--element", ep, "--inputs", xp)
     assert code == 0
     assert json.loads(out)["result"]["k"] == 4
+    plain = len(calls)
     code, out = run(capsys, "bo-action", "eval",
                     "--element", ep, "--inputs", xp, "--trace")
+    # the trace comes from the same single evaluation as the result
+    assert len(calls) == 2 * plain
     data = json.loads(out)
     tr = data["trace"]
     assert len(tr["g"]) == 3
     assert len(tr["h"]) == 1
     assert tr["brackets"] == [[1, 2]]
     assert set(tr["ms"]) == {"cactus", "reparam"}
+
+
+@pytest.mark.parametrize("tree", ["caterpillar:-1", "caterpillar:0",
+                                  "star:-2", "corolla:-1", "caterpillar:x"])
+def test_bad_tree_shorthand_is_a_structured_error(capsys, tree):
+    code, out = run(capsys, "brackets", "enumerate", "--tree", tree)
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_verify_zero_samples_is_a_structured_error(capsys):
+    code, out = run(capsys, "verify", "bracket-counts", "--samples", "0")
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("element", ["{}", "not json"])
+def test_bad_bo_action_element_is_a_structured_error(tmp_path, capsys,
+                                                     element):
+    ep = write(tmp_path, "e.json", element)
+    xp = write(tmp_path, "xs.json", "[]")
+    code, out = run(capsys, "bo-action", "eval",
+                    "--element", ep, "--inputs", xp)
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
 
 
 def test_verify_exit_codes_and_determinism(capsys):

@@ -5,7 +5,7 @@ import pytest
 from brackops.trees import ETA, PlanarTree, caterpillar
 from brackops.operads import (OElement, o_unit, bo_element, compose_BO,
                               unit_BO)
-from brackops.wconstruction import (WTree, w_unit, normalize_W, is_normal,
+from brackops.wconstruction import (WTree, normalize_W, is_normal,
                                     compose_W, project_to_O, psi,
                                     psi_inverse, w_to_json, w_from_json)
 from brackops import randomgen as R
