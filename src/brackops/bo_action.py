@@ -9,10 +9,8 @@ the per-level scaling maps."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import trees as T
-from .bracketings import Bracketing
+from .bracketings import Bracketing, chain_levels
 from .operads import OElement
 from .cacti import (MSElement, unit_cactus, ms_unit, ms_compose,
                     scaling_map, relabel_cactus, renormalize)
@@ -139,27 +137,14 @@ def augment(base, brackets):
 # ---------------------------------------------------------------------------
 # Scaling maps.
 
-def _chain_levels(weight_items):
-    """Chain levels and barycentric coefficients for a weight assignment:
-    level l collects the brackets of weight >= the l-th distinct value;
-    the coefficient of level l is t_l - t_{l+1} (with t past the end 0),
-    so the coefficients are convex."""
-    values = sorted({w for _, w in weight_items}, reverse=True)
-    if not values or values[0] != 1:
-        values = [Fraction(1)] + values
-    levels = [_canon_sets([b for b, w in weight_items if w >= val])
-              for val in values]
-    coeffs = [values[l] - (values[l + 1] if l + 1 < len(values) else Fraction(0))
-              for l in range(len(values))]
-    return levels, coeffs
-
-
 def _assembly(base, weight_items, cacti):
     """Augmented tree plus interpolated scaling maps: per input the convex
     combination of the per-level maps; per bracket one recursively
     interpolated sub-action, rescaled level by level (identity on the
     levels the bracket is absent from)."""
-    levels, coeffs = _chain_levels(weight_items)
+    values, levels = chain_levels(weight_items)
+    # level l weighs t_l - t_{l+1} (t past the end 0): convex coefficients
+    coeffs = [s - t for s, t in zip(values, values[1:] + [0])]
     gs = [pl_convex_combination(
         coeffs, [scaling_map(cacti[i], xi_map(base.tree, lv, base.sigma[i]))
                  for lv in levels])
@@ -277,7 +262,3 @@ def lam_traced(element, inputs):
     assembly = _assembly(element.base, element.weighted.weights, ctx.inputs)
     ms = _compose_assembly(element.base, ctx.inputs, assembly)
     return renormalize(ms), ms, assembly
-
-
-def act(ctx):
-    return lam(ctx.element, ctx.inputs)

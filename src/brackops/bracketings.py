@@ -84,13 +84,6 @@ class WeightedBracketing:
         self.tree = tree
         self.weights = tuple(items)
 
-    @property
-    def bracketing(self):
-        return Bracketing(self.tree, [v for v, _ in self.weights], validate=False)
-
-    def as_dict(self):
-        return dict(self.weights)
-
     def __eq__(self, other):
         return (isinstance(other, WeightedBracketing)
                 and self.tree == other.tree and self.weights == other.weights)
@@ -201,19 +194,28 @@ def nerve_statistics(tree, limit=7):
     return tuple(fvec), chi
 
 
+def chain_levels(items):
+    """The chain form of (bracket, weight) items: the distinct weights in
+    descending order, with 1 prepended when missing, and for each value
+    the canonically sorted brackets of weight >= it.  Weight-0 items are
+    kept; they fall into the last level, of value 0."""
+    values = sorted({w for _, w in items}, reverse=True)
+    if not values or values[0] != 1:
+        values = [Fraction(1)] + values
+    levels = [sorted((frozenset(b) for b, w in items if w >= val),
+                     key=_canon_key)
+              for val in values]
+    return values, levels
+
+
 def weights_to_chain(w):
     """Group brackets by weight value, descending; level l of the chain
     collects all brackets of weight >= the l-th distinct value.  If no
     bracket has weight 1 the chain is padded with an empty level of
     coordinate 1."""
-    values = sorted({wt for _, wt in w.weights}, reverse=True)
-    if not values or values[0] != 1:
-        values = [Fraction(1)] + values
-    chain = []
-    for val in values:
-        level = [v for v, wt in w.weights if wt >= val]
-        chain.append(Bracketing(w.tree, level, validate=False))
-    return BracketChain(chain, values)
+    values, levels = chain_levels(w.weights)
+    return BracketChain([Bracketing(w.tree, lv, validate=False)
+                         for lv in levels], values)
 
 
 def chain_to_weights(c):

@@ -31,7 +31,7 @@ class Cactus:
 
     __slots__ = ("k", "arcs")
 
-    def __init__(self, k, arcs, validate=True):
+    def __init__(self, k, arcs):
         k = int(k)
         if k < 1:
             raise CactusError("lobe count must be >= 1 (the empty cactus is EMPTY_CACTUS)")
@@ -46,8 +46,7 @@ class Cactus:
                 merged.append((a, b, lab))
         self.k = k
         self.arcs = tuple(merged)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if not self.arcs:
@@ -90,9 +89,6 @@ class Cactus:
     def lobe_arcs(self, lab):
         return [(a, b) for a, b, l in self.arcs if l == lab]
 
-    def boundaries(self):
-        return [a for a, _, _ in self.arcs] + [ONE]
-
     def __eq__(self, other):
         return (isinstance(other, Cactus) and self.k == other.k
                 and self.arcs == other.arcs)
@@ -120,6 +116,9 @@ EMPTY_CACTUS = _EmptyCactus()
 
 def unit_cactus():
     return Cactus(1, [(ZERO, ONE, 1)])
+
+
+_UNIT = unit_cactus()  # the inert lobes of a single insertion
 
 
 class MSElement:
@@ -154,16 +153,9 @@ def cactus_map(x):
     out = []
     for lab in range(1, x.k + 1):
         xs, ys = [ZERO], [ZERO]
-        acc = ZERO
         for a, b, l in x.arcs:
-            if l == lab:
-                acc += (b - a) * x.k
-            if b != xs[-1]:
-                xs.append(b)
-                ys.append(acc)
-            else:  # cannot happen: arcs have positive length
-                ys[-1] = acc
-        ys[-1] = min(ys[-1], ONE)
+            xs.append(b)
+            ys.append(ys[-1] + (b - a) * x.k if l == lab else ys[-1])
         out.append(PLMap(xs, ys))
     return out
 
@@ -219,19 +211,26 @@ def cactus_metric(x, y):
 # ---------------------------------------------------------------------------
 # Scaling maps.
 
-def scaling_map(x, m):
-    """The reparametrization that scales lobe j by k*m[j-1]/sum(m);
-    strictly monotone only when every multiplier is positive."""
+def _scaled_ends(x, m):
+    """The values of scaling_map(x, m) at 0 and at the end of each arc:
+    the cumulative sums of the arc lengths, lobe j scaled by
+    k*m[j-1]/sum(m)."""
     if len(m) != x.k:
         raise ValueError("need one multiplier per lobe")
     if any(v <= 0 for v in m):
         raise ValueError("multipliers must be >= 1 (zero breaks monotonicity)")
     total = sum(m)
-    xs, ys = [ZERO], [ZERO]
+    ends = [ZERO]
     for a, b, lab in x.arcs:
-        xs.append(b)
-        ys.append(ys[-1] + (b - a) * x.k * m[lab - 1] / total)
-    return monotone_reparam(xs, ys)
+        ends.append(ends[-1] + (b - a) * x.k * m[lab - 1] / total)
+    return ends
+
+
+def scaling_map(x, m):
+    """The reparametrization that scales lobe j by k*m[j-1]/sum(m);
+    strictly monotone only when every multiplier is positive."""
+    return monotone_reparam([ZERO] + [b for _, b, _ in x.arcs],
+                            _scaled_ends(x, m))
 
 
 def relabel_cactus(x, perm):
@@ -245,36 +244,14 @@ def relabel_cactus(x, perm):
 # Composition.
 
 def _insert(x, i, y):
-    """Scale lobe i of x to host y, subdivide it along its traversal by
-    y's arcs, shift the remaining labels.  Returns (z, h) where h is the
-    scaling reparametrization."""
-    k, j = x.k, y.k
-    if not 1 <= i <= k:
+    """Insert y in lobe i of x: simultaneous insertion with the unit
+    cactus in every other lobe.  Returns (z, h) where h is the scaling
+    reparametrization."""
+    if not 1 <= i <= x.k:
         raise IndexError("slot %d out of range" % i)
-    n = k + j - 1
-    big = Fraction(j * k, n)
-    small = Fraction(k, n)
-    # h: cumulative scaling over x's arcs
-    xs, ys = [ZERO], [ZERO]
-    for a, b, lab in x.arcs:
-        xs.append(b)
-        ys.append(ys[-1] + (b - a) * (big if lab == i else small))
-    h = monotone_reparam(xs, ys)
-    c = cactus_map(x)[i - 1]
-    arcs = []
-    for a, b, lab in x.arcs:
-        ha, hb = h(a), h(b)
-        if lab != i:
-            arcs.append((ha, hb, lab if lab < i else lab + j - 1))
-        else:
-            ca, cb = c(a), c(b)
-            for p, q, ly in y.arcs:
-                lo, hi = max(p, ca), min(q, cb)
-                if hi > lo:
-                    arcs.append((ha + (lo - ca) * j / n,
-                                 ha + (hi - ca) * j / n,
-                                 i - 1 + ly))
-    return Cactus(n, arcs), h
+    ys = [_UNIT] * x.k
+    ys[i - 1] = y
+    return gamma_cact1(x, ys), scaling_map(x, [c.k for c in ys])
 
 
 def cact1_compose(x, i, y):
@@ -291,14 +268,14 @@ def ms_compose(a, i, b):
     k = x.k
     if not 1 <= i <= k:
         raise IndexError("slot %d out of range" % i)
-    c = cactus_map(x)[i - 1]
     # step one: new arc lengths for lobe i, the rest untouched
     new_arcs = []
     gt_x, gt_y = [ZERO], [ZERO]  # graph of the identification map
     pos = ZERO
+    cb = ZERO  # k times the length of lobe i before the current arc
     for a0, b0, lab in x.arcs:
         if lab == i:
-            ca, cb = c(a0), c(b0)
+            ca, cb = cb, cb + (b0 - a0) * k
             # interior gradient of g contributes breakpoints
             for p in g.breakpoints:
                 if ca <= p <= cb:
@@ -322,20 +299,22 @@ def ms_compose(a, i, b):
 
 
 def gamma_cact1(x, ys):
-    "Simultaneous insertion of one cactus per lobe."
+    """Simultaneous insertion of one cactus per lobe, the
+    scale-and-subdivide rule: lobe j is scaled by k*m_j/n and each of its
+    arcs is cut along the arcs of ys[j-1] it traverses."""
     k = x.k
     if len(ys) != k:
         raise ValueError("need one cactus per lobe")
     m = [y.k for y in ys]
     n = sum(m)
     offset = [sum(m[:r]) for r in range(k)]
-    G = scaling_map(x, m)
-    cmaps = cactus_map(x)
+    # seen[j-1]: k times the length of lobe j in the arcs already passed,
+    # the value of lobe j's step map at the current arc's left end
+    seen = [ZERO] * k
     arcs = []
-    for a, b, lab in x.arcs:
-        ga = G(a)
-        c = cmaps[lab - 1]
-        ca, cb = c(a), c(b)
+    for (a, b, lab), ga in zip(x.arcs, _scaled_ends(x, m)):
+        ca = seen[lab - 1]
+        cb = seen[lab - 1] = ca + (b - a) * k
         for p, q, ly in ys[lab - 1].arcs:
             lo, hi = max(p, ca), min(q, cb)
             if hi > lo:

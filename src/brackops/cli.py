@@ -50,6 +50,14 @@ def _load(path, parse=lambda obj: obj):
                          % (path, type(exc).__name__, exc)) from exc
 
 
+def _apply(op, *args):
+    "Run an operation; input that does not fit it is bad input (exit code 2)."
+    try:
+        return op(*args)
+    except (ValueError, IndexError) as exc:
+        raise InputError("%s: %s" % (type(exc).__name__, exc)) from exc
+
+
 # shorthand -> (builder, least N)
 _SHORTHANDS = {"caterpillar": (caterpillar, 1), "star": (star, 0),
                "corolla": (corolla, 0)}
@@ -74,7 +82,7 @@ def _tree_from_arg(arg):
 def cmd_brackets(args):
     tree = _tree_from_arg(args.tree)
     if args.fvector:
-        fvec, chi = nerve_statistics(tree, limit=args.limit)
+        fvec, chi = _apply(nerve_statistics, tree, args.limit)
         _emit({"tree": T.tree_to_obj(tree), "fvector": list(fvec),
                "chi": chi})
         return 0
@@ -88,19 +96,19 @@ def cmd_brackets(args):
 def cmd_bo(args):
     a = _load(args.lhs, bo_from_obj)
     b = _load(args.rhs, bo_from_obj)
-    _emit(bo_to_obj(compose_BO(a, args.slot, b)))
+    _emit(bo_to_obj(_apply(compose_BO, a, args.slot, b)))
     return 0
 
 
 def cmd_w(args):
     if args.action == "normalize":
-        _emit(w_to_obj(normalize_W(_load(args.input, w_from_obj))))
+        _emit(w_to_obj(_apply(normalize_W, _load(args.input, w_from_obj))))
     elif args.action == "psi":
-        _emit(bo_to_obj(psi(_load(args.input, w_from_obj))))
+        _emit(bo_to_obj(_apply(psi, _load(args.input, w_from_obj))))
     else:
         a = _load(args.lhs, w_from_obj)
         b = _load(args.rhs, w_from_obj)
-        _emit(w_to_obj(compose_W(a, args.slot, b)))
+        _emit(w_to_obj(_apply(compose_W, a, args.slot, b)))
     return 0
 
 
@@ -108,7 +116,7 @@ def cmd_omega(args):
     if args.action == "compose":
         g = _load(args.lhs, D.tilde_from_obj)
         f = _load(args.rhs, D.tilde_from_obj)
-        _emit(D.tilde_to_obj(D.compose_omega_tilde(g, f)))
+        _emit(D.tilde_to_obj(_apply(D.compose_omega_tilde, g, f)))
         return 0
     if args.action == "image":
         g = _load(args.input, D.morphism_from_obj)
@@ -128,7 +136,7 @@ def cmd_cacti(args):
     if args.action == "compose":
         x = _load(args.lhs, cactus_from_obj)
         y = _load(args.rhs, cactus_from_obj)
-        _emit(cactus_to_obj(cact1_compose(x, args.slot, y)))
+        _emit(cactus_to_obj(_apply(cact1_compose, x, args.slot, y)))
         return 0
     if args.action == "validate":
         obj = _load(args.input)
@@ -142,7 +150,7 @@ def cmd_cacti(args):
     if args.action == "metric":
         x = _load(args.lhs, cactus_from_obj)
         y = _load(args.rhs, cactus_from_obj)
-        _emit({"distance": frac_to_str(cactus_metric(x, y))})
+        _emit({"distance": frac_to_str(_apply(cactus_metric, x, y))})
         return 0
     return _print_witness()
 
@@ -168,9 +176,9 @@ def cmd_bo_action(args):
     inputs = _load(args.inputs,
                    lambda objs: [cactus_from_obj(o) for o in objs])
     if not args.trace or elem.base.tree.is_eta:
-        _emit({"result": cactus_to_obj(bo_action.lam(elem, inputs))})
+        _emit({"result": cactus_to_obj(_apply(bo_action.lam, elem, inputs))})
         return 0
-    result, ms, (aug, gs, hs) = bo_action.lam_traced(elem, inputs)
+    result, ms, (aug, gs, hs) = _apply(bo_action.lam_traced, elem, inputs)
     _emit({
         "result": cactus_to_obj(result),
         "trace": {

@@ -64,11 +64,10 @@ class OmegaMorphism:
 
     __slots__ = ("source", "target", "edge_map", "vertex_images", "_hash")
 
-    def __init__(self, source, target, edge_map, vertex_images, validate=True):
+    def __init__(self, source, target, edge_map, vertex_images):
         edge_map = dict(edge_map)
         vertex_images = tuple(frozenset(s) for s in vertex_images)
-        if validate:
-            _validate_morphism(source, target, edge_map, vertex_images)
+        _validate_morphism(source, target, edge_map, vertex_images)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "edge_map", edge_map)
@@ -314,7 +313,7 @@ class OmegaTildeMorphism:
 
     __slots__ = ("base", "brackets")
 
-    def __init__(self, base, brackets=None, validate=True):
+    def __init__(self, base, brackets=None):
         n = len(base.vertex_images)
         if brackets is None:
             brackets = [()] * n
@@ -331,23 +330,13 @@ class OmegaTildeMorphism:
                 items.append((frozenset(vset), w))
             items.sort(key=lambda it: (len(it[0]), sorted(it[0])))
             canon.append(tuple(items))
-        if validate:
-            for v in range(n):
-                _validate_brackets(base, v, canon[v])
+        for v in range(n):
+            _validate_brackets(base, v, canon[v])
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "brackets", tuple(canon))
 
     def __setattr__(self, *a):
         raise AttributeError("morphisms are immutable")
-
-    def weighted_bracketing(self, v):
-        "The bracket family at v, on the restricted image tree."
-        img = self.base.vertex_images[v]
-        if not img:
-            return WeightedBracketing(ETA, {})
-        rt, vmap = T.restrict_with_map(self.base.target, img)
-        return WeightedBracketing(
-            rt, {frozenset(vmap[u] for u in B): w for B, w in self.brackets[v]})
 
     def __eq__(self, other):
         return (isinstance(other, OmegaTildeMorphism)

@@ -51,10 +51,6 @@ class OElement:
         "Arity of the vertex at slot i (1-based)."
         return T.index(self.tree).arity(self.sigma[i - 1])
 
-    def slot_arities(self):
-        idx = T.index(self.tree)
-        return [idx.arity(v) for v in self.sigma]
-
     def __eq__(self, other):
         return (isinstance(other, OElement) and self.tree == other.tree
                 and self.sigma == other.sigma and self.tau == other.tau)

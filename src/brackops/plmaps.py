@@ -91,11 +91,6 @@ def monotone_reparam(breakpoints, values):
     return f
 
 
-# alias used in signatures: a MonotoneReparam is a PLMap that passes the
-# two checks above
-MonotoneReparam = PLMap
-
-
 def identity_map():
     return PLMap((ZERO, ONE), (ZERO, ONE))
 
@@ -142,10 +137,7 @@ def pl_convex_combination(coeffs, maps):
 
 def average_of_steps(maps):
     "Pointwise average of a list of maps."
-    k = len(maps)
-    pts = sorted(set(x for m in maps for x in m.breakpoints))
-    vals = [sum(m(t) for m in maps) / k for t in pts]
-    return PLMap(pts, vals)
+    return pl_convex_combination([Fraction(1, len(maps))] * len(maps), maps)
 
 
 def pl_to_obj(f):

@@ -278,20 +278,19 @@ def suite_psi(cfg):
     for sh in _shapes(4, 3):
         pool.extend(_decorate(sh, weight_choices))
 
-    def roundtrip_bo():
-        for x in pool:
-            yield ("psi o psi_inverse moves %r" % (x,),
-                   psi(psi_inverse(x)) == x)
-
-    rec.run("psi/roundtrip-bracketed", roundtrip_bo())
-
-    def roundtrip_w():
-        for x in pool:
-            w = psi_inverse(x)
-            yield ("psi_inverse o psi moves a normal form of %r" % (x,),
-                   psi_inverse(psi(w)) == w and w == normalize_W(w))
-
-    rec.run("psi/roundtrip-normal-form", roundtrip_w())
+    # both round trips start from w = psi_inverse(x) and y = psi(w)
+    roundtrips = []
+    for x in pool:
+        w = psi_inverse(x)
+        y = psi(w)
+        roundtrips.append(
+            (x, y == x, psi_inverse(y) == w and w == normalize_W(w)))
+    rec.run("psi/roundtrip-bracketed",
+            (("psi o psi_inverse moves %r" % (x,), ok)
+             for x, ok, _ in roundtrips))
+    rec.run("psi/roundtrip-normal-form",
+            (("psi_inverse o psi moves a normal form of %r" % (x,), ok)
+             for x, _, ok in roundtrips))
 
     def operad_map():
         for trial in range(cfg.samples):

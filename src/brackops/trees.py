@@ -12,6 +12,7 @@ that vertex references can be transported across compositions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -22,6 +23,7 @@ class PlanarTree:
     the singleton ETA stands for both the vertexless tree and a leaf."""
 
     __slots__ = ("children", "_hash")
+    is_eta = False
 
     def __init__(self, children=()):
         children = tuple(children)
@@ -33,10 +35,6 @@ class PlanarTree:
 
     def __setattr__(self, *a):
         raise AttributeError("PlanarTree is immutable")
-
-    @property
-    def is_eta(self):
-        return False
 
     def __eq__(self, other):
         if self is other:
@@ -60,14 +58,11 @@ class PlanarTree:
 
 class _Eta(PlanarTree):
     __slots__ = ()
+    is_eta = True
 
     def __init__(self):
         object.__setattr__(self, "children", ())
         object.__setattr__(self, "_hash", hash("eta"))
-
-    @property
-    def is_eta(self):
-        return True
 
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and other.is_eta
@@ -107,38 +102,36 @@ def star(arms, arm_arity=1):
 class TreeIndex:
     """Tables for a tree: for each vertex (by DFS id) its subtree object,
     parent id (-1 for the root), slot in the parent, arity, and the list
-    of child entries ('v', child_id) / ('l', leaf_position)."""
+    of child entries ('v', child_id) / ('l', leaf_position).  `index`
+    hands the same tables to every caller: they are read-only."""
+
+    __slots__ = ("tree", "subtree", "parent", "parent_slot",
+                 "child_entries", "leaf_at")
 
     def __init__(self, tree):
         self.tree = tree
-        self.subtree = []
-        self.parent = []
-        self.parent_slot = []
-        self.child_entries = []
-        self.leaf_at = []  # leaf position -> (vertex_id, slot); [] for Eta
+        subtree = self.subtree = []
+        parent = self.parent = []
+        parent_slot = self.parent_slot = []
+        child_entries = self.child_entries = []
+        # leaf position -> (vertex_id, slot); [] for Eta
+        leaf_at = self.leaf_at = []
         if tree.is_eta:
             return
 
         def walk(node, par, slot):
-            vid = len(self.subtree)
-            self.subtree.append(node)
-            self.parent.append(par)
-            self.parent_slot.append(slot)
-            self.child_entries.append([])
+            vid = len(subtree)
+            subtree.append(node)
+            parent.append(par)
+            parent_slot.append(slot)
+            entries = []
+            child_entries.append(entries)
             for s, ch in enumerate(node.children):
                 if ch.is_eta:
-                    self.child_entries[vid].append(("l", None))
+                    entries.append(("l", len(leaf_at)))
+                    leaf_at.append((vid, s))
                 else:
-                    self.child_entries[vid].append(("v", None))
-            # second pass fills ids once children are walked
-            for s, ch in enumerate(node.children):
-                if ch.is_eta:
-                    pos = len(self.leaf_at)
-                    self.leaf_at.append((vid, s))
-                    self.child_entries[vid][s] = ("l", pos)
-                else:
-                    cid = walk(ch, vid, s)
-                    self.child_entries[vid][s] = ("v", cid)
+                    entries.append(("v", walk(ch, vid, s)))
             return vid
 
         walk(tree, -1, -1)
@@ -161,20 +154,31 @@ class TreeIndex:
         return out
 
 
+@functools.lru_cache(maxsize=32)
 def index(tree):
+    """The TreeIndex of a tree.  Surgery and validation index the same
+    few small trees over and over, so the last 32 distinct trees keep
+    theirs."""
     return TreeIndex(tree)
 
 
 def num_vertices(tree):
     if tree.is_eta:
         return 0
-    return 1 + sum(num_vertices(c) for c in tree.children if not c.is_eta)
+    n = 1
+    for c in tree.children:
+        if not c.is_eta:
+            n += num_vertices(c)
+    return n
 
 
 def num_leaves(tree):
     if tree.is_eta:
         return 1
-    return sum(num_leaves(c) for c in tree.children) if tree.children else 0
+    n = 0
+    for c in tree.children:
+        n += num_leaves(c)
+    return n
 
 
 def arities(tree):

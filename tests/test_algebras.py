@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from brackops.trees import caterpillar
-from brackops import trees as T
 from brackops.operads import bo_element
 from brackops.algebras import (TerminalAlgebra, EndoValue, endo_identity,
                                endo_compose, EndoAlgebra, CactusAlgebra)

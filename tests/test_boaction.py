@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from brackops.trees import ETA, PlanarTree, caterpillar, corolla
+from brackops.trees import ETA, PlanarTree, caterpillar
 from brackops import trees as T
-from brackops.operads import (OElement, bo_element, eta_BO, unit_BO,
+from brackops.operads import (bo_element, eta_BO, unit_BO,
                               compose_BO, sigma_act_BO)
 from brackops.cacti import MSElement, unit_cactus, cact1_compose, scaling_map
 from brackops.plmaps import identity_map, pl_convex_combination
+from brackops.bracketings import chain_levels
 from brackops import bo_action as A
 from brackops import randomgen as R
 
@@ -85,14 +86,18 @@ def test_augment_nests_same_root_brackets_smallest_inside():
 
 def test_chain_levels_interpolate_between_bracketings():
     items = [(frozenset({1, 2}), F(1, 2))]
-    levels, coeffs = A._chain_levels(items)
+    values, levels = chain_levels(items)
     assert levels == [[], [frozenset({1, 2})]]
-    assert coeffs == [F(1, 2), F(1, 2)]
-    items = [(frozenset({1, 2}), F(1)), (frozenset({1, 2, 3}), F(1, 3))]
-    levels, coeffs = A._chain_levels(items)
+    assert values == [1, F(1, 2)]
+    items = [(frozenset({1, 2, 3}), F(1, 3)), (frozenset({1, 2}), F(1))]
+    values, levels = chain_levels(items)
     assert levels[0] == [frozenset({1, 2})]
     assert levels[1] == [frozenset({1, 2}), frozenset({1, 2, 3})]
-    assert coeffs == [F(2, 3), F(1, 3)]
+    assert values == [1, F(1, 3)]
+    # a weight-0 item is kept, in the last level, of value 0
+    values, levels = chain_levels([(frozenset({1, 2}), F(0))])
+    assert levels == [[], [frozenset({1, 2})]]
+    assert values == [1, 0]
 
 
 def test_lam_eta_and_unit():

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from brackops.plmaps import identity_map, pl_compose
+from brackops.plmaps import identity_map
 from brackops.cacti import (Cactus, CactusError, EMPTY_CACTUS, unit_cactus,
-                            MSElement, ms_unit, cactus_map, cactus_from_maps,
+                            ms_unit, cactus_map, cactus_from_maps,
                             coend_compose, phi, cactus_metric, scaling_map,
-                            relabel_cactus, cact1_compose, ms_compose,
+                            relabel_cactus, cact1_compose, _insert, ms_compose,
                             gamma_cact1, rescaling_identity_check,
                             renormalize, cactus_to_json, cactus_from_json)
 from brackops import randomgen as R
@@ -102,6 +102,18 @@ def test_cact1_compose_unit_laws():
         i = rng.randint(1, x.k)
         assert cact1_compose(x, i, unit_cactus()) == x
         assert cact1_compose(unit_cactus(), 1, x) == x
+
+
+def test_single_insertion_is_simultaneous_insertion_with_units():
+    rng = R.rng_from_seed(7)
+    for _ in range(40):
+        x = R.random_cactus(rng.randint(1, 4), rng)
+        i = rng.randint(1, x.k)
+        y = R.random_cactus(rng.randint(1, 4), rng)
+        ys = [unit_cactus()] * x.k
+        ys[i - 1] = y
+        assert cact1_compose(x, i, y) == gamma_cact1(x, ys)
+        assert _insert(x, i, y)[1] == scaling_map(x, [c.k for c in ys])
 
 
 def test_nonassociativity_of_cact1():

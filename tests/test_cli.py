@@ -135,6 +135,13 @@ def test_bad_tree_shorthand_is_a_structured_error(capsys, tree):
     assert list(json.loads(out)) == ["error"]
 
 
+def test_fvector_over_the_limit_is_a_structured_error(capsys):
+    code, out = run(capsys, "brackets", "enumerate", "--tree", "caterpillar:9",
+                    "--fvector")
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
 def test_verify_zero_samples_is_a_structured_error(capsys):
     code, out = run(capsys, "verify", "bracket-counts", "--samples", "0")
     assert code == 2
@@ -148,6 +155,36 @@ def test_bad_bo_action_element_is_a_structured_error(tmp_path, capsys,
     xp = write(tmp_path, "xs.json", "[]")
     code, out = run(capsys, "bo-action", "eval",
                     "--element", ep, "--inputs", xp)
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_bo_action_eval_without_inputs_is_a_structured_error(tmp_path,
+                                                             capsys):
+    e = bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3))
+    ep = write(tmp_path, "e.json", bo_to_json(e))
+    xp = write(tmp_path, "xs.json", "[]")
+    code, out = run(capsys, "bo-action", "eval",
+                    "--element", ep, "--inputs", xp)
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_bo_compose_slot_out_of_range_is_a_structured_error(tmp_path, capsys):
+    u = write(tmp_path, "u.json",
+              bo_to_json(bo_element(caterpillar(1), (0,), (0, 1))))
+    code, out = run(capsys, "bo", "compose", "--lhs", u,
+                    "--slot", "9", "--rhs", u)
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_cacti_compose_slot_out_of_range_is_a_structured_error(tmp_path,
+                                                               capsys):
+    x = write(tmp_path, "x.json",
+              cactus_to_json(Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])))
+    code, out = run(capsys, "cacti", "compose", "--lhs", x,
+                    "--slot", "9", "--rhs", x)
     assert code == 2
     assert list(json.loads(out)) == ["error"]
 

@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla, star
 from brackops import trees as T
 from brackops import dendroidal as D

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla
-from brackops import trees as T
-from brackops.operads import (OElement, BOElement, o_unit, eta_element,
+from brackops.operads import (OElement, o_unit, eta_element,
                               unit_BO, eta_BO, bo_element, compose_O,
                               compose_BO, sigma_act_O, tau_act_O,
                               sigma_act_BO, forget_brackets, bo_to_json,

@@ -117,6 +117,23 @@ def test_json_roundtrip_random(seed):
     assert T.tree_from_json(T.tree_to_json(t)) == t
 
 
+def test_index_tables_match_a_fresh_index():
+    # more distinct trees than the index cache holds, each indexed twice
+    # through a structurally equal copy
+    trees = [t for nv in range(1, 5) for nl in range(4)
+             for t in T.planar_trees(nv, nl)]
+    assert len(trees) > 64
+    for t in trees + trees:
+        copy = T.tree_from_json(T.tree_to_json(t))
+        idx, fresh = T.index(copy), T.TreeIndex(t)
+        assert idx.tree == t
+        assert idx.subtree == fresh.subtree
+        assert idx.parent == fresh.parent
+        assert idx.parent_slot == fresh.parent_slot
+        assert idx.child_entries == fresh.child_entries
+        assert idx.leaf_at == fresh.leaf_at
+
+
 def test_malformed_json_rejected():
     with pytest.raises(ValueError):
         T.tree_from_obj("leaf")
