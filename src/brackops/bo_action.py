@@ -39,7 +39,7 @@ def xi_map(tree, brackets, v):
     S = min(containing, key=len) if containing else whole
     out = []
     for kind, ref in idx.child_entries[v]:
-        if kind == "l" or ref not in S:
+        if kind == "leaf" or ref not in S:
             out.append(1)
         else:
             rooted = [b for b in sets
@@ -76,7 +76,7 @@ def lambda_MS(elem, inputs, order="last-first"):
         acc = deco[v]
         pos = 1
         for kind, ref in idx.child_entries[v]:
-            if kind == "v":
+            if kind == "out":
                 sub = rec_asc(ref)
                 acc = ms_compose(acc, pos, sub)
                 pos += sub.cactus.k
@@ -117,17 +117,18 @@ def augment(base, brackets):
     "Build the augmented labelled tree for a bracket set on base.tree."
     sets = _canon_sets(brackets)
     Bracketing(base.tree, sets)  # validates nesting
-    root, verts, _ = T.open_nest(base.tree, lambda v: ("v", v), lambda p: None)
+    # tree vertices are labelled (0, id), bracket vertices (1, j)
+    root, verts, _ = T.open_nest(base.tree, lambda v: (0, v), lambda p: None)
     # smaller brackets wrap first, so the largest ends nearest the root
     for j in sorted(range(len(sets)), key=lambda j: len(sets[j])):
         node = verts[T.subtree_root(base.tree, sets[j])]
         inner = T.Nest(node.label, node.children)
-        node.label, node.children = ("b", j), [inner]
+        node.label, node.children = (1, j), [inner]
     tree2, nodes, _ = T.close_nest(root)
-    vmap, bmap = {}, {}
+    vmap, bmap = maps = {}, {}
     for nid, node in enumerate(nodes):
-        kind, ref = node.label
-        (vmap if kind == "v" else bmap)[ref] = nid
+        side, ref = node.label
+        maps[side][ref] = nid
     sigma2 = tuple(vmap[v] for v in base.sigma) \
         + tuple(bmap[j] for j in range(len(sets)))
     elem = OElement(tree2, sigma2, base.tau)
@@ -154,12 +155,12 @@ def _assembly(base, weight_items, cacti):
     for b in aug.brackets:
         y = _sub_action(base, weight_items, cacti, b)
         unwind = pl_invert(y.reparam)
+        ct, cmap = T.collapse_with_map(base.tree, [b])
         terms = []
         for lv in levels:
             if b not in lv:
                 terms.append(identity_map())
                 continue
-            ct, cmap = T.collapse_with_map(base.tree, [b])
             outer = []
             for c in lv:
                 if c <= b:
@@ -176,15 +177,13 @@ def _assembly(base, weight_items, cacti):
 
 def _sub_action(base, weight_items, cacti, b):
     "The (weighted) MS element of the restriction of the action to b."
-    rt, vmap = T.restrict_with_map(base.tree, b)
-    inner = [(frozenset(vmap[u] for u in c), w)
+    rt, old, exits = T.region(base.tree, b)
+    new = {u: j for j, u in enumerate(old)}
+    inner = [(frozenset(new[u] for u in c), w)
              for c, w in weight_items if c < b]
-    k_sub = len(b)
-    sub_elem = OElement(rt, tuple(range(k_sub)),
-                        tuple(range(T.num_leaves(rt))))
-    inv = {nw: old for old, nw in vmap.items()}
+    sub_elem = OElement(rt, tuple(range(len(old))), tuple(range(len(exits))))
     pos_of = {base.sigma[i]: i for i in range(base.arity)}
-    sub_cacti = [cacti[pos_of[inv[j]]] for j in range(k_sub)]
+    sub_cacti = [cacti[pos_of[u]] for u in old]
     return _ms_action(sub_elem, inner, sub_cacti)
 
 

@@ -243,19 +243,26 @@ def relabel_cactus(x, perm):
 # ---------------------------------------------------------------------------
 # Composition.
 
-def _insert(x, i, y):
-    """Insert y in lobe i of x: simultaneous insertion with the unit
-    cactus in every other lobe.  Returns (z, h) where h is the scaling
-    reparametrization."""
+def _with_units(x, i, y):
+    "One cactus per lobe of x: y in lobe i, the unit cactus elsewhere."
     if not 1 <= i <= x.k:
         raise IndexError("slot %d out of range" % i)
     ys = [_UNIT] * x.k
     ys[i - 1] = y
+    return ys
+
+
+def _insert(x, i, y):
+    """Insert y in lobe i of x: simultaneous insertion with the unit
+    cactus in every other lobe.  Returns (z, h) where h is the scaling
+    reparametrization."""
+    ys = _with_units(x, i, y)
     return gamma_cact1(x, ys), scaling_map(x, [c.k for c in ys])
 
 
 def cact1_compose(x, i, y):
-    return _insert(x, i, y)[0]
+    "The cactus of _insert(x, i, y), without its scaling map."
+    return gamma_cact1(x, _with_units(x, i, y))
 
 
 def ms_compose(a, i, b):

@@ -123,7 +123,7 @@ def cmd_omega(args):
         images = [D.corolla_image(g, v)
                   for v in range(T.num_vertices(g.source))]
         _emit({"vertices": [sorted(s) for s in images],
-               "corollas": [T.tree_to_obj(T.restrict(g.target, s)) if s
+               "corollas": [T.tree_to_obj(T.region(g.target, s)[0]) if s
                             else "eta" for s in images]})
         return 0
     tree = _tree_from_arg(args.tree)
@@ -147,15 +147,15 @@ def cmd_cacti(args):
             return 1
         _emit({"valid": True})
         return 0
-    if args.action == "metric":
-        x = _load(args.lhs, cactus_from_obj)
-        y = _load(args.rhs, cactus_from_obj)
-        _emit({"distance": frac_to_str(_apply(cactus_metric, x, y))})
-        return 0
-    return _print_witness()
+    x = _load(args.lhs, cactus_from_obj)
+    y = _load(args.rhs, cactus_from_obj)
+    _emit({"distance": frac_to_str(_apply(cactus_metric, x, y))})
+    return 0
 
 
-def _print_witness():
+def cmd_witness(args):
+    if args.name != "nonassoc":
+        raise SystemExit("unknown witness %r (try: nonassoc)" % args.name)
     w = nonassoc_witness()
     _emit({"x": cactus_to_obj(w["x"]), "y": cactus_to_obj(w["y"]),
            "z": cactus_to_obj(w["z"]),
@@ -163,12 +163,6 @@ def _print_witness():
            "right": cactus_to_obj(w["right"]),
            "distance": frac_to_str(w["distance"])})
     return 0
-
-
-def cmd_witness(args):
-    if args.name != "nonassoc":
-        raise SystemExit("unknown witness %r (try: nonassoc)" % args.name)
-    return _print_witness()
 
 
 def cmd_bo_action(args):
@@ -303,8 +297,6 @@ def build_parser():
     cm.add_argument("--lhs", required=True)
     cm.add_argument("--rhs", required=True)
     cm.set_defaults(func=cmd_cacti)
-    cw = cs.add_parser("witness")
-    cw.set_defaults(func=cmd_cacti)
 
     ba = sub.add_parser("bo-action", help="the action on cacti")
     bas = ba.add_subparsers(dest="action", required=True)

@@ -5,8 +5,9 @@ into a diagram indexed by trees.
 A morphism S -> T is stored extensionally: a map on edges together
 with, for every vertex of S, the connected set of T-vertices it
 expands to (the empty set for a vertex degenerating onto an edge).
-Edges are named ("out", vertex_id) or ("leaf", leaf_position); the
-vertexless tree has the single edge ("leaf", 0)."""
+Edges carry the names of trees.TreeIndex: ("out", vertex_id) or
+("leaf", leaf_position); the vertexless tree has the single edge
+("leaf", 0)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import itertools
 from fractions import Fraction
 
 from . import trees as T
-from .trees import ETA, PlanarTree
+from .trees import ETA
 from .bracketings import WeightedBracketing
 from .operads import OElement, BOElement
 
@@ -34,24 +35,6 @@ def edges(tree):
 
 def root_edge(tree):
     return ("leaf", 0) if tree.is_eta else ("out", 0)
-
-
-def in_edges(idx, v):
-    "Input edges of a vertex, in planar slot order."
-    out = []
-    for kind, ref in idx.child_entries[v]:
-        out.append(("leaf", ref) if kind == "l" else ("out", ref))
-    return out
-
-
-def boundary_edge_list(tree, vset):
-    "Edges leaving the vertex set upward, in planar order."
-    idx = T.index(tree)
-    out = []
-    for v, s in T.subtree_boundary_edges(tree, vset):
-        kind, ref = idx.child_entries[v][s]
-        out.append(("leaf", ref) if kind == "l" else ("out", ref))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +92,7 @@ def _validate_morphism(source, target, edge_map, vertex_images):
     seen = set()
     for v in range(n):
         img = vertex_images[v]
-        ins = [edge_map[e] for e in in_edges(idx, v)]
+        ins = [edge_map[e] for e in idx.child_entries[v]]
         oe = edge_map[("out", v)]
         if not img:
             if idx.arity(v) != 1:
@@ -122,9 +105,10 @@ def _validate_morphism(source, target, edge_map, vertex_images):
         seen |= img
         if not T.is_connected(target, img):
             raise ValueError("vertex image is not connected")
-        if oe != ("out", T.subtree_root(target, img)):
+        _, old, exits = T.region(target, img)
+        if oe != ("out", old[0]):
             raise ValueError("image root edge does not match the output edge")
-        if sorted(boundary_edge_list(target, img)) != sorted(ins):
+        if sorted(exits) != sorted(ins):
             raise ValueError("image leaf edges do not match the input edges")
 
 
@@ -160,13 +144,11 @@ def compose_omega(g, f):
 
 def subtree_inclusion(tree, vset):
     "The outer-face composite embedding the subtree on vset."
-    src, vmap = T.restrict_with_map(tree, vset)
-    em = {("out", nw): ("out", old) for old, nw in vmap.items()}
-    for p, e in enumerate(boundary_edge_list(tree, vset)):
+    src, old, exits = T.region(tree, vset)
+    em = {("out", nw): ("out", u) for nw, u in enumerate(old)}
+    for p, e in enumerate(exits):
         em[("leaf", p)] = e
-    inv = {nw: old for old, nw in vmap.items()}
-    imgs = [frozenset([inv[nw]]) for nw in range(len(inv))]
-    return OmegaMorphism(src, tree, em, imgs)
+    return OmegaMorphism(src, tree, em, [frozenset([u]) for u in old])
 
 
 def collapse_morphism(tree, vsets):
@@ -210,11 +192,11 @@ def outer_face(tree, v):
         raise ValueError("cannot delete the only vertex")
     if not T.is_connected(tree, keep):
         raise ValueError("vertex %d is not removable" % v)
-    if v != 0 and any(kind == "v" for kind, _ in idx.child_entries[v]):
+    if v != 0 and any(kind == "out" for kind, _ in idx.child_entries[v]):
         raise ValueError("vertex %d is not removable" % v)
     if v == 0 and len(idx.vertex_children(0)) != 1:
         raise ValueError("the root is removable only over a single branch")
-    if v == 0 and any(kind == "l" for kind, _ in idx.child_entries[0]):
+    if v == 0 and any(kind == "leaf" for kind, _ in idx.child_entries[0]):
         raise ValueError("deleting the root must not drop leaves")
     return subtree_inclusion(tree, keep)
 
@@ -224,36 +206,18 @@ def degeneracy(tree, v):
     idx = T.index(tree)
     if idx.arity(v) != 1:
         raise ValueError("only unary vertices degenerate")
+    res = T.substitute_with_maps(tree, v, ETA)
+    moved = {"out": res.vmap_host, "leaf": res.leafmap_host}
 
-    def rec(u):
-        if u == v:
-            kind, ref = idx.child_entries[u][0]
-            return ETA if kind == "l" else rec(ref)
-        ch = []
-        for kind, ref in idx.child_entries[u]:
-            ch.append(ETA if kind == "l" else rec(ref))
-        return PlanarTree(tuple(ch))
+    def image(e):
+        # v's output edge becomes the edge above v
+        kind, ref = idx.child_entries[v][0] if e == ("out", v) else e
+        return kind, moved[kind][ref]
 
-    tgt = rec(0)
-    # removing a unary vertex keeps the depth-first order of the others
-    vm, c = {}, 0
-    for u in range(idx.num_vertices()):
-        if u != v:
-            vm[u] = c
-            c += 1
-    em = {}
-    imgs = []
-    for u in range(idx.num_vertices()):
-        if u == v:
-            kind, ref = idx.child_entries[v][0]
-            em[("out", v)] = ("leaf", ref) if kind == "l" else ("out", vm[ref])
-            imgs.append(frozenset())
-        else:
-            em[("out", u)] = ("out", vm[u])
-            imgs.append(frozenset([vm[u]]))
-    for p in range(T.num_leaves(tree)):
-        em[("leaf", p)] = ("leaf", p) if not tgt.is_eta else ("leaf", 0)
-    return OmegaMorphism(tree, tgt, em, imgs)
+    em = {e: image(e) for e in edges(tree)}
+    imgs = [frozenset([res.vmap_host[u]]) if u != v else frozenset()
+            for u in range(idx.num_vertices())]
+    return OmegaMorphism(tree, res.tree, em, imgs)
 
 
 def isomorphisms(s, t):
@@ -278,8 +242,8 @@ def isomorphisms(s, t):
                 if ks != kt:
                     ok = False
                     break
-                if ks == "l":
-                    slot_opts.append([({("leaf", rs): ("leaf", rt)}, {})])
+                if ks == "leaf":
+                    slot_opts.append([({es[s_slot]: et[t_slot]}, {})])
                 else:
                     sub = match(rs, rt)
                     if not sub:
@@ -463,16 +427,14 @@ def phi_morphism(P, m, values):
         if not img:
             out.append(P.unit())
             continue
-        rt, vmap = T.restrict_with_map(base.target, img)
-        inv = {nw: old for old, nw in vmap.items()}
-        k = len(img)
-        bnd = boundary_edge_list(base.target, img)
-        ins = [base.edge_map[e] for e in in_edges(idxS, v)]
-        tau = tuple(bnd.index(e) for e in ins)
+        rt, old, exits = T.region(base.target, img)
+        new = {u: j for j, u in enumerate(old)}
+        ins = [base.edge_map[e] for e in idxS.child_entries[v]]
+        tau = tuple(exits.index(e) for e in ins)
         wb = WeightedBracketing(
-            rt, {frozenset(vmap[u] for u in B): w for B, w in m.brackets[v]})
-        elem = BOElement(OElement(rt, tuple(range(k)), tau), wb)
-        out.append(P.act(elem, [values[inv[j]] for j in range(k)]))
+            rt, {frozenset(new[u] for u in B): w for B, w in m.brackets[v]})
+        elem = BOElement(OElement(rt, tuple(range(len(old))), tau), wb)
+        out.append(P.act(elem, [values[u] for u in old]))
     return tuple(out)
 
 

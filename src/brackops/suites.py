@@ -324,11 +324,10 @@ def _random_tilde(base_morph, rng):
     for img in base_morph.vertex_images:
         fam = {}
         if img and rng.random() < 0.8:
-            rt, vmap = T.restrict_with_map(base_morph.target, img)
-            inv = {nw: old for old, nw in vmap.items()}
+            rt, old, _ = T.region(base_morph.target, img)
             for bset in rng.choice(enumerate_bracketings(rt)).brackets:
                 if rng.random() < 0.7:
-                    fam[frozenset(inv[u] for u in bset)] = \
+                    fam[frozenset(old[u] for u in bset)] = \
                         rng.choice([Fraction(1), Fraction(1, 2)])
         fams.append(fam)
     return D.OmegaTildeMorphism(base_morph, fams)

@@ -1,5 +1,5 @@
-"""Rooted planar trees: grafting, substitution, subtrees, mutable nests
-for surgery and a bottom-up fold.
+"""Rooted planar trees: grafting, substitution, regions on connected
+vertex sets, mutable nests for surgery and a bottom-up fold.
 
 Trees are stored recursively.  A tree is either the vertexless tree Eta
 (one edge, no vertices) or a root vertex with an ordered tuple of
@@ -7,7 +7,9 @@ children; every child is again a tree, and a child equal to Eta plays
 the role of a leaf edge.  Vertices are addressed by their index in
 depth-first (root first, children left to right) order, which is stable
 for a given tree; the surgery operations return translation maps so
-that vertex references can be transported across compositions.
+that vertex references can be transported across compositions.  An edge
+is named by its upper end: ("out", v) is the output edge of vertex v and
+("leaf", p) the leaf at planar position p.
 """
 
 from __future__ import annotations
@@ -101,9 +103,9 @@ def star(arms, arm_arity=1):
 
 class TreeIndex:
     """Tables for a tree: for each vertex (by DFS id) its subtree object,
-    parent id (-1 for the root), slot in the parent, arity, and the list
-    of child entries ('v', child_id) / ('l', leaf_position).  `index`
-    hands the same tables to every caller: they are read-only."""
+    parent id (-1 for the root), slot in the parent, arity, and its input
+    edges in slot order, ("out", child_id) or ("leaf", leaf_position).
+    `index` hands the same tables to every caller: they are read-only."""
 
     __slots__ = ("tree", "subtree", "parent", "parent_slot",
                  "child_entries", "leaf_at")
@@ -128,10 +130,10 @@ class TreeIndex:
             child_entries.append(entries)
             for s, ch in enumerate(node.children):
                 if ch.is_eta:
-                    entries.append(("l", len(leaf_at)))
+                    entries.append(("leaf", len(leaf_at)))
                     leaf_at.append((vid, s))
                 else:
-                    entries.append(("v", walk(ch, vid, s)))
+                    entries.append(("out", walk(ch, vid, s)))
             return vid
 
         walk(tree, -1, -1)
@@ -144,7 +146,7 @@ class TreeIndex:
 
     def vertex_children(self, vid):
         "Ids of vertex children only, in planar order."
-        return [c for k, c in self.child_entries[vid] if k == "v"]
+        return [c for k, c in self.child_entries[vid] if k == "out"]
 
     def descendants(self, vid):
         "DFS ids of vid and everything above it."
@@ -253,7 +255,7 @@ def fold(idx, value, graft):
         entries = idx.child_entries[v]
         for s in range(len(entries) - 1, -1, -1):
             kind, ref = entries[s]
-            if kind == "v":
+            if kind == "out":
                 acc = graft(acc, s + 1, rec(ref))
         return acc
 
@@ -384,119 +386,77 @@ def subtree_root(tree, vset):
 
 def subtree_leaf_count(tree, vset):
     "Number of edges leaving the vertex set upward (arities preserved)."
-    idx = index(tree)
-    n = 0
-    for v in vset:
-        for kind, ref in idx.child_entries[v]:
-            if kind == "l" or ref not in vset:
-                n += 1
-    return n
+    return len(region(tree, vset)[2])
 
 
-def restrict(tree, vset):
-    "The subtree on vset as a standalone tree (exits become leaves)."
-    idx = index(tree)
-    root = subtree_root(tree, vset)
+def _region_walk(idx, vset, root):
+    "region() on an indexed tree, from the root of vset."
+    old = []
+    exits = []
 
     def rec(v):
+        old.append(v)
         ch = []
-        for kind, ref in idx.child_entries[v]:
-            if kind == "l" or ref not in vset:
+        for e in idx.child_entries[v]:
+            kind, ref = e
+            if kind == "leaf" or ref not in vset:
+                exits.append(e)
                 ch.append(ETA)
             else:
                 ch.append(rec(ref))
-        return PlanarTree(tuple(ch))
+        return PlanarTree(ch)
 
-    return rec(root)
+    return rec(root), old, exits
+
+
+def region(tree, vset):
+    """The part of the tree on the connected vertex set vset: (the
+    standalone subtree, the old id of each of its vertices in DFS order,
+    the old edge at each of its leaves in planar order).  Those edges are
+    the ones leaving vset upward."""
+    return _region_walk(index(tree), vset, subtree_root(tree, vset))
 
 
 def restrict_with_map(tree, vset):
-    "restrict() together with {old vertex id: new vertex id}."
-    idx = index(tree)
-    root = subtree_root(tree, vset)
-    vmap = {}
-    counter = itertools.count()
-
-    def rec(v):
-        vmap[v] = next(counter)
-        ch = []
-        for kind, ref in idx.child_entries[v]:
-            if kind == "l" or ref not in vset:
-                ch.append(ETA)
-            else:
-                ch.append(rec(ref))
-        return PlanarTree(tuple(ch))
-
-    return rec(root), vmap
+    "The region's tree together with {old vertex id: new vertex id}."
+    sub, old, _ = region(tree, vset)
+    return sub, {u: new for new, u in enumerate(old)}
 
 
 def collapse_with_map(tree, vsets):
     """Collapse each of the pairwise disjoint connected vertex sets to a
-    single vertex.  Returns (tree, map old id -> new id); all vertices
-    of a collapsed set map to the id of its replacement vertex."""
+    single vertex, whose inputs are the edges leaving the set.  Returns
+    (tree, map old id -> new id); all vertices of a collapsed set map to
+    the id of its replacement vertex."""
     idx = index(tree)
-    owner = {}
-    for k, vs in enumerate(vsets):
+    seen = set()
+    for vs in vsets:
         for v in vs:
-            if v in owner:
+            if v in seen:
                 raise ValueError("vertex sets overlap")
-            owner[v] = k
-    roots = {subtree_root(tree, vs): k for k, vs in enumerate(vsets)}
+            seen.add(v)
+    tops = {}
+    for vs in vsets:
+        root = subtree_root(tree, vs)
+        tops[root] = vs, _region_walk(idx, vs, root)[2]
     vmap = {}
     counter = itertools.count()
 
-    def exits(v, k):
-        "Child entries leaving set k, planar order, as nest children."
-        out = []
-        for kind, ref in idx.child_entries[v]:
-            if kind == "l":
-                out.append(ETA)
-            elif ref in owner and owner[ref] == k:
-                out.extend(exits(ref, k))
-            else:
-                out.append(rec(ref))
-        return out
-
     def rec(v):
-        if v in roots:
-            k = roots[v]
-            new_id = next(counter)
-            for u in vsets[k]:
+        new_id = next(counter)
+        if v in tops:
+            vs, entries = tops[v]
+            for u in vs:
                 vmap[u] = new_id
-            return PlanarTree(tuple(exits(v, k)))
-        vmap[v] = next(counter)
-        ch = []
-        for kind, ref in idx.child_entries[v]:
-            if kind == "l":
-                ch.append(ETA)
-            else:
-                ch.append(rec(ref))
-        return PlanarTree(tuple(ch))
+        else:
+            vmap[v] = new_id
+            entries = idx.child_entries[v]
+        return PlanarTree(tuple(ETA if kind == "leaf" else rec(ref)
+                                for kind, ref in entries))
 
     if tree.is_eta:
         return tree, {}
-    # counter order must match DFS order of the result: rebuild ids afterwards
-    t = rec(0)
-    # rec assigned ids in construction order, which *is* DFS order here
-    return t, vmap
-
-
-def subtree_boundary_edges(tree, vset):
-    """The edges leaving vset upward, in planar order, each described as
-    (vertex, slot) of its lower end.  These are the leaves of restrict()."""
-    idx = index(tree)
-    root = subtree_root(tree, vset)
-    out = []
-
-    def rec(v):
-        for s, (kind, ref) in enumerate(idx.child_entries[v]):
-            if kind == "l" or ref not in vset:
-                out.append((v, s))
-            else:
-                rec(ref)
-
-    rec(root)
-    return out
+    return rec(0), vmap
 
 
 def enumerate_subtrees(tree, min_vertices=1):
@@ -537,8 +497,8 @@ def planar_trees(num_verts, num_lvs):
     else:
         out = []
         for child_count in range(0, num_verts + num_lvs):
-            for kinds in itertools.product("vl", repeat=child_count):
-                nv = kinds.count("v")
+            for kinds in itertools.product(("out", "leaf"), repeat=child_count):
+                nv = kinds.count("out")
                 if nv > num_verts - 1 or child_count - nv > num_lvs:
                     continue
                 out.extend(_fill(kinds, num_verts - 1, num_lvs))
@@ -553,7 +513,7 @@ def _fill(kinds, verts_left, leaves_left):
         return []
     out = []
     head, rest = kinds[0], kinds[1:]
-    if head == "l":
+    if head == "leaf":
         if leaves_left > 0:
             for t in _fill(rest, verts_left, leaves_left - 1):
                 out.append(PlanarTree((ETA,) + t.children))

@@ -54,7 +54,7 @@ class WTree:
                     "vertex %d has arity %d but its decoration has %d slots"
                     % (v, idx.arity(v), deco.arity))
             for s, (kind, ref) in enumerate(idx.child_entries[v]):
-                if kind == "v":
+                if kind == "out":
                     want = deco.slot_arity(s + 1)
                     got = decorations[ref].leaf_count
                     if want != got:

@@ -4,12 +4,14 @@ tests/ is used by the file that imports it.
 
 A definition is a top-level function or class, a method or property, or
 a module-level assignment; dunder names are exempt.  A name counts as
-used when it appears as a name or attribute, or as a string that is a
-(dotted) identifier, as in a getattr() or a table of names to wrap.
-Import lines do not count as uses."""
+used when it appears as an attribute, or as a string that is a (dotted)
+identifier, as in a getattr() or a table of names to wrap; a bare name
+counts too, except for a method or property, which a local variable of
+the same name must not keep alive.  Import lines do not count as uses."""
 
 import ast
 import re
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -20,12 +22,14 @@ IMPORTING = [ROOT / "src", ROOT / "tests"]
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def _names_in(node):
-    "Every name use under node, with multiplicity; imports excluded."
+def _names_in(node, bare=True):
+    """Every name use under node, with multiplicity; imports excluded,
+    and bare names too unless `bare`."""
     out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            if bare:
+                out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
         elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
@@ -40,13 +44,6 @@ def _parse(path):
 
 def _files(tops):
     return sorted(path for top in tops for path in top.rglob("*.py"))
-
-
-def _used_names():
-    used = Counter()
-    for path in _files(SEARCHED):
-        used += _names_in(_parse(path))
-    return used
 
 
 def _is_dunder(name):
@@ -67,41 +64,77 @@ def _modules():
         yield path.name, _parse(path).body
 
 
-def _top_level_definitions():
+def _top_level_definitions(modules):
     "(where, name, node) per top-level function and class."
-    for mod, body in _modules():
+    for mod, body in modules:
         for stmt in body:
             if isinstance(stmt, DEFS):
                 yield "%s:%s" % (mod, stmt.name), stmt.name, stmt
 
 
-def _member_definitions():
-    "(where, name, node) per method, property and module-level assignment."
-    for mod, body in _modules():
+def _methods(modules):
+    "(where, name, node) per method and property."
+    for mod, body in modules:
         for stmt in body:
             if isinstance(stmt, ast.ClassDef):
                 for meth in stmt.body:
                     if isinstance(meth, DEFS[:2]):
                         yield ("%s:%s.%s" % (mod, stmt.name, meth.name),
                                meth.name, meth)
+
+
+def _module_constants(modules):
+    "(where, name, node) per module-level assignment."
+    for mod, body in modules:
+        for stmt in body:
             for name in _assigned_names(stmt):
                 yield "%s:%s" % (mod, name), name, stmt
 
 
-def _unreferenced(definitions):
-    used = _used_names()
+def _unreferenced(definitions, sources, bare=True):
+    """The definitions whose name the parsed sources use no more often
+    than their own body does; bare names count only when `bare`."""
+    used = Counter()
+    for tree in sources:
+        used += _names_in(tree, bare)
     return [where for where, name, node in definitions
-            if not _is_dunder(name) and used[name] <= _names_in(node)[name]]
+            if not _is_dunder(name)
+            and used[name] <= _names_in(node, bare)[name]]
+
+
+def _searched():
+    return [_parse(path) for path in _files(SEARCHED)]
 
 
 def test_every_top_level_definition_is_referenced():
-    dead = _unreferenced(_top_level_definitions())
+    dead = _unreferenced(_top_level_definitions(_modules()), _searched())
     assert not dead, "unreferenced: " + ", ".join(dead)
 
 
 def test_every_method_and_module_constant_is_referenced():
-    dead = _unreferenced(_member_definitions())
+    sources = _searched()
+    dead = (_unreferenced(_methods(_modules()), sources, bare=False)
+            + _unreferenced(_module_constants(_modules()), sources))
     assert not dead, "unreferenced: " + ", ".join(dead)
+
+
+def test_a_local_variable_does_not_keep_a_method_alive():
+    module = ast.parse(textwrap.dedent("""
+        class Box:
+            def size(self):
+                return 1
+
+            def used(self):
+                return 2
+
+        def measure(box):
+            size = box.used()
+            return size
+    """))
+    methods = list(_methods([("box.py", module.body)]))
+    assert _unreferenced(methods, [module], bare=False) == ["box.py:Box.size"]
+    # counting bare names, the local variable hides the dead method
+    assert _unreferenced(methods, [module]) == []
 
 
 def test_every_imported_name_is_used():

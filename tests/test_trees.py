@@ -49,7 +49,7 @@ def test_index_parent_child_tables():
     # vertex i+1 is the first child of vertex i along the spine
     for v in range(2):
         kinds = [k for k, _ in idx.child_entries[v]]
-        assert kinds == ["v", "l"]
+        assert kinds == ["out", "leaf"]
 
 
 def test_planar_tree_enumeration_catalan():
@@ -77,11 +77,39 @@ def test_graft_leaf_count():
 
 def test_restrict_and_collapse_roundtrip_sizes():
     t = caterpillar(4)
-    sub = T.restrict(t, {1, 2})
+    sub, old, exits = T.region(t, {1, 2})
     assert num_vertices(sub) == 2
+    assert old == [1, 2]
+    # vertex 2's inputs (the spine edge and its side leaf), then vertex
+    # 1's side leaf; leaves are numbered from the top of the spine
+    assert exits == [("out", 3), ("leaf", 2), ("leaf", 3)]
     ct, cmap = T.collapse_with_map(t, [frozenset({1, 2})])
     assert num_vertices(ct) == 3
     assert cmap[1] == cmap[2]
+
+
+def test_region_is_what_collapse_replaces():
+    # substituting the restriction of S back into the vertex that
+    # collapses S rebuilds the tree; checked through the nest surgery
+    # code, which neither region nor collapse uses
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                for s in T.enumerate_subtrees(t):
+                    S = s.vertex_set
+                    sub, rmap = T.restrict_with_map(t, S)
+                    ct, cmap = T.collapse_with_map(t, [S])
+                    c = cmap[next(iter(S))]
+                    res = T.substitute_with_maps(ct, c, sub)
+                    assert res.tree == t
+                    for u in range(nv):
+                        back = (res.vmap_guest[rmap[u]] if u in S
+                                else res.vmap_host[cmap[u]])
+                        assert back == u
+                    assert T.subtree_leaf_count(t, S) == num_leaves(sub)
+                    cases += 1
+    assert cases == 6976
 
 
 def test_subtree_root_and_leaf_count():
