@@ -160,12 +160,17 @@ def maximal_bracketings(tree):
             if not any(b.brackets < s for s in sets)]
 
 
+def check_enumeration_limit(tree, limit):
+    "Refuse a tree whose bracketings are too many to enumerate."
+    if num_vertices(tree) > limit:
+        raise ValueError("tree exceeds the enumeration limit (%d vertices)" % limit)
+
+
 def nerve_statistics(tree, limit=7):
     """f-vector and Euler characteristic of the order complex of the
     bracketing poset: f[r] counts chains of r+1 distinct bracketings;
     chi = sum (-1)^r f[r].  Contractibility shows up as chi == 1."""
-    if num_vertices(tree) > limit:
-        raise ValueError("tree exceeds the enumeration limit (%d vertices)" % limit)
+    check_enumeration_limit(tree, limit)
     elems = enumerate_bracketings(tree)
     n = len(elems)
     below = [[] for _ in range(n)]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .trees import frac_to_str
 from .plmaps import (
-    PLMap, identity_map, monotone_reparam, pl_compose, pl_invert,
+    PLMap, _sweep, identity_map, monotone_reparam, pl_compose, pl_invert,
 )
 
 ZERO = Fraction(0)
@@ -276,22 +276,27 @@ def ms_compose(a, i, b):
     if not 1 <= i <= k:
         raise IndexError("slot %d out of range" % i)
     # step one: new arc lengths for lobe i, the rest untouched
+    ends = [ZERO]  # k times the length of lobe i before each of its arcs
+    for a0, b0, lab in x.arcs:
+        if lab == i:
+            ends.append(ends[-1] + (b0 - a0) * k)
+    g_ends = _sweep(g, ends)
+    spans = zip(ends, ends[1:], g_ends, g_ends[1:])
     new_arcs = []
     gt_x, gt_y = [ZERO], [ZERO]  # graph of the identification map
     pos = ZERO
-    cb = ZERO  # k times the length of lobe i before the current arc
     for a0, b0, lab in x.arcs:
         if lab == i:
-            ca, cb = cb, cb + (b0 - a0) * k
+            ca, cb, gca, gcb = next(spans)
             # interior gradient of g contributes breakpoints
-            for p in g.breakpoints:
+            for p, gp in zip(g.breakpoints, g.values):
                 if ca <= p <= cb:
                     t = a0 + (p - ca) / k
-                    val = pos + (g(p) - g(ca)) / k
+                    val = pos + (gp - gca) / k
                     if t > gt_x[-1]:
                         gt_x.append(t)
                         gt_y.append(val)
-            newlen = (g(cb) - g(ca)) / k
+            newlen = (gcb - gca) / k
         else:
             newlen = b0 - a0
         pos += newlen

@@ -12,8 +12,9 @@ import sys
 
 from . import trees as T
 from .trees import caterpillar, corolla, star
-from .bracketings import (enumerate_bracketings, maximal_bracketings,
-                          nerve_statistics, bracketing_to_obj)
+from .bracketings import (check_enumeration_limit, enumerate_bracketings,
+                          maximal_bracketings, nerve_statistics,
+                          bracketing_to_obj)
 from .operads import bo_from_obj, bo_to_obj, compose_BO
 from .wconstruction import (w_from_obj, w_to_obj, normalize_W, compose_W,
                             psi)
@@ -81,8 +82,9 @@ def _tree_from_arg(arg):
 
 def cmd_brackets(args):
     tree = _tree_from_arg(args.tree)
+    _apply(check_enumeration_limit, tree, args.limit)
     if args.fvector:
-        fvec, chi = _apply(nerve_statistics, tree, args.limit)
+        fvec, chi = nerve_statistics(tree, args.limit)
         _emit({"tree": T.tree_to_obj(tree), "fvector": list(fvec),
                "chi": chi})
         return 0
@@ -245,7 +247,8 @@ def build_parser():
                     help="only maximal bracketings")
     be.add_argument("--fvector", action="store_true",
                     help="f-vector and Euler characteristic instead")
-    be.add_argument("--limit", type=int, default=7)
+    be.add_argument("--limit", type=int, default=7,
+                    help="refuse trees with more vertices (default 7)")
     be.set_defaults(func=cmd_brackets)
 
     bo = sub.add_parser("bo", help="bracketed-tree operad")

@@ -187,6 +187,8 @@ def outer_face(tree, v):
     carrying all the leaves."""
     idx = T.index(tree)
     n = idx.num_vertices()
+    if not 0 <= v < n:
+        raise IndexError("unknown vertex %d" % v)
     keep = frozenset(range(n)) - {v}
     if not keep:
         raise ValueError("cannot delete the only vertex")

@@ -142,6 +142,15 @@ def test_fvector_over_the_limit_is_a_structured_error(capsys):
     assert list(json.loads(out)) == ["error"]
 
 
+@pytest.mark.parametrize("form", [[], ["--max"]])
+def test_enumeration_over_the_limit_is_a_structured_error(capsys, form):
+    code, out = run(capsys, "brackets", "enumerate", "--tree", "caterpillar:12",
+                    *form)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ValueError: tree exceeds the enumeration limit (7 vertices)"}
+
+
 def test_verify_zero_samples_is_a_structured_error(capsys):
     code, out = run(capsys, "verify", "bracket-counts", "--samples", "0")
     assert code == 2

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla, star
 from brackops import trees as T
 from brackops import dendroidal as D
@@ -51,6 +53,12 @@ def test_outer_face_drops_a_vertex():
     t = caterpillar(3)
     f = D.outer_face(t, 2)
     assert T.num_vertices(f.source) == 2
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_outer_face_rejects_a_vertex_out_of_range(v):
+    with pytest.raises(IndexError, match="unknown vertex %d" % v):
+        D.outer_face(caterpillar(3), v)
 
 
 def test_degeneracy_squashes_a_unary_vertex():
