@@ -96,6 +96,17 @@ class WeightedBracketing:
             [(sorted(v), str(w)) for v, w in self.weights],)
 
 
+def merge_brackets(items, size):
+    """The (vertex set, weight) items whose set has at least 2 and fewer
+    than `size` vertices, as a dict; a repeated set keeps its larger
+    weight."""
+    out = {}
+    for vset, w in items:
+        if 2 <= len(vset) < size and (vset not in out or out[vset] < w):
+            out[vset] = w
+    return out
+
+
 class BracketChain:
     "A strictly increasing chain of bracketings with simplex coordinates."
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import trees as T
 from .trees import ETA
-from .bracketings import WeightedBracketing
+from .bracketings import WeightedBracketing, merge_brackets
 from .operads import OElement, BOElement
 
 
@@ -348,28 +348,17 @@ def compose_omega_tilde(G, F):
     of F's brackets (weights carried, when large and proper); set
     collisions keep the larger weight."""
     base = compose_omega(G.base, F.base)
+    one = Fraction(1)
     fams = []
     for w in range(len(F.base.vertex_images)):
-        acc = {}
-
-        def put(vset, t):
-            if vset in acc:
-                acc[vset] = max(acc[vset], t)
-            else:
-                acc[vset] = t
-
-        img_w = base.vertex_images[w]
+        items = []
         for v in F.base.vertex_images[w]:
-            for B, t in G.brackets[v]:
-                put(B, t)
-            gc = G.base.vertex_images[v]
-            if len(gc) >= 2 and gc != img_w:
-                put(gc, Fraction(1))
+            items += G.brackets[v]
+            items.append((G.base.vertex_images[v], one))
         for B, t in F.brackets[w]:
-            imgB = frozenset(u2 for u in B for u2 in G.base.vertex_images[u])
-            if len(imgB) >= 2 and imgB != img_w:
-                put(imgB, t)
-        fams.append(acc)
+            items.append((frozenset(u2 for u in B
+                                    for u2 in G.base.vertex_images[u]), t))
+        fams.append(merge_brackets(items, len(base.vertex_images[w])))
     return OmegaTildeMorphism(base, fams)
 
 

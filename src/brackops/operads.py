@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import trees as T
 from .bracketings import (
-    WeightedBracketing, weighted_from_obj, weighted_to_obj,
+    WeightedBracketing, merge_brackets, weighted_from_obj, weighted_to_obj,
 )
 from .trees import ETA, corolla, num_leaves, num_vertices
 
@@ -175,28 +175,14 @@ def compose_BO(a, i, b):
     base, vmap_a, vmap_b = compose_O_with_maps(a.base, i, b.base)
     v = a.base.sigma[i - 1]
     guest = frozenset(vmap_b.values())
-    total = num_vertices(base.tree)
-    new_weights = {}
-
-    def put(vset, w):
-        # brackets that shrink below two vertices or swallow the whole
-        # tree stop being brackets
-        if len(vset) < 2 or len(vset) >= total:
-            return
-        if vset in new_weights:
-            new_weights[vset] = max(new_weights[vset], w)
-        else:
-            new_weights[vset] = w
-
-    for vset, w in a.weighted.weights:
-        if v not in vset:
-            put(frozenset(vmap_a[u] for u in vset), w)
-        else:
-            put(frozenset(vmap_a[u] for u in vset if u != v) | guest, w)
-    for vset, w in b.weighted.weights:
-        put(frozenset(vmap_b[u] for u in vset), w)
-    put(guest, Fraction(1))
-    return BOElement(base, WeightedBracketing(base.tree, new_weights))
+    items = [(frozenset(vmap_a[u] for u in vset if u != v)
+              | (guest if v in vset else frozenset()), w)
+             for vset, w in a.weighted.weights]
+    items += [(frozenset(vmap_b[u] for u in vset), w)
+              for vset, w in b.weighted.weights]
+    items.append((guest, Fraction(1)))
+    return BOElement(base, WeightedBracketing(
+        base.tree, merge_brackets(items, base.arity)))
 
 
 def sigma_act_BO(perm, a):

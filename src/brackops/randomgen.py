@@ -18,9 +18,9 @@ def rng_from_seed(seed):
     return random.Random(seed)
 
 
-def random_fraction(rng, den_bound=12):
-    "A rational strictly between 0 and 1."
-    q = rng.randint(2, den_bound)
+def random_fraction(rng):
+    "A rational strictly between 0 and 1, of denominator at most 12."
+    q = rng.randint(2, 12)
     return Fraction(rng.randint(1, q - 1), q)
 
 

@@ -84,18 +84,18 @@ def corolla(n):
     return PlanarTree((ETA,) * n)
 
 
-def caterpillar(n, arity=2):
-    """A chain of n vertices: each vertex has `arity` inputs, the first
-    of which carries the next vertex (the last vertex has only leaves)."""
-    t = corolla(arity)
+def caterpillar(n):
+    """A chain of n binary vertices: the first input of each carries the
+    next vertex (the last vertex has only leaves)."""
+    t = corolla(2)
     for _ in range(n - 1):
-        t = PlanarTree((t,) + (ETA,) * (arity - 1))
+        t = PlanarTree((t, ETA))
     return t
 
 
-def star(arms, arm_arity=1):
-    "A root vertex with `arms` vertex children, each with `arm_arity` leaves."
-    return PlanarTree(tuple(corolla(arm_arity) for _ in range(arms)))
+def star(arms):
+    "A root vertex with `arms` unary vertex children."
+    return PlanarTree(tuple(corolla(1) for _ in range(arms)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +147,6 @@ class TreeIndex:
     def vertex_children(self, vid):
         "Ids of vertex children only, in planar order."
         return [c for k, c in self.child_entries[vid] if k == "out"]
-
-    def descendants(self, vid):
-        "DFS ids of vid and everything above it."
-        out = [vid]
-        for c in self.vertex_children(vid):
-            out.extend(self.descendants(c))
-        return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -389,15 +382,36 @@ def subtree_leaf_count(tree, vset):
     return len(region(tree, vset)[2])
 
 
-def _region_walk(idx, vset, root):
-    "region() on an indexed tree, from the root of vset."
+def _region_walk(idx, vset, root, collapse=()):
+    """region() on an indexed tree, from the root of vset.  Each of the
+    pairwise disjoint connected sets in `collapse`, all inside vset,
+    becomes one vertex, named by its root, whose inputs are the edges
+    leaving the set."""
+    entries = idx.child_entries
+    if collapse:
+        entries = list(entries)
+        seen = set()
+
+        def leaving(v, vs):
+            for e in idx.child_entries[v]:
+                if e[0] == "out" and e[1] in vs:
+                    yield from leaving(e[1], vs)
+                else:
+                    yield e
+
+        for vs in collapse:
+            if not seen.isdisjoint(vs):
+                raise ValueError("vertex sets overlap")
+            seen.update(vs)
+            top = min(vs)  # a connected set's root has its least DFS id
+            entries[top] = list(leaving(top, vs))
     old = []
     exits = []
 
     def rec(v):
         old.append(v)
         ch = []
-        for e in idx.child_entries[v]:
+        for e in entries[v]:
             kind, ref = e
             if kind == "leaf" or ref not in vset:
                 exits.append(e)
@@ -409,12 +423,13 @@ def _region_walk(idx, vset, root):
     return rec(root), old, exits
 
 
-def region(tree, vset):
+def region(tree, vset, collapse=()):
     """The part of the tree on the connected vertex set vset: (the
     standalone subtree, the old id of each of its vertices in DFS order,
     the old edge at each of its leaves in planar order).  Those edges are
-    the ones leaving vset upward."""
-    return _region_walk(index(tree), vset, subtree_root(tree, vset))
+    the ones leaving vset upward.  The disjoint connected sets in
+    `collapse`, inside vset, each become one vertex, named by its root."""
+    return _region_walk(index(tree), vset, subtree_root(tree, vset), collapse)
 
 
 def restrict_with_map(tree, vset):
@@ -428,35 +443,12 @@ def collapse_with_map(tree, vsets):
     single vertex, whose inputs are the edges leaving the set.  Returns
     (tree, map old id -> new id); all vertices of a collapsed set map to
     the id of its replacement vertex."""
-    idx = index(tree)
-    seen = set()
-    for vs in vsets:
-        for v in vs:
-            if v in seen:
-                raise ValueError("vertex sets overlap")
-            seen.add(v)
-    tops = {}
-    for vs in vsets:
-        root = subtree_root(tree, vs)
-        tops[root] = vs, _region_walk(idx, vs, root)[2]
-    vmap = {}
-    counter = itertools.count()
-
-    def rec(v):
-        new_id = next(counter)
-        if v in tops:
-            vs, entries = tops[v]
-            for u in vs:
-                vmap[u] = new_id
-        else:
-            vmap[v] = new_id
-            entries = idx.child_entries[v]
-        return PlanarTree(tuple(ETA if kind == "leaf" else rec(ref)
-                                for kind, ref in entries))
-
     if tree.is_eta:
         return tree, {}
-    return rec(0), vmap
+    tops = {subtree_root(tree, vs): vs for vs in vsets}
+    idx = index(tree)
+    new, old, _ = _region_walk(idx, range(idx.num_vertices()), 0, vsets)
+    return new, {u: k for k, v in enumerate(old) for u in tops.get(v, (v,))}
 
 
 def enumerate_subtrees(tree, min_vertices=1):

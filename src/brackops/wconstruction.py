@@ -4,11 +4,13 @@ onto bracketed trees.
 
 A WTree is a shape (planar tree) whose vertices carry operad elements
 and whose internal edges carry rational lengths in [0,1]; a bijection
-assigns global input indices to the shape's leaves.  Normalization
-collapses zero-length edges (composing decorations) and, in the strict
-mode "W0", eliminates unary and nullary shape vertices entirely.  The
-map psi reads off one bracket per non-root shape vertex; psi_inverse
-rebuilds the shape as the nesting forest of the brackets."""
+assigns global input indices to the shape's leaves.  The map psi reads
+off one bracket per non-root shape vertex, from any WTree; it takes the
+same value on both sides of every relation of the strict quotient W0
+(a zero-length edge collapses, a unary or nullary vertex merges into
+its neighbour).  psi_inverse rebuilds the shape as the nesting forest of
+the brackets, and the W0 normal form of w is psi_inverse(psi(w)): one
+representative per bracketed tree."""
 
 from __future__ import annotations
 
@@ -16,10 +18,10 @@ import json
 from fractions import Fraction
 
 from . import trees as T
-from .bracketings import WeightedBracketing
+from .bracketings import WeightedBracketing, merge_brackets
 from .operads import (
-    BOElement, OElement, compose_O, compose_O_with_maps, eta_element,
-    o_from_obj, o_to_obj, o_unit, sigma_act_O,
+    BOElement, OElement, compose_O_with_maps, eta_element, o_from_obj,
+    o_to_obj, sigma_act_O,
 )
 
 
@@ -131,66 +133,6 @@ def _from_nest(root):
                  [n.label.deco for n in verts])
 
 
-def _merge_child(parent, slot):
-    "Compose the vertex child at `slot` into the parent (edge collapse)."
-    child = parent.children[slot]
-    parent.label.deco = compose_O(parent.label.deco, slot + 1,
-                                  child.label.deco)
-    parent.children[slot:slot + 1] = child.children
-
-
-def _slide_unary(parent, slot):
-    "Compose a unary vertex child downward into the parent."
-    child = parent.children[slot]
-    parent.label.deco = compose_O(parent.label.deco, slot + 1,
-                                  child.label.deco)
-    grand = child.children[0]
-    if (grand.children is not None and grand.label.length is not None
-            and child.label.length is not None):
-        grand.label.length = max(grand.label.length, child.label.length)
-    parent.children[slot] = grand
-
-
-def _remove_nullary(parent, slot):
-    "Compose a childless vertex into the parent, deleting the slot."
-    parent.label.deco = compose_O(parent.label.deco, slot + 1, eta_element())
-    del parent.children[slot]
-
-
-def _moves(root, mode):
-    "All applicable rewrites, each as (name, apply-thunk)."
-    out = []
-
-    def scan(node):
-        for s, c in enumerate(node.children):
-            if c.children is None:
-                continue
-            if c.label.length == 0:
-                out.append(("collapse", lambda n=node, s=s: _merge_child(n, s)))
-            elif mode == "W0" and len(c.children) == 0:
-                out.append(("nullary", lambda n=node, s=s: _remove_nullary(n, s)))
-            elif len(c.children) == 1 and (
-                    mode == "W0"
-                    or c.label.deco == o_unit(c.label.deco.leaf_count)):
-                out.append(("unary", lambda n=node, s=s: _slide_unary(n, s)))
-            scan(c)
-
-    scan(root)
-    return out
-
-
-def _root_move(root, mode):
-    "Rewrite applying at the root vertex, if any (returns new root or None)."
-    if len(root.children) == 1 and root.children[0].children is not None:
-        child = root.children[0]
-        deco = root.label.deco
-        if child.label.length == 0 or mode == "W0" or (
-                deco == o_unit(deco.leaf_count)):
-            return T.Nest(_N(compose_O(deco, 1, child.label.deco), None),
-                          child.children)
-    return None
-
-
 def _canon(node):
     "Sort children canonically, adjusting the decoration; returns the key."
     keys = []
@@ -211,34 +153,16 @@ def _deco_key(deco):
     return (T.tree_to_json(deco.tree), deco.sigma, deco.tau)
 
 
-def normalize_W(w, mode="W0", rng=None):
-    """Fixed point of the rewrite rules, then canonical child order.
-    With `rng`, applicable rewrites are applied in random order (used to
-    test confluence); the result must not depend on it."""
-    if mode not in ("W", "W0"):
-        raise ValueError("mode must be 'W' or 'W0'")
-    root = _to_nest(w)[0]
-    while True:
-        new_root = _root_move(root, mode)
-        if new_root is not None:
-            root = new_root
-            continue
-        moves = _moves(root, mode)
-        if not moves:
-            break
-        if rng is None:
-            moves[0][1]()
-        else:
-            moves[rng.randrange(len(moves))][1]()
-    _canon(root)
-    return _from_nest(root)
+def normalize_W(w):
+    "The W0 normal form: the representative psi_inverse picks for psi(w)."
+    return psi_inverse(psi(w))
 
 
-def is_normal(w, mode="W0"):
-    return normalize_W(w, mode) == w
+def is_normal(w):
+    return normalize_W(w) == w
 
 
-def compose_W(a, i, b, mode="W0"):
+def compose_W(a, i, b):
     "Graft b onto global input i of a; the new edge has length 1."
     if not 1 <= i <= len(a.leaf_order):
         raise IndexError("input %d out of range" % i)
@@ -252,7 +176,7 @@ def compose_W(a, i, b, mode="W0"):
     nb.label.length = Fraction(1)
     parent, slot = leaves[a.leaf_order[i - 1]]
     parent.children[slot] = nb
-    return normalize_W(_from_nest(na), mode)
+    return normalize_W(_from_nest(na))
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +207,21 @@ def project_to_O(w):
 
 
 def psi(w):
-    """One bracket per non-root shape vertex: the composite of all
-    decorations at or above it, weighted by its edge length."""
-    if not is_normal(w, "W0"):
-        raise ValueError("psi requires a W0-normal input")
+    """One bracket per non-root shape vertex: the composite's vertices
+    that come from decorations at or above it, weighted by its edge
+    length.  Coinciding brackets keep the larger weight."""
     base, prov = project_with_provenance(w)
     idx = T.index(w.shape)
-    weights = {}
-    for v in range(1, idx.num_vertices()):
-        desc = set(idx.descendants(v))
-        vset = frozenset(u for u, pv in prov.items() if pv in desc)
-        weights[vset] = w.lengths[v - 1]
-    return BOElement(base, WeightedBracketing(base.tree, weights))
+    above = [[] for _ in range(idx.num_vertices())]
+    for u, pv in prov.items():
+        above[pv].append(u)
+    items = []
+    # a child's DFS id exceeds its parent's: children are done first
+    for v in range(len(above) - 1, 0, -1):
+        items.append((frozenset(above[v]), w.lengths[v - 1]))
+        above[idx.parent[v]].extend(above[v])
+    return BOElement(base, WeightedBracketing(
+        base.tree, merge_brackets(items, base.arity)))
 
 
 def psi_inverse(x):
@@ -303,34 +230,28 @@ def psi_inverse(x):
     if tree.is_eta:
         return _from_nest(T.Nest(_N(eta_element(), None), []))
     label_of_vertex = {v: i for i, v in enumerate(x.base.sigma)}
-    items = sorted(x.weighted.weights, key=lambda it: (len(it[0]), sorted(it[0])))
 
     def build(region, inner, weight, tau):
-        # maximal brackets strictly inside the region
-        maximal = []
-        for vset, wt in inner:
-            if not any(vset < other for other, _ in inner):
-                maximal.append((vset, wt))
-        rt, rmap = T.restrict_with_map(tree, region)
-        qt, qmap = T.collapse_with_map(rt, [frozenset(rmap[u] for u in vset)
-                                            for vset, _ in maximal])
-        to_q = {u: qmap[rmap[u]] for u in region}
-        m = T.num_vertices(qt)
-        slots = [None] * m
-        for vset, wt in maximal:
-            q = to_q[next(iter(vset))]
-            sub_inner = [(s, w2) for s, w2 in inner if s < vset]
-            slots[q] = build(vset, sub_inner, wt, None)
-        for u in region:
-            if slots[to_q[u]] is None:
-                slots[to_q[u]] = T.Nest(label_of_vertex[u])
+        # the maximal brackets strictly inside the region, by their roots
+        maximal = {min(vset): (vset, wt) for vset, wt in inner
+                   if not any(vset < other for other, _ in inner)}
+        qt, old, _ = T.region(tree, region,
+                              [vset for vset, _ in maximal.values()])
+        slots = []
+        for u in old:
+            if u in maximal:
+                vset, wt = maximal[u]
+                slots.append(build(vset, [(s, w2) for s, w2 in inner
+                                          if s < vset], wt, None))
+            else:
+                slots.append(T.Nest(label_of_vertex[u]))
         if tau is None:
             tau = tuple(range(T.num_leaves(qt)))
-        deco = OElement(qt, tuple(range(m)), tau)
+        deco = OElement(qt, tuple(range(len(old))), tau)
         return T.Nest(_N(deco, weight), slots)
 
-    region = frozenset(range(T.num_vertices(tree)))
-    root = build(region, [(vset, wt) for vset, wt in items], None, x.base.tau)
+    root = build(range(len(x.base.sigma)), x.weighted.weights, None,
+                 x.base.tau)
     _canon(root)
     return _from_nest(root)
 

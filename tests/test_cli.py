@@ -6,7 +6,9 @@ import pytest
 from brackops import bo_action
 from brackops.cli import main
 from brackops.trees import caterpillar
-from brackops.operads import bo_element, bo_to_json
+from brackops.operads import bo_element, bo_to_json, bo_to_obj
+from brackops.wconstruction import (WTree, psi, psi_inverse, w_from_obj,
+                                    w_to_json)
 from brackops.cacti import Cactus, cactus_to_json, cactus_to_obj
 
 F = Fraction
@@ -240,3 +242,17 @@ def test_figure_export(tmp_path, capsys):
 def test_figure_unknown_name(tmp_path):
     with pytest.raises(SystemExit):
         main(["figure", "heptagon", "--out", str(tmp_path)])
+
+
+def test_w_psi_reads_a_tree_with_a_zero_length_edge(tmp_path, capsys):
+    w = psi_inverse(bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
+                               {frozenset({1, 2}): F(1)}))
+    w = WTree(w.shape, w.leaf_order, (F(0),), w.decorations)
+    path = write(tmp_path, "w.json", w_to_json(w))
+    code, out = run(capsys, "w", "psi", "--input", path)
+    assert code == 0
+    assert json.loads(out) == bo_to_obj(bo_element(
+        caterpillar(3), (0, 1, 2), (0, 1, 2, 3)))
+    code, out = run(capsys, "w", "normalize", "--input", path)
+    assert code == 0
+    assert w_from_obj(json.loads(out)) == psi_inverse(psi(w))

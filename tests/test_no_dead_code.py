@@ -7,7 +7,11 @@ a module-level assignment; dunder names are exempt.  A name counts as
 used when it appears as an attribute, or as a string that is a (dotted)
 identifier, as in a getattr() or a table of names to wrap; a bare name
 counts too, except for a method or property, which a local variable of
-the same name must not keep alive.  Import lines do not count as uses."""
+the same name must not keep alive.  Import lines do not count as uses.
+
+Every parameter default of such a function or method is overridden by
+some call of that name: one that passes the parameter by keyword or by
+position, or passes *args or **kwargs."""
 
 import ast
 import re
@@ -135,6 +139,52 @@ def test_a_local_variable_does_not_keep_a_method_alive():
     assert _unreferenced(methods, [module], bare=False) == ["box.py:Box.size"]
     # counting bare names, the local variable hides the dead method
     assert _unreferenced(methods, [module]) == []
+
+
+def _defaults(modules):
+    """(where, call name, parameter, position) per parameter with a
+    default; position counts the call's own arguments, so it skips a
+    method's self and is None for a keyword-only parameter.  An __init__
+    is called by its class name."""
+    funcs = [(where, name, node, 0)
+             for where, name, node in _top_level_definitions(modules)
+             if not isinstance(node, ast.ClassDef)]
+    for where, name, node in _methods(modules):
+        cls = where.split(":")[1].split(".")[0]
+        funcs.append((where, cls if name == "__init__" else name, node, 1))
+    for where, name, node, skip in funcs:
+        args = node.args
+        params = args.posonlyargs + args.args
+        first = len(params) - len(args.defaults)
+        for pos in range(first, len(params)):
+            yield where, name, params[pos].arg, pos - skip
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield where, name, arg.arg, None
+
+
+def _overrides(call, param, pos):
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def test_every_default_is_overridden_somewhere():
+    calls = {}
+    for tree in _searched():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(node)
+    fixed = ["%s(%s)" % (where, param)
+             for where, name, param, pos in _defaults(_modules())
+             if not any(_overrides(call, param, pos)
+                        for call in calls.get(name, ()))]
+    assert not fixed, "defaults nothing overrides: " + ", ".join(fixed)
 
 
 def test_every_imported_name_is_used():

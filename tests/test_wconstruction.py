@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from brackops.trees import ETA, PlanarTree, caterpillar
+from brackops.trees import (ETA, Nest, PlanarTree, caterpillar, close_nest,
+                            corolla, open_nest, planar_trees)
 from brackops.operads import (OElement, o_unit, bo_element, compose_BO,
-                              unit_BO)
+                              eta_element, unit_BO)
 from brackops.wconstruction import (WTree, normalize_W, is_normal,
                                     compose_W, project_to_O, psi,
                                     psi_inverse, w_to_json, w_from_json)
 from brackops import randomgen as R
 
 F = Fraction
+THIRDS = (1, F(2, 3), F(1, 3))
 
 
 def chain_bo(n, weights=()):
@@ -69,7 +71,6 @@ def test_psi_inverse_of_single_bracket():
 
 
 def test_psi_roundtrip_exhaustive_small():
-    from brackops.trees import planar_trees
     from brackops.bracketings import enumerate_bracketings
     from brackops.bracketings import WeightedBracketing
     from brackops.operads import BOElement
@@ -119,3 +120,97 @@ def test_compose_W_with_unit():
 def test_json_roundtrip():
     w = two_vertex_w(F(3, 7))
     assert w_from_json(w_to_json(w)) == w
+
+
+def random_bo_with_leaves(rng, nl):
+    "A random bracketed element with nl leaves and at most 3 vertices."
+    while True:
+        shapes = planar_trees(rng.randint(1, 3), nl)
+        if shapes:
+            return R.random_bo_element(rng, weight_choices=THIRDS,
+                                       tree=rng.choice(shapes))
+
+
+def test_compose_W_is_associative():
+    rng = R.rng_from_seed(5)
+    done = 0
+    while done < 300:
+        a = R.random_bo_element(rng, max_vertices=3, weight_choices=THIRDS)
+        if a.arity == 0:
+            continue
+        i = rng.randint(1, a.arity)
+        b = random_bo_with_leaves(rng, a.slot_arity(i))
+        if b.arity == 0:
+            continue
+        j = rng.randint(1, b.arity)
+        c = random_bo_with_leaves(rng, b.slot_arity(j))
+        wa, wb, wc = psi_inverse(a), psi_inverse(b), psi_inverse(c)
+        lhs = compose_W(compose_W(wa, i, wb), i - 1 + j, wc)
+        assert lhs == compose_W(wa, i, compose_W(wb, j, wc)), (a, i, b, j, c)
+        done += 1
+
+
+def denormalize(w, rng):
+    """A WTree that is not W0-normal, built from w: unary vertices
+    decorated by permuted corollas on some edges and leaves, nullary
+    vertices on some leaves of colour 1, and zero-length edges."""
+    lengths = (None,) + w.lengths
+    label_at = [None] * len(w.leaf_order)
+    for i, pos in enumerate(w.leaf_order):
+        label_at[pos] = i
+    root, verts, _ = open_nest(
+        w.shape, lambda v: [w.decorations[v], lengths[v]],
+        label_at.__getitem__)
+
+    def length():
+        return rng.choice((F(0), F(1, 3), F(1, 2), F(1)))
+
+    def unary(n, child):
+        perm = R.random_permutation(rng, n)
+        return Nest([OElement(corolla(n), (0,), perm), length()], [child])
+
+    for node in verts:
+        for s, child in enumerate(node.children):
+            if child.children is None:
+                n = node.label[0].slot_arity(s + 1)
+                if n == 1 and rng.random() < 0.3:
+                    node.children[s] = Nest([eta_element(), length()], [])
+                elif rng.random() < 0.3:
+                    node.children[s] = unary(n, child)
+            elif rng.random() < 0.3:
+                node.children[s] = unary(child.label[0].leaf_count, child)
+        if node is not root and rng.random() < 0.3:
+            node.label[1] = F(0)
+    if rng.random() < 0.3:
+        root.label[1] = length()
+        root = unary(root.label[0].leaf_count, root)
+        root.label[1] = None
+    shape, verts, leaves = close_nest(root)
+    rank = {old: new for new, old in enumerate(sorted(l.label for l in leaves))}
+    leaf_order = [None] * len(leaves)
+    for pos, leaf in enumerate(leaves):
+        leaf_order[rank[leaf.label]] = pos
+    return WTree(shape, leaf_order, [n.label[1] for n in verts[1:]],
+                 [n.label[0] for n in verts])
+
+
+def denormalized_trees(seed, count):
+    "(w, normalize_W(w)) for `count` denormalized psi_inverse outputs."
+    rng = R.rng_from_seed(seed)
+    for _ in range(count):
+        x = R.random_bo_element(rng, max_vertices=4, weight_choices=THIRDS)
+        w = denormalize(psi_inverse(x), rng)
+        yield w, normalize_W(w)
+
+
+def test_normal_form_is_fixed_by_psi_inverse_of_psi():
+    moved = 0
+    for w, n in denormalized_trees(1, 300):
+        moved += n != w
+        assert psi_inverse(psi(n)) == n, w
+    assert moved > 100
+
+
+def test_psi_reads_any_tree_as_its_normal_form():
+    for w, n in denormalized_trees(2, 300):
+        assert psi(w) == psi(n), w
