@@ -164,11 +164,15 @@ def enumerate_bracketings(tree):
 
 
 def maximal_bracketings(tree):
-    "Bracketings not strictly contained in any other."
+    """Bracketings not strictly contained in any other: those with no
+    bracket outside them that is nested with all of theirs.  The brackets
+    are the sets of the one-bracket bracketings."""
     all_b = enumerate_bracketings(tree)
-    sets = [b.brackets for b in all_b]
+    subs = [s for b in all_b if len(b.brackets) == 1 for s in b.brackets]
     return [b for b in all_b
-            if not any(b.brackets < s for s in sets)]
+            if not any(s not in b.brackets
+                       and all(vsets_nested(s, c) for c in b.brackets)
+                       for s in subs)]
 
 
 def check_enumeration_limit(tree, limit):

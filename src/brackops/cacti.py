@@ -346,10 +346,6 @@ def gamma_ms(a, bs):
     return out
 
 
-def renormalize(a):
-    return a.cactus
-
-
 def rescaling_identity_check(x, ys):
     """Composing (x, inverse scaling map) with the (y_i, id) must land on
     (simultaneous cactus composition, id), exactly."""

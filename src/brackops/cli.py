@@ -24,8 +24,8 @@ from .cacti import (cactus_from_obj, cactus_to_obj, cact1_compose,
 from .plmaps import pl_to_obj
 from . import bo_action
 from .algebras import TerminalAlgebra
-from .figures import figure_data, figure_svg
-from .suites import RunConfig, run_suite, nonassoc_witness
+from .figures import FIGURES, figure_data, figure_svg
+from .suites import SUITES, RunConfig, run_suite, nonassoc_witness
 from .trees import frac_to_str
 
 
@@ -156,8 +156,6 @@ def cmd_cacti(args):
 
 
 def cmd_witness(args):
-    if args.name != "nonassoc":
-        raise SystemExit("unknown witness %r (try: nonassoc)" % args.name)
     w = nonassoc_witness()
     _emit({"x": cactus_to_obj(w["x"]), "y": cactus_to_obj(w["y"]),
            "z": cactus_to_obj(w["z"]),
@@ -174,13 +172,14 @@ def cmd_bo_action(args):
     if not args.trace or elem.base.tree.is_eta:
         _emit({"result": cactus_to_obj(_apply(bo_action.lam, elem, inputs))})
         return 0
-    result, ms, (aug, gs, hs) = _apply(bo_action.lam_traced, elem, inputs)
+    result, ms, (_, brackets, gs, hs) = _apply(bo_action.lam_traced, elem,
+                                               inputs)
     _emit({
         "result": cactus_to_obj(result),
         "trace": {
             "g": [pl_to_obj(g) for g in gs],
             "h": [pl_to_obj(h) for h in hs],
-            "brackets": [sorted(b) for b in aug.brackets],
+            "brackets": [sorted(b) for b in brackets],
             "ms": {"cactus": cactus_to_obj(ms.cactus),
                    "reparam": pl_to_obj(ms.reparam)},
         }})
@@ -192,10 +191,7 @@ def cmd_verify(args):
         cfg = RunConfig(seed=args.seed, limit=args.limit, samples=args.samples)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    try:
-        report = run_suite(args.suite, cfg)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0])
+    report = run_suite(args.suite, cfg)
     if args.json:
         _emit(report)
     else:
@@ -212,10 +208,7 @@ def cmd_verify(args):
 
 
 def cmd_figure(args):
-    try:
-        data = figure_data(args.name)
-    except KeyError as exc:
-        raise SystemExit(exc.args[0])
+    data = figure_data(args.name)
     os.makedirs(args.out, exist_ok=True)
     jpath = os.path.join(args.out, args.name + ".json")
     spath = os.path.join(args.out, args.name + ".svg")
@@ -311,7 +304,7 @@ def build_parser():
     bae.set_defaults(func=cmd_bo_action)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", help="suite name or 'all'")
+    v.add_argument("suite", choices=sorted(SUITES) + ["all"])
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--limit", type=int, default=6)
     v.add_argument("--samples", type=int, default=1000)
@@ -320,12 +313,12 @@ def build_parser():
     v.set_defaults(func=cmd_verify)
 
     f = sub.add_parser("figure", help="export figure data")
-    f.add_argument("name", help="pentagon | hexagon | cact-composition")
+    f.add_argument("name", choices=sorted(FIGURES))
     f.add_argument("--out", default=".")
     f.set_defaults(func=cmd_figure)
 
     wi = sub.add_parser("witness", help="recorded counterexamples")
-    wi.add_argument("name", help="nonassoc")
+    wi.add_argument("name", choices=["nonassoc"])
     wi.set_defaults(func=cmd_witness)
 
     return p

@@ -7,8 +7,9 @@ from brackops import trees as T
 from brackops.operads import (bo_element, eta_BO, unit_BO,
                               compose_BO, sigma_act_BO)
 from brackops.cacti import MSElement, unit_cactus, cact1_compose, scaling_map
-from brackops.plmaps import identity_map, pl_convex_combination
-from brackops.bracketings import chain_levels
+from brackops.plmaps import (identity_map, pl_compose, pl_convex_combination,
+                             pl_invert)
+from brackops.bracketings import chain_levels, enumerate_bracketings
 from brackops import bo_action as A
 from brackops import randomgen as R
 
@@ -23,18 +24,18 @@ def chain_elem(n, weights=()):
 def test_xi_map_no_brackets():
     t = caterpillar(3)
     # child edge carries the child's arity, a leaf edge carries 1
-    assert A.xi_map(t, [], 0) == (2, 1)
-    assert A.xi_map(t, [], 1) == (2, 1)
-    assert A.xi_map(t, [], 2) == (1, 1)
+    assert A.xi_map(t, [], {0}) == (2, 1)
+    assert A.xi_map(t, [], {1}) == (2, 1)
+    assert A.xi_map(t, [], {2}) == (1, 1)
 
 
 def test_xi_map_sees_the_largest_bracket_below():
     t = caterpillar(3)
     b = frozenset({1, 2})
     # from outside the bracket, the edge into it carries its leaf count
-    assert A.xi_map(t, [b], 0) == (3, 1)
+    assert A.xi_map(t, [b], {0}) == (3, 1)
     # inside the bracket the view is unchanged
-    assert A.xi_map(t, [b], 1) == (2, 1)
+    assert A.xi_map(t, [b], {1}) == (2, 1)
 
 
 def test_xi_map_stops_at_the_enclosing_bracket():
@@ -42,8 +43,29 @@ def test_xi_map_stops_at_the_enclosing_bracket():
     bs = [frozenset({0, 1}), frozenset({2, 3})]
     # vertex 0 sits in {0,1}: the edge to vertex 1 stays, vertex 2 is
     # outside the enclosing bracket so its edge counts 1
-    assert A.xi_map(t, bs, 0) == (2, 1)
-    assert A.xi_map(t, bs, 1) == (1, 1)
+    assert A.xi_map(t, bs, {0}) == (2, 1)
+    assert A.xi_map(t, bs, {1}) == (1, 1)
+
+
+def _xi_by_collapse(tree, brackets, b):
+    """The multiplicities of bracket b read on the tree with b collapsed
+    to one vertex, which carries the brackets not inside b."""
+    ct, cmap = T.collapse_with_map(tree, [b])
+    outer = [frozenset(cmap[u] for u in c) for c in brackets if not c <= b]
+    return A.xi_map(ct, outer, {cmap[min(b)]})
+
+
+def test_xi_map_of_a_bracket_is_the_vertex_rule_after_collapsing_it():
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                for br in enumerate_bracketings(t):
+                    bs = br.sorted_brackets()
+                    for b in bs:
+                        assert A.xi_map(t, bs, b) == _xi_by_collapse(t, bs, b)
+                        cases += 1
+    assert cases == 9944
 
 
 def test_lambda_MS_fold_orders_agree():
@@ -60,26 +82,31 @@ def test_lambda_MS_fold_orders_agree():
 
 def test_augment_adds_one_unary_vertex_per_bracket():
     e = chain_elem(3)
-    aug = A.augment(e.base, [frozenset({1, 2})])
-    t2 = aug.element.tree
+    aug, brackets = A.augment(e.base, [frozenset({1, 2})])
+    assert brackets == [frozenset({1, 2})]
+    t2 = aug.tree
     assert T.num_vertices(t2) == 4
     assert T.num_leaves(t2) == T.num_leaves(e.base.tree)
     idx = T.index(t2)
-    j = aug.bracket_map[0]
+    # slots 1..3 hold the tree's vertices 0..2, slot 4 the bracket's
+    j = aug.sigma[3]
     assert idx.arity(j) == 1
     # the extra vertex sits on the bracket root's output edge
-    assert idx.parent[aug.vertex_map[1]] == j
-    assert idx.parent[j] == aug.vertex_map[0]
-    assert aug.element.sigma[-1] == j
+    assert idx.parent[aug.sigma[1]] == j
+    assert idx.parent[j] == aug.sigma[0]
+    assert aug.sigma[-1] == j
 
 
 def test_augment_nests_same_root_brackets_smallest_inside():
     e = chain_elem(4)
-    aug = A.augment(e.base, [frozenset({0, 1}), frozenset({0, 1, 2})])
-    idx = T.index(aug.element.tree)
-    small, big = aug.bracket_map[0], aug.bracket_map[1]
+    aug, brackets = A.augment(e.base,
+                              [frozenset({0, 1, 2}), frozenset({0, 1})])
+    # canonical order: the smaller bracket first
+    assert brackets == [frozenset({0, 1}), frozenset({0, 1, 2})]
+    idx = T.index(aug.tree)
+    small, big = aug.sigma[4], aug.sigma[5]
     # both brackets are rooted at vertex 0: the smaller wraps closer to it
-    assert idx.parent[aug.vertex_map[0]] == small
+    assert idx.parent[aug.sigma[0]] == small
     assert idx.parent[small] == big
     assert idx.parent[big] == -1
 
@@ -142,35 +169,41 @@ def test_vertex_scaling_no_brackets():
     rng = R.rng_from_seed(5)
     e = chain_elem(2)
     xs = [R.random_cactus(2, rng) for _ in range(2)]
-    ctx = A.ActionContext(e, xs)
-    assert A.vertex_scaling(ctx, 1) == scaling_map(xs[0], (2, 1))
-    assert A.vertex_scaling(ctx, 2) == identity_map()
-    with pytest.raises(IndexError):
-        A.vertex_scaling(ctx, 3)
+    _, brackets, gs, hs = A.lam_traced(e, xs)[2]
+    assert gs == [scaling_map(xs[0], (2, 1)), identity_map()]
+    assert brackets == [] and hs == []
 
 
 def test_vertex_scaling_interpolates():
     rng = R.rng_from_seed(6)
     xs = [R.random_cactus(2, rng) for _ in range(3)]
     e = chain_elem(3, {frozenset({1, 2}): F(1, 2)})
-    ctx = A.ActionContext(e, xs)
     want = pl_convex_combination(
         [F(1, 2), F(1, 2)],
         [scaling_map(xs[0], (2, 1)), scaling_map(xs[0], (3, 1))])
-    assert A.vertex_scaling(ctx, 1) == want
+    assert A.lam_traced(e, xs)[2][2][0] == want
 
 
 def test_bracket_scaling_weight_one_chain():
     rng = R.rng_from_seed(7)
     xs = [R.random_cactus(2, rng) for _ in range(3)]
     e = chain_elem(3, {frozenset({1, 2}): 1})
-    ctx = A.ActionContext(e, xs)
+    _, brackets, _, hs = A.lam_traced(e, xs)[2]
     y = A._sub_action(e.base, e.weighted.weights, xs, frozenset({1, 2}))
-    from brackops.plmaps import pl_compose, pl_invert
     want = pl_compose(pl_invert(y.reparam), scaling_map(y.cactus, (1, 1, 1)))
-    assert A.bracket_scaling(ctx, 1) == want
-    with pytest.raises(IndexError):
-        A.bracket_scaling(ctx, 2)
+    assert brackets == [frozenset({1, 2})]
+    assert hs == [want]
+
+
+def test_lam_rejects_inputs_that_do_not_fit():
+    rng = R.rng_from_seed(13)
+    e = chain_elem(2)
+    with pytest.raises(ValueError, match="one input per slot"):
+        A.lam(e, [R.random_cactus(2, rng)])
+    with pytest.raises(ValueError, match="input 2 has 3 lobes"):
+        A.lam(e, [R.random_cactus(2, rng), R.random_cactus(3, rng)])
+    with pytest.raises(ValueError, match="no inputs"):
+        A.lam(eta_BO(), [R.random_cactus(1, rng)])
 
 
 def test_coherence_weight_one_fixed_pair():
@@ -223,12 +256,11 @@ def test_sigma_equivariance():
 
 def test_weight_zero_bracket_acts_like_no_bracket():
     rng = R.rng_from_seed(11)
-    from brackops.cacti import renormalize
     base = chain_elem(4).base
     for _ in range(10):
         xs = R.random_labelled_cacti(base, rng)
         items = [(frozenset({1, 2}), F(0)), (frozenset({1, 2, 3}), F(1, 2))]
         kept = [(b, w) for b, w in items if w != 0]
-        lhs = renormalize(A._ms_action(base, items, xs))
-        rhs = renormalize(A._ms_action(base, kept, xs))
+        lhs = A._ms_action(base, items, xs).cactus
+        rhs = A._ms_action(base, kept, xs).cactus
         assert lhs == rhs

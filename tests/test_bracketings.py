@@ -11,6 +11,7 @@ from brackops.bracketings import (Bracketing, WeightedBracketing,
                                   bracketing_from_obj, weighted_to_obj,
                                   weighted_from_obj)
 from brackops import randomgen as R
+from brackops import trees as T
 
 
 def test_improper_brackets_rejected():
@@ -40,6 +41,29 @@ def test_maximal_counts_named_polytopes():
     assert len(maximal_bracketings(caterpillar(4))) == 5
     assert len(maximal_bracketings(caterpillar(5))) == 14
     assert len(maximal_bracketings(star(3))) == 6
+
+
+def _maximal_pairwise(tree):
+    "The maximal bracketings by their definition: compare every pair."
+    all_b = enumerate_bracketings(tree)
+    return [b for b in all_b if not any(b.brackets < c.brackets for c in all_b)]
+
+
+def test_maximal_bracketings_match_the_pairwise_definition():
+    # Bracketings see only the vertices, so trees whose vertex parents
+    # agree (in DFS order) have the same ones: one tree per vertex shape
+    # stands for every tree with at most 6 vertices and 3 leaves.
+    shapes = {}
+    for nv in range(1, 7):
+        for nl in range(4):
+            for t in planar_trees(nv, nl):
+                shapes.setdefault(tuple(T.index(t).parent), t)
+    assert len(shapes) == 1 + 1 + 2 + 5 + 14 + 42
+    trees = list(shapes.values())
+    trees += [caterpillar(n) for n in range(3, 9)]
+    trees += [star(n) for n in range(2, 6)]
+    for t in trees:
+        assert maximal_bracketings(t) == _maximal_pairwise(t)
 
 
 def test_corolla_has_only_empty_bracketing():

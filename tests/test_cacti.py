@@ -9,7 +9,7 @@ from brackops.cacti import (Cactus, CactusError, EMPTY_CACTUS, unit_cactus,
                             coend_compose, phi, cactus_metric, scaling_map,
                             relabel_cactus, cact1_compose, _insert, ms_compose,
                             gamma_cact1, rescaling_identity_check,
-                            renormalize, cactus_to_json, cactus_from_json)
+                            cactus_to_json, cactus_from_json)
 from brackops import randomgen as R
 
 F = Fraction
@@ -160,8 +160,9 @@ def test_rescaling_identity():
         assert rescaling_identity_check(x, ys)
 
 
-def test_renormalize_unit():
-    assert renormalize(ms_unit()) == unit_cactus()
+def test_ms_unit_is_the_unit_cactus():
+    assert ms_unit().cactus == unit_cactus()
+    assert ms_unit().reparam == identity_map()
 
 
 def test_json_roundtrip():

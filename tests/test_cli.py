@@ -88,8 +88,10 @@ def test_witness_nonassoc(capsys):
 
 
 def test_witness_unknown_name():
-    with pytest.raises(SystemExit):
+    # argparse refuses the name, with the exit code of all bad input
+    with pytest.raises(SystemExit) as exc:
         main(["witness", "pentagon"])
+    assert exc.value.code == 2
 
 
 def test_omega_segal_terminal(capsys):
@@ -220,8 +222,10 @@ def test_verify_summary_lines(capsys):
 
 
 def test_verify_unknown_suite():
-    with pytest.raises(SystemExit):
+    # argparse refuses the name, with the exit code of all bad input
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
+    assert exc.value.code == 2
 
 
 def test_figure_export(tmp_path, capsys):
@@ -240,8 +244,10 @@ def test_figure_export(tmp_path, capsys):
 
 
 def test_figure_unknown_name(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["figure", "heptagon", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_w_psi_reads_a_tree_with_a_zero_length_edge(tmp_path, capsys):

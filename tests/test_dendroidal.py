@@ -110,6 +110,39 @@ def test_tilde_worked_example():
     assert comp.base == D.compose_omega(g, f)
 
 
+def _collapse_top(fam):
+    "caterpillar(5) with {0,1,2,3} collapsed; fam brackets that image."
+    g = D.collapse_morphism(caterpillar(5), [{0, 1, 2, 3}])
+    return D.OmegaTildeMorphism(g, [fam, ()])
+
+
+@pytest.mark.parametrize("fam, match", [
+    ([({0, 1}, 1), ({0, 1}, F(1, 2))], "duplicate bracket"),
+    ([({0, 1}, F(3, 2))], r"outside \(0,1\]"),
+    ([({0, 1}, F(-1, 2))], r"outside \(0,1\]"),
+    ([({3, 4}, 1)], "large proper subset of the image"),
+    ([({1}, 1)], "large proper subset of the image"),
+    ([({0, 1, 2, 3}, 1)], "large proper subset of the image"),
+    ([({0, 2}, 1)], "not connected"),
+    ([({0, 1}, 1), ({1, 2}, 1)], "not nested"),
+])
+def test_tilde_morphism_rejects_bad_brackets(fam, match):
+    with pytest.raises(ValueError, match=match):
+        _collapse_top(fam)
+
+
+def test_tilde_morphism_rejects_brackets_on_a_degenerated_vertex():
+    s = D.degeneracy(PlanarTree((PlanarTree((ETA,)), ETA)), 1)
+    with pytest.raises(ValueError, match="degenerated vertex"):
+        D.OmegaTildeMorphism(s, [(), [({0, 1}, 1)]])
+
+
+def test_tilde_morphism_drops_weight_zero_brackets():
+    assert _collapse_top([({0, 1}, 0)]).brackets == ((), ())
+    assert _collapse_top([({0, 1}, 0), ({0, 1, 2}, 1)]).brackets \
+        == (((frozenset({0, 1, 2}), 1),), ())
+
+
 def test_tilde_identity_composition():
     t = caterpillar(3)
     g = D.lift_omega(D.collapse_morphism(t, [{1, 2}]))
