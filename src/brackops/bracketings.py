@@ -16,6 +16,48 @@ def _canon_key(vset):
     return (len(vset), tuple(sorted(vset)))
 
 
+def check_brackets(tree, sets, within):
+    """Refuse a bracket family: each set must have at least 2 vertices,
+    be a proper subset of `within` (a connected vertex set of the tree)
+    and be connected, and every two sets must be nested.  Sets are
+    checked in the order given."""
+    for b in sets:
+        if len(b) < 2:
+            raise ValueError("bracket %s is not large" % sorted(b))
+        if not b < within:
+            raise ValueError("bracket %s is not proper" % sorted(b))
+        if not is_connected(tree, b):
+            raise ValueError("bracket %s is not a subtree" % sorted(b))
+    for i, a in enumerate(sets):
+        for b in sets[i + 1:]:
+            if not vsets_nested(a, b):
+                raise ValueError("brackets %s and %s are not nested"
+                                 % (sorted(a), sorted(b)))
+
+
+def canonical_weights(weights):
+    """The (frozenset, Fraction) items of a dict or of (set, weight)
+    pairs in canonical order of their sets, with weight 0 dropped;
+    refuses a weight outside [0,1] and a set given twice."""
+    items = []
+    for vset, w in (weights.items() if isinstance(weights, dict) else weights):
+        w = Fraction(w)
+        if w == 0:
+            continue
+        if not 0 < w <= 1:
+            raise ValueError("weight %s outside (0,1]" % w)
+        items.append((frozenset(vset), w))
+    items.sort(key=lambda it: _canon_key(it[0]))
+    # the key is injective, so a repeated set sorts next to itself
+    if any(a == b for (a, _), (b, _) in zip(items, items[1:])):
+        raise ValueError("duplicate bracket")
+    return tuple(items)
+
+
+def _all_vertices(tree):
+    return frozenset(range(num_vertices(tree)))
+
+
 class Bracketing:
     "A set of nested, large (>= 2 vertices), proper subtrees of a tree."
 
@@ -24,20 +66,8 @@ class Bracketing:
     def __init__(self, tree, brackets=(), validate=True):
         brackets = frozenset(frozenset(b) for b in brackets)
         if validate:
-            n = num_vertices(tree)
-            for b in brackets:
-                if len(b) < 2:
-                    raise ValueError("bracket %s is not large" % sorted(b))
-                if len(b) >= n:
-                    raise ValueError("bracket %s is not proper" % sorted(b))
-                if not is_connected(tree, b):
-                    raise ValueError("bracket %s is not a subtree" % sorted(b))
-            bl = sorted(brackets, key=_canon_key)
-            for i, a in enumerate(bl):
-                for b in bl[i + 1:]:
-                    if not vsets_nested(a, b):
-                        raise ValueError("brackets %s and %s are not nested"
-                                         % (sorted(a), sorted(b)))
+            check_brackets(tree, sorted(brackets, key=_canon_key),
+                           _all_vertices(tree))
         self.tree = tree
         self.brackets = brackets
 
@@ -68,21 +98,11 @@ class WeightedBracketing:
     __slots__ = ("tree", "weights")
 
     def __init__(self, tree, weights, validate=True):
-        items = []
-        for vset, w in (weights.items() if isinstance(weights, dict) else weights):
-            w = Fraction(w)
-            if w == 0:
-                continue
-            if not 0 < w <= 1:
-                raise ValueError("weight %s outside (0,1]" % w)
-            items.append((frozenset(vset), w))
-        items.sort(key=lambda it: _canon_key(it[0]))
+        items = canonical_weights(weights)
         if validate:
-            Bracketing(tree, [v for v, _ in items])
-            if len(set(v for v, _ in items)) != len(items):
-                raise ValueError("duplicate bracket")
+            check_brackets(tree, [v for v, _ in items], _all_vertices(tree))
         self.tree = tree
-        self.weights = tuple(items)
+        self.weights = items
 
     def __eq__(self, other):
         return (isinstance(other, WeightedBracketing)
@@ -142,25 +162,26 @@ class BracketChain:
 
 
 def enumerate_bracketings(tree):
-    """All bracketings of the tree, sorted canonically; the empty
+    """All bracketings of the tree, sorted canonically: by bracket count,
+    then by the canonical keys of their sorted brackets; the empty
     bracketing is always first."""
-    subs = [s.vertex_set for s in enumerate_subtrees(tree, 2)]
     n = num_vertices(tree)
-    subs = [s for s in subs if len(s) < n]
-    out = []
+    # enumerate_subtrees lists the candidates in canonical order, so the
+    # depth-first walk meets each bracket count's bracketings in order
+    subs = [s.vertex_set for s in enumerate_subtrees(tree, 2)
+            if len(s.vertex_set) < n]
+    by_count = []
 
     def extend(chosen, rest):
-        out.append(Bracketing(tree, chosen, validate=False))
+        if len(chosen) == len(by_count):
+            by_count.append([])
+        by_count[len(chosen)].append(Bracketing(tree, chosen, validate=False))
         for pos, cand in enumerate(rest):
             nxt = [r for r in rest[pos + 1:] if vsets_nested(cand, r)]
             extend(chosen + [cand], nxt)
 
-    # candidates in canonical order so output is deterministic
-    subs.sort(key=_canon_key)
     extend([], subs)
-    out.sort(key=lambda b: (len(b.brackets),
-                            [_canon_key(v) for v in b.sorted_brackets()]))
-    return out
+    return [b for level in by_count for b in level]
 
 
 def maximal_bracketings(tree):

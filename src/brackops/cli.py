@@ -122,8 +122,7 @@ def cmd_omega(args):
         return 0
     if args.action == "image":
         g = _load(args.input, D.morphism_from_obj)
-        images = [D.corolla_image(g, v)
-                  for v in range(T.num_vertices(g.source))]
+        images = g.vertex_images
         _emit({"vertices": [sorted(s) for s in images],
                "corollas": [T.tree_to_obj(T.region(g.target, s)[0]) if s
                             else "eta" for s in images]})

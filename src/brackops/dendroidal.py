@@ -16,7 +16,9 @@ from fractions import Fraction
 
 from . import trees as T
 from .trees import ETA
-from .bracketings import WeightedBracketing, merge_brackets
+from .bracketings import (
+    WeightedBracketing, canonical_weights, check_brackets, merge_brackets,
+)
 from .operads import OElement, BOElement
 
 
@@ -31,10 +33,6 @@ def edges(tree):
     out = [("out", v) for v in range(idx.num_vertices())]
     out += [("leaf", p) for p in range(len(idx.leaf_at))]
     return out
-
-
-def root_edge(tree):
-    return ("leaf", 0) if tree.is_eta else ("out", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +81,7 @@ def _validate_morphism(source, target, edge_map, vertex_images):
     for e in edge_map.values():
         if e not in tgt_edges:
             raise ValueError("edge map value %r is not a target edge" % (e,))
-    n = 0 if source.is_eta else T.num_vertices(source)
+    n = T.num_vertices(source)
     if len(vertex_images) != n:
         raise ValueError("need one image per source vertex")
     if n == 0:
@@ -112,16 +110,9 @@ def _validate_morphism(source, target, edge_map, vertex_images):
             raise ValueError("image leaf edges do not match the input edges")
 
 
-def corolla_image(g, v):
-    "The set of target vertices the corolla at v expands to."
-    if not 0 <= v < len(g.vertex_images):
-        raise IndexError("unknown vertex %d" % v)
-    return g.vertex_images[v]
-
-
 def identity_omega(tree):
     em = {e: e for e in edges(tree)}
-    n = 0 if tree.is_eta else T.num_vertices(tree)
+    n = T.num_vertices(tree)
     return OmegaMorphism(tree, tree, em, [frozenset([v]) for v in range(n)])
 
 
@@ -285,21 +276,13 @@ class OmegaTildeMorphism:
             brackets = [()] * n
         if len(brackets) != n:
             raise ValueError("need one bracket family per source vertex")
-        canon = []
-        for v in range(n):
-            fam = brackets[v]
-            items = []
-            for vset, w in (fam.items() if isinstance(fam, dict) else fam):
-                w = Fraction(w)
-                if w == 0:
-                    continue
-                items.append((frozenset(vset), w))
-            items.sort(key=lambda it: (len(it[0]), sorted(it[0])))
-            canon.append(tuple(items))
-        for v in range(n):
-            _validate_brackets(base, v, canon[v])
+        canon = tuple(canonical_weights(fam) for fam in brackets)
+        for img, fam in zip(base.vertex_images, canon):
+            if fam and not img:
+                raise ValueError("a degenerated vertex cannot carry brackets")
+            check_brackets(base.target, [B for B, _ in fam], img)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "brackets", tuple(canon))
+        object.__setattr__(self, "brackets", canon)
 
     def __setattr__(self, *a):
         raise AttributeError("morphisms are immutable")
@@ -315,30 +298,6 @@ class OmegaTildeMorphism:
         return "OmegaTildeMorphism(%r, %s)" % (
             self.base,
             [[(sorted(B), str(w)) for B, w in fam] for fam in self.brackets])
-
-
-def _validate_brackets(base, v, fam):
-    img = base.vertex_images[v]
-    if fam and not img:
-        raise ValueError("a degenerated vertex cannot carry brackets")
-    sets = [B for B, _ in fam]
-    if len(set(sets)) != len(sets):
-        raise ValueError("duplicate bracket")
-    for B, w in fam:
-        if not 0 < w <= 1:
-            raise ValueError("weight %s outside (0,1]" % w)
-        if not B <= img or len(B) < 2 or B == img:
-            raise ValueError("bracket must be a large proper subset of the image")
-        if not T.is_connected(base.target, B):
-            raise ValueError("bracket is not connected")
-    for a, b in itertools.combinations(sets, 2):
-        if not T.vsets_nested(a, b):
-            raise ValueError("brackets are not nested")
-
-
-def lift_omega(base):
-    "The unbracketed thickened morphism over a plain one."
-    return OmegaTildeMorphism(base)
 
 
 def compose_omega_tilde(G, F):
@@ -407,7 +366,7 @@ def phi_morphism(P, m, values):
     degenerated vertex yields the handle's unit."""
     base = m.base
     n = len(base.vertex_images)
-    if len(values) != (0 if base.target.is_eta else T.num_vertices(base.target)):
+    if len(values) != T.num_vertices(base.target):
         raise ValueError("values must be indexed by the target's vertices")
     if n == 0:
         return ()
@@ -438,7 +397,7 @@ def segal_check(P, tree, values=None, rng=None):
     if values is None:
         values = tuple(P.sample(a, rng) for a in T.arities(tree))
     for v in range(n):
-        inc = lift_omega(subtree_inclusion(tree, {v}))
+        inc = OmegaTildeMorphism(subtree_inclusion(tree, {v}))
         if phi_morphism(P, inc, values) != (values[v],):
             return False
     return True

@@ -189,10 +189,6 @@ def sigma_act_BO(perm, a):
     return BOElement(sigma_act_O(perm, a.base), a.weighted)
 
 
-def forget_brackets(a):
-    return a.base
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brackops.trees import caterpillar, corolla, star, planar_trees
+from brackops.trees import ETA, caterpillar, corolla, star, planar_trees
 from brackops.bracketings import (Bracketing, WeightedBracketing,
                                   enumerate_bracketings, maximal_bracketings,
                                   nerve_statistics, weights_to_chain,
@@ -22,6 +22,12 @@ def test_improper_brackets_rejected():
         Bracketing(t, [frozenset({0, 1, 2})])    # the whole tree
     with pytest.raises(ValueError):
         Bracketing(t, [frozenset({0, 2})])       # not connected
+
+
+@pytest.mark.parametrize("bracket", [{0, 7}, {0, -1}])
+def test_brackets_outside_the_tree_rejected(bracket):
+    with pytest.raises(ValueError, match="not proper"):
+        Bracketing(caterpillar(3), [frozenset(bracket)])
 
 
 def test_overlapping_brackets_rejected():
@@ -68,6 +74,23 @@ def test_maximal_bracketings_match_the_pairwise_definition():
 
 def test_corolla_has_only_empty_bracketing():
     assert enumerate_bracketings(corolla(3)) == [Bracketing(corolla(3), [])]
+
+
+def test_vertexless_tree_has_only_empty_bracketing():
+    assert enumerate_bracketings(ETA) == [Bracketing(ETA, [])]
+
+
+def test_enumeration_is_in_canonical_order():
+    def key(b):
+        return (len(b.brackets),
+                [(len(s), sorted(s)) for s in b.sorted_brackets()])
+
+    trees = [t for nv in range(1, 7) for t in planar_trees(nv, 1)]
+    trees += [star(4), star(5)]
+    for t in trees:
+        got = enumerate_bracketings(t)
+        assert got == sorted(got, key=key)
+        assert len(set(got)) == len(got)
 
 
 def test_euler_characteristic_small():

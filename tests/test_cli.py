@@ -192,6 +192,36 @@ def test_bo_compose_slot_out_of_range_is_a_structured_error(tmp_path, capsys):
     assert list(json.loads(out)) == ["error"]
 
 
+def _with_bracket(vertices):
+    "A 3-vertex element whose one bracket has the given vertex ids."
+    obj = bo_to_obj(bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3)))
+    obj["brackets"] = [{"vertices": vertices, "w": "1"}]
+    return json.dumps(obj)
+
+
+def test_bo_compose_bracket_outside_the_tree_is_a_structured_error(
+        tmp_path, capsys):
+    a = write(tmp_path, "a.json", _with_bracket([0, 7]))
+    u = write(tmp_path, "u.json",
+              bo_to_json(bo_element(caterpillar(1), (0,), (0, 1))))
+    code, out = run(capsys, "bo", "compose", "--lhs", a,
+                    "--slot", "1", "--rhs", u)
+    assert code == 2
+    assert "not proper" in json.loads(out)["error"]
+
+
+def test_bo_action_bracket_outside_the_tree_is_a_structured_error(
+        tmp_path, capsys):
+    ep = write(tmp_path, "e.json", _with_bracket([0, -1]))
+    xs = [Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])] * 3
+    xp = write(tmp_path, "xs.json",
+               json.dumps([cactus_to_obj(x) for x in xs]))
+    code, out = run(capsys, "bo-action", "eval",
+                    "--element", ep, "--inputs", xp)
+    assert code == 2
+    assert "not proper" in json.loads(out)["error"]
+
+
 def test_cacti_compose_slot_out_of_range_is_a_structured_error(tmp_path,
                                                                capsys):
     x = write(tmp_path, "x.json",

@@ -7,7 +7,7 @@ from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops.operads import (OElement, o_unit, eta_element,
                               unit_BO, eta_BO, bo_element, compose_O,
                               compose_BO, sigma_act_O, tau_act_O,
-                              sigma_act_BO, forget_brackets, bo_to_json,
+                              sigma_act_BO, bo_to_json,
                               bo_from_json)
 from brackops import randomgen as R
 
@@ -146,8 +146,7 @@ def test_sigma_act_BO_is_an_action():
         pq = tuple(p[q[i]] for i in range(a.arity))
         assert sigma_act_BO(q, sigma_act_BO(p, a)) == sigma_act_BO(pq, a)
         assert sigma_act_BO(tuple(range(a.arity)), a) == a
-        assert forget_brackets(sigma_act_BO(p, a)) == \
-            sigma_act_O(p, forget_brackets(a))
+        assert sigma_act_BO(p, a).base == sigma_act_O(p, a.base)
 
 
 def test_json_roundtrip():
@@ -167,6 +166,6 @@ def test_forget_brackets_is_operad_map(seed):
     b = R.random_bo_element(rng, max_vertices=2, max_leaves=6)
     if b.leaf_count != a.slot_arity(i):
         return
-    lhs = forget_brackets(compose_BO(a, i, b))
-    rhs = compose_O(forget_brackets(a), i, forget_brackets(b))
+    lhs = compose_BO(a, i, b).base
+    rhs = compose_O(a.base, i, b.base)
     assert lhs == rhs

@@ -1,5 +1,6 @@
 import pytest
 
+from brackops import suites
 from brackops.suites import SUITES, RunConfig, run_suite
 
 
@@ -35,6 +36,17 @@ def test_fast_suites_pass():
     cfg = RunConfig(samples=30)
     for name in ("nonassoc-witness", "omega-tilde", "weight-zero"):
         assert run_suite(name, cfg)["passed"]
+
+
+def test_euler_suite_fails_on_a_poset_that_is_not_a_sphere(monkeypatch):
+    # the pentagon's bracketing poset with one maximal bracketing removed:
+    # still a cone over the empty bracketing, but its proper part is a
+    # path, not a circle
+    monkeypatch.setattr(suites, "nerve_statistics",
+                        lambda tree, limit: ((10, 17, 8), 1))
+    report = run_suite("euler-characteristic", RunConfig(limit=4))
+    assert report["passed"] is False
+    assert "chi=1, want" in report["checks"][0]["counterexample"]
 
 
 def test_reports_are_deterministic():
