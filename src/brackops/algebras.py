@@ -3,8 +3,8 @@ act on.  A handle provides unit() (the distinguished arity-1 value),
 act(element, inputs) for a bracketed labelled tree, and sample(n, rng)
 for test data of a given arity."""
 
-from . import trees as T
 from .cacti import unit_cactus
+from .operads import check_inputs, fold_inputs
 from . import bo_action
 from . import randomgen
 
@@ -81,27 +81,18 @@ class EndoAlgebra:
         return endo_identity()
 
     def act(self, elem, inputs):
-        base = elem.base if hasattr(elem, "base") else elem
+        base = elem.base
+        check_inputs(base, [x.n for x in inputs])
         if base.tree.is_eta:
-            if inputs:
-                raise ValueError("the vertexless tree takes no inputs")
             return endo_identity()
-        idx = T.index(base.tree)
-        for i, x in enumerate(inputs):
-            if x.n != idx.arity(base.sigma[i]):
-                raise ValueError("input %d has arity %d, vertex wants %d"
-                                 % (i + 1, x.n, idx.arity(base.sigma[i])))
-        deco = {base.sigma[i]: inputs[i] for i in range(base.arity)}
-        acc = T.fold(idx, deco.__getitem__, endo_compose)
+        acc = fold_inputs(base, inputs, endo_compose)
         # the fold orders arguments by planar leaf position; relabel by tau
-        n = len(base.tau)
-        tauinv = [0] * n
-        for j, p in enumerate(base.tau):
-            tauinv[p] = j
+        labels = base.leaf_labels()
+        n = len(labels)
         table = []
         for word in range(1 << n):
             args = [(word >> (n - 1 - j)) & 1 for j in range(n)]
-            table.append(acc([args[tauinv[p]] for p in range(n)]))
+            table.append(acc([args[j] for j in labels]))
         return EndoValue(n, table)
 
     def sample(self, n, rng=None):

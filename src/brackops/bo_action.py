@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from . import trees as T
 from .bracketings import Bracketing, chain_levels
-from .operads import OElement
+from .operads import OElement, check_inputs, fold_inputs
 from .cacti import (MSElement, unit_cactus, ms_unit, ms_compose,
                     scaling_map, relabel_cactus)
 from .plmaps import identity_map, pl_compose, pl_invert, pl_convex_combination
@@ -50,53 +50,15 @@ def xi_map(tree, brackets, vset):
 # ---------------------------------------------------------------------------
 # Tree-shaped composition of MS elements.
 
-def _check_inputs(base, lobes):
-    "One input per slot of base, with as many lobes as its vertex has inputs."
-    if base.tree.is_eta:
-        if lobes:
-            raise ValueError("the vertexless tree takes no inputs")
-        return
-    if len(lobes) != base.arity:
-        raise ValueError("need one input per slot")
-    idx = T.index(base.tree)
-    for i, k in enumerate(lobes):
-        if k != idx.arity(base.sigma[i]):
-            raise ValueError("input %d has %d lobes, vertex wants %d"
-                             % (i + 1, k, idx.arity(base.sigma[i])))
-
-
-def lambda_MS(elem, inputs, order="last-first"):
+def lambda_MS(elem, inputs):
     """Compose MS elements along a labelled tree (input i sits at the
-    vertex of slot i+1) and relabel the lobes by the leaf labelling.
-    The fold order is immaterial by the operad axioms; both orders are
-    implemented so that can be verified."""
-    _check_inputs(elem, [x.cactus.k for x in inputs])
+    vertex of slot i+1) and relabel the lobes by the leaf labelling."""
+    check_inputs(elem, [x.cactus.k for x in inputs])
     if elem.tree.is_eta:
         return ms_unit()
-    idx = T.index(elem.tree)
-    deco = {elem.sigma[i]: inputs[i] for i in range(elem.arity)}
-
-    def rec_asc(v):
-        acc = deco[v]
-        pos = 1
-        for kind, ref in idx.child_entries[v]:
-            if kind == "out":
-                sub = rec_asc(ref)
-                acc = ms_compose(acc, pos, sub)
-                pos += sub.cactus.k
-            else:
-                pos += 1
-        return acc
-
-    if order == "last-first":
-        acc = T.fold(idx, deco.__getitem__, ms_compose)
-    else:
-        acc = rec_asc(0)
+    acc = fold_inputs(elem, inputs, ms_compose)
     # lobe at planar position p gets the label of the leaf living there
-    tauinv = [0] * len(elem.tau)
-    for j, p in enumerate(elem.tau):
-        tauinv[p] = j
-    perm = [tauinv[p] + 1 for p in range(len(elem.tau))]
+    perm = [j + 1 for j in elem.leaf_labels()]
     return MSElement(relabel_cactus(acc.cactus, perm), acc.reparam)
 
 
@@ -108,21 +70,17 @@ def augment(base, brackets):
     each bracket, and the brackets in canonical order; the new vertices
     take the last slots, in that order."""
     sets = Bracketing(base.tree, brackets).sorted_brackets()
-    # tree vertices are labelled (0, id), bracket vertices (1, j)
-    root, verts, _ = T.open_nest(base.tree, lambda v: (0, v), lambda p: None)
+    # tree vertices are host, bracket vertices guest
+    root, verts, _ = T.open_nest(base.tree, T.host, T.host)
     # smaller brackets wrap first, so the largest ends nearest the root
     for j, b in enumerate(sets):
         node = verts[T.subtree_root(base.tree, b)]
         inner = T.Nest(node.label, node.children)
-        node.label, node.children = (1, j), [inner]
-    tree2, nodes, _ = T.close_nest(root)
-    vmap, bmap = maps = {}, {}
-    for nid, node in enumerate(nodes):
-        side, ref = node.label
-        maps[side][ref] = nid
-    sigma2 = tuple(vmap[v] for v in base.sigma) \
-        + tuple(bmap[j] for j in range(len(sets)))
-    return OElement(tree2, sigma2, base.tau), sets
+        node.label, node.children = T.guest(j), [inner]
+    res = T.SurgeryResult(root)
+    sigma2 = tuple(res.vmap_host[v] for v in base.sigma) \
+        + tuple(res.vmap_guest[j] for j in range(len(sets)))
+    return OElement(res.tree, sigma2, base.tau), sets
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +112,11 @@ def _assembly(base, weight_items, cacti):
 
 def _sub_action(base, weight_items, cacti, b):
     "The (weighted) MS element of the restriction of the action to b."
-    rt, old, exits = T.region(base.tree, b)
+    rt, old, _ = T.region(base.tree, b)
     new = {u: j for j, u in enumerate(old)}
     inner = [(frozenset(new[u] for u in c), w)
              for c, w in weight_items if c < b]
-    sub_elem = OElement(rt, tuple(range(len(old))), tuple(range(len(exits))))
+    sub_elem = OElement(rt)
     pos_of = {base.sigma[i]: i for i in range(base.arity)}
     sub_cacti = [cacti[pos_of[u]] for u in old]
     return _ms_action(sub_elem, inner, sub_cacti)
@@ -189,7 +147,7 @@ def lam_traced(element, inputs):
     """One evaluation of the action, with its intermediates: (result, the
     MS element whose cactus it is, (augmented element, brackets in
     canonical order, per-input maps, per-bracket maps))."""
-    _check_inputs(element.base, [x.k for x in inputs])
+    check_inputs(element.base, [x.k for x in inputs])
     assembly = _assembly(element.base, element.weighted.weights, inputs)
     ms = _compose_assembly(inputs, assembly)
     return ms.cactus, ms, assembly

@@ -369,6 +369,8 @@ def cactus_to_obj(x):
 
 def cactus_from_obj(obj):
     if obj["k"] == 0:
+        if obj.get("arcs", []) != []:
+            raise CactusError("the 0-lobe cactus has no arcs")
         return EMPTY_CACTUS
     return Cactus(obj["k"],
                   [(Fraction(a), Fraction(b), lab) for a, b, lab in obj["arcs"]])

@@ -87,6 +87,7 @@ def _validate_morphism(source, target, edge_map, vertex_images):
     if n == 0:
         return
     idx = T.index(source)
+    nt = T.num_vertices(target)
     seen = set()
     for v in range(n):
         img = vertex_images[v]
@@ -98,6 +99,9 @@ def _validate_morphism(source, target, edge_map, vertex_images):
             if ins[0] != oe:
                 raise ValueError("degenerate vertex must collapse its edges")
             continue
+        if not all(0 <= u < nt for u in img):
+            raise ValueError("vertex image %s is not inside the target"
+                             % (sorted(img),))
         if img & seen:
             raise ValueError("vertex images overlap")
         seen |= img
@@ -383,7 +387,7 @@ def phi_morphism(P, m, values):
         tau = tuple(exits.index(e) for e in ins)
         wb = WeightedBracketing(
             rt, {frozenset(new[u] for u in B): w for B, w in m.brackets[v]})
-        elem = BOElement(OElement(rt, tuple(range(len(old))), tau), wb)
+        elem = BOElement(OElement(rt, tau=tau), wb)
         out.append(P.act(elem, [values[u] for u in old]))
     return tuple(out)
 

@@ -23,16 +23,18 @@ from .trees import ETA, corolla, num_leaves, num_vertices
 
 class OElement:
     """(tree, sigma, tau): sigma[i] is the vertex (DFS id) labelled i+1,
-    tau[j] is the planar leaf position labelled j+1."""
+    tau[j] is the planar leaf position labelled j+1.  An omitted
+    labelling is the identity: DFS order, planar order."""
 
     __slots__ = ("tree", "sigma", "tau")
 
-    def __init__(self, tree, sigma, tau):
-        sigma = tuple(sigma)
-        tau = tuple(tau)
-        if sorted(sigma) != list(range(num_vertices(tree))):
+    def __init__(self, tree, sigma=None, tau=None):
+        nv, nl = num_vertices(tree), num_leaves(tree)
+        sigma = tuple(range(nv) if sigma is None else sigma)
+        tau = tuple(range(nl) if tau is None else tau)
+        if sorted(sigma) != list(range(nv)):
             raise ValueError("sigma is not a vertex labelling")
-        if sorted(tau) != list(range(num_leaves(tree))):
+        if sorted(tau) != list(range(nl)):
             raise ValueError("tau is not a leaf labelling")
         self.tree = tree
         self.sigma = sigma
@@ -51,6 +53,13 @@ class OElement:
         "Arity of the vertex at slot i (1-based)."
         return T.index(self.tree).arity(self.sigma[i - 1])
 
+    def leaf_labels(self):
+        "tau inverted: the 0-based label of the leaf at each planar position."
+        labels = [0] * len(self.tau)
+        for j, p in enumerate(self.tau):
+            labels[p] = j
+        return labels
+
     def __eq__(self, other):
         return (isinstance(other, OElement) and self.tree == other.tree
                 and self.sigma == other.sigma and self.tau == other.tau)
@@ -64,12 +73,39 @@ class OElement:
 
 def o_unit(n):
     "The corolla with the canonical left-to-right labellings."
-    return OElement(corolla(n), (0,), tuple(range(n)))
+    return OElement(corolla(n))
 
 
 def eta_element():
     "The vertexless tree: the unique 0-slot element with one leaf."
-    return OElement(ETA, (), (0,))
+    return OElement(ETA)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation along a labelled tree: input i sits at the vertex of slot
+# i+1, the inputs compose at planar slots, and the caller relabels the
+# result's planar inputs by leaf_labels().
+
+def check_inputs(base, arities):
+    "One input per slot of base, each of its vertex's arity."
+    if base.tree.is_eta:
+        if arities:
+            raise ValueError("the vertexless tree takes no inputs")
+        return
+    if len(arities) != base.arity:
+        raise ValueError("need one input per slot")
+    idx = T.index(base.tree)
+    for i, k in enumerate(arities):
+        if k != idx.arity(base.sigma[i]):
+            raise ValueError("input %d has arity %d, vertex wants %d"
+                             % (i + 1, k, idx.arity(base.sigma[i])))
+
+
+def fold_inputs(base, inputs, compose):
+    """Compose the inputs along a tree with vertices: compose(acc, s, x)
+    inserts x at planar slot s of acc."""
+    deco = dict(zip(base.sigma, inputs))
+    return T.fold(T.index(base.tree), deco.__getitem__, compose)
 
 
 def compose_O_with_maps(a, i, b):

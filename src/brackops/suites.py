@@ -12,8 +12,7 @@ from .trees import caterpillar, star
 from .bracketings import (enumerate_bracketings, maximal_bracketings,
                           nerve_statistics, WeightedBracketing)
 from .operads import (OElement, BOElement, unit_BO, eta_BO,
-                      eta_element, compose_O, compose_BO, sigma_act_BO,
-                      bo_element)
+                      eta_element, compose_O, compose_BO, sigma_act_BO)
 from .wconstruction import compose_W, psi, psi_inverse
 from . import dendroidal as D
 from .plmaps import identity_map, average_of_steps
@@ -69,9 +68,7 @@ def _shapes(max_vertices, max_leaves, min_arity=0):
 
 def _decorate(shape, weight_choices):
     "All bracketed elements on a shape with identity labels."
-    nv = T.num_vertices(shape)
-    base = OElement(shape, tuple(range(nv)),
-                    tuple(range(T.num_leaves(shape))))
+    base = OElement(shape)
     out = []
     for br in enumerate_bracketings(shape):
         sets = br.sorted_brackets()
@@ -178,8 +175,7 @@ def suite_bo_axioms(cfg):
     shapes = _shapes(3, 2)
     plain = {}
     for sh in shapes:
-        nv = T.num_vertices(sh)
-        e = OElement(sh, tuple(range(nv)), tuple(range(T.num_leaves(sh))))
+        e = OElement(sh)
         plain.setdefault(e.leaf_count, []).append(BOElement(e))
 
     def seq_cases():
@@ -603,9 +599,7 @@ def _coherence_configs(weight_choices, rng):
 
 def _decorate_sampled(shape, weight_choices, rng):
     "One element per bracketing, weights drawn from the choices."
-    nv = T.num_vertices(shape)
-    base = OElement(shape, tuple(range(nv)),
-                    tuple(range(T.num_leaves(shape))))
+    base = OElement(shape)
     out = []
     for br in enumerate_bracketings(shape):
         ws = {b: rng.choice(weight_choices) for b in br.brackets}
@@ -620,11 +614,9 @@ def suite_coherence(cfg):
     def corner_cases():
         for n in (3, 4):
             tree = caterpillar(n)
-            nv = T.num_vertices(tree)
             for br in maximal_bracketings(tree):
-                e = bo_element(tree, tuple(range(nv)),
-                               tuple(range(n + 1)),
-                               {b: 1 for b in br.brackets})
+                e = BOElement(OElement(tree), WeightedBracketing(
+                    tree, {b: 1 for b in br.brackets}))
                 for _ in range(3):
                     xs = [R.random_cactus(2, rng) for _ in range(n)]
                     want = _chain_eval(xs, (0, n - 1), br.brackets)
@@ -689,9 +681,7 @@ def suite_weight_zero(cfg):
             items = [(b, Fraction(1) if b != zero else Fraction(0))
                      for b in sets]
             kept = [(b, w) for b, w in items if w != 0]
-            nv = T.num_vertices(sh)
-            base = OElement(sh, tuple(range(nv)),
-                            tuple(range(T.num_leaves(sh))))
+            base = OElement(sh)
             xs = R.random_labelled_cacti(base, rng)
             lhs = bo_action._ms_action(base, items, xs).cactus
             rhs = bo_action._ms_action(base, kept, xs).cactus

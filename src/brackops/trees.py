@@ -258,11 +258,11 @@ def fold(idx, value, graft):
 # ---------------------------------------------------------------------------
 # Surgery.  Host nodes are labelled (0, id), guest nodes (1, id).
 
-def _host(k):
+def host(k):
     return (0, k)
 
 
-def _guest(k):
+def guest(k):
     return (1, k)
 
 
@@ -283,17 +283,17 @@ class SurgeryResult:
 
 def graft_with_maps(t, i, t2):
     "Attach the root of t2 at leaf i (1-based planar index) of t."
-    root, _, leaves = open_nest(t, _host, _host)
+    root, _, leaves = open_nest(t, host, host)
     if not 1 <= i <= len(leaves):
         raise IndexError("leaf index %d out of range (tree has %d leaves)"
                          % (i, len(leaves)))
     if not t2.is_eta:
-        guest = open_nest(t2, _guest, _guest)[0]
+        sub = open_nest(t2, guest, guest)[0]
         parent, slot = leaves[i - 1]
         if parent is None:
-            root = guest
+            root = sub
         else:
-            parent.children[slot] = guest
+            parent.children[slot] = sub
     return SurgeryResult(root)
 
 
@@ -306,12 +306,12 @@ def substitute_with_maps(t, v, t2, tau=None):
     the leaves of t2.  `tau` (optional) is a tuple with tau[j] = planar
     leaf position of t2 that receives input j of v; identity if omitted.
     Requires arity(v) == num_leaves(t2)."""
-    root, verts, _ = open_nest(t, _host, _host)
+    root, verts, _ = open_nest(t, host, host)
     if not 0 <= v < len(verts):
         raise IndexError("no vertex %r" % (v,))
     node = verts[v]
     m = len(node.children)
-    guest, _, slots = open_nest(t2, _guest, _guest)
+    sub, _, slots = open_nest(t2, guest, guest)
     if len(slots) != m:
         raise ValueError("arity mismatch: vertex has %d inputs, tree has %d leaves"
                          % (m, len(slots)))
@@ -321,13 +321,13 @@ def substitute_with_maps(t, v, t2, tau=None):
         raise ValueError("tau is not a permutation of 0..%d" % (m - 1))
     if t2.is_eta:
         # v removed, its single input identified with its output
-        guest = node.children[0]
+        sub = node.children[0]
     else:
         for j, q in enumerate(tau):
             parent, slot = slots[q]
             parent.children[slot] = node.children[j]
     # the replacement takes v's place: v's node adopts its label and children
-    node.label, node.children = guest.label, guest.children
+    node.label, node.children = sub.label, sub.children
     return SurgeryResult(root)
 
 

@@ -245,9 +245,7 @@ def psi_inverse(x):
                                           if s < vset], wt, None))
             else:
                 slots.append(T.Nest(label_of_vertex[u]))
-        if tau is None:
-            tau = tuple(range(T.num_leaves(qt)))
-        deco = OElement(qt, tuple(range(len(old))), tau)
+        deco = OElement(qt, tau=tau)
         return T.Nest(_N(deco, weight), slots)
 
     root = build(range(len(x.base.sigma)), x.weighted.weights, None,

@@ -78,6 +78,12 @@ def test_endo_act_respects_tau():
         assert got(args) == plain((args[1], args[2], args[0]))
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_endo_act_needs_one_input_per_slot(count):
+    with pytest.raises(ValueError, match="need one input per slot"):
+        EndoAlgebra().act(chain_elem(2), [AND] * count)
+
+
 def test_endo_act_ignores_brackets_and_weights():
     rng = R.rng_from_seed(2)
     P = EndoAlgebra()

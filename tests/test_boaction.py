@@ -6,7 +6,7 @@ from brackops.trees import ETA, PlanarTree, caterpillar
 from brackops import trees as T
 from brackops.operads import (bo_element, eta_BO, unit_BO,
                               compose_BO, sigma_act_BO)
-from brackops.cacti import MSElement, unit_cactus, cact1_compose, scaling_map
+from brackops.cacti import unit_cactus, cact1_compose, scaling_map
 from brackops.plmaps import (identity_map, pl_compose, pl_convex_combination,
                              pl_invert)
 from brackops.bracketings import chain_levels, enumerate_bracketings
@@ -66,18 +66,6 @@ def test_xi_map_of_a_bracket_is_the_vertex_rule_after_collapsing_it():
                         assert A.xi_map(t, bs, b) == _xi_by_collapse(t, bs, b)
                         cases += 1
     assert cases == 9944
-
-
-def test_lambda_MS_fold_orders_agree():
-    rng = R.rng_from_seed(0)
-    for _ in range(30):
-        e = R.random_bo_element(rng, max_vertices=3)
-        if e.base.tree.is_eta or min(T.arities(e.base.tree)) == 0:
-            continue
-        xs = R.random_labelled_cacti(e.base, rng)
-        ins = [MSElement(x, R.random_reparam(rng, points=2)) for x in xs]
-        assert A.lambda_MS(e.base, ins) == \
-            A.lambda_MS(e.base, ins, order="first-last")
 
 
 def test_augment_adds_one_unary_vertex_per_bracket():
@@ -200,7 +188,7 @@ def test_lam_rejects_inputs_that_do_not_fit():
     e = chain_elem(2)
     with pytest.raises(ValueError, match="one input per slot"):
         A.lam(e, [R.random_cactus(2, rng)])
-    with pytest.raises(ValueError, match="input 2 has 3 lobes"):
+    with pytest.raises(ValueError, match="input 2 has arity 3"):
         A.lam(e, [R.random_cactus(2, rng), R.random_cactus(3, rng)])
     with pytest.raises(ValueError, match="no inputs"):
         A.lam(eta_BO(), [R.random_cactus(1, rng)])

@@ -137,6 +137,20 @@ def test_ms_compose_is_associative():
         assert lhs == rhs
 
 
+def test_ms_compose_parallel_slots_commute():
+    # inserting into two different lobes of a: either order, once the
+    # later lobe is shifted past the first insertion
+    rng = R.rng_from_seed(4)
+    for _ in range(200):
+        a = R.random_ms_element(rng.randint(2, 4), rng)
+        i, j = sorted(rng.sample(range(1, a.cactus.k + 1), 2))
+        b = R.random_ms_element(rng.randint(1, 3), rng)
+        c = R.random_ms_element(rng.randint(1, 3), rng)
+        lhs = ms_compose(ms_compose(a, j, c), i, b)
+        rhs = ms_compose(ms_compose(a, i, b), j + b.cactus.k - 1, c)
+        assert lhs == rhs
+
+
 def test_phi_turns_ms_compose_into_coend_compose():
     rng = R.rng_from_seed(4)
     ts = [F(r, 24) for r in range(25)]

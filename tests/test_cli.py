@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brackops import bo_action
+from brackops import dendroidal as D
 from brackops.cli import main
 from brackops.trees import caterpillar
 from brackops.operads import bo_element, bo_to_json, bo_to_obj
@@ -75,6 +76,15 @@ def test_cacti_validate_rejects_bad_input(tmp_path, capsys):
                  cactus_to_json(Cactus(1, [(0, 1, 1)])))
     code, out = run(capsys, "cacti", "validate", "--input", good)
     assert code == 0 and json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize("obj", [{"k": 0, "arcs": [["0", "1", 1]]},
+                                 {"k": 0, "arcs": "junk"}])
+def test_cacti_validate_rejects_arcs_on_the_empty_cactus(tmp_path, capsys,
+                                                         obj):
+    bad = write(tmp_path, "bad.json", json.dumps(obj))
+    code, out = run(capsys, "cacti", "validate", "--input", bad)
+    assert code == 1 and json.loads(out)["valid"] is False
 
 
 def test_witness_nonassoc(capsys):
@@ -230,6 +240,19 @@ def test_cacti_compose_slot_out_of_range_is_a_structured_error(tmp_path,
                     "--slot", "9", "--rhs", x)
     assert code == 2
     assert list(json.loads(out)) == ["error"]
+
+
+@pytest.mark.parametrize("image", [[3, 9], [3, -1]])
+@pytest.mark.parametrize("action", ["image", "compose"])
+def test_omega_image_outside_the_target_is_a_structured_error(
+        tmp_path, capsys, action, image):
+    obj = D.morphism_to_obj(D.collapse_morphism(caterpillar(5), [{3, 4}]))
+    obj["vertices"][-1] = image
+    g = write(tmp_path, "g.json", json.dumps(obj))
+    args = ["--input", g] if action == "image" else ["--lhs", g, "--rhs", g]
+    code, out = run(capsys, "omega", action, *args)
+    assert code == 2
+    assert "not inside the target" in json.loads(out)["error"]
 
 
 def test_verify_exit_codes_and_determinism(capsys):

@@ -137,6 +137,14 @@ def test_tilde_morphism_rejects_brackets_on_a_degenerated_vertex():
         D.OmegaTildeMorphism(s, [(), [({0, 1}, 1)]])
 
 
+@pytest.mark.parametrize("image", [[3, 9], [3, -1]])
+def test_morphism_rejects_an_image_outside_the_target(image):
+    g = D.collapse_morphism(caterpillar(5), [{3, 4}])
+    images = list(g.vertex_images[:-1]) + [frozenset(image)]
+    with pytest.raises(ValueError, match="not inside the target"):
+        D.OmegaMorphism(g.source, g.target, g.edge_map, images)
+
+
 def test_tilde_morphism_drops_weight_zero_brackets():
     assert _collapse_top([({0, 1}, 0)]).brackets == ((), ())
     assert _collapse_top([({0, 1}, 0), ({0, 1, 2}, 1)]).brackets \
