@@ -146,8 +146,14 @@ def lam(element, inputs):
 def lam_traced(element, inputs):
     """One evaluation of the action, with its intermediates: (result, the
     MS element whose cactus it is, (augmented element, brackets in
-    canonical order, per-input maps, per-bracket maps))."""
+    canonical order, per-input maps, per-bracket maps)).  A vertex of
+    arity 0 has no input edge to scale, so a tree with one is refused."""
     check_inputs(element.base, [x.k for x in inputs])
+    idx = T.index(element.base.tree)
+    for v in range(idx.num_vertices()):
+        if idx.arity(v) == 0:
+            raise ValueError("vertex %d has arity 0; the cactus action "
+                             "needs an input at every vertex" % v)
     assembly = _assembly(element.base, element.weighted.weights, inputs)
     ms = _compose_assembly(inputs, assembly)
     return ms.cactus, ms, assembly

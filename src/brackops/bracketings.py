@@ -1,6 +1,6 @@
 """Bracketings of a planar tree: nested families of large proper
 subtrees, the inclusion poset, its order complex, and weighted
-bracketings with their chain form."""
+bracketings with their chain form (`chain_levels`)."""
 
 from __future__ import annotations
 
@@ -78,12 +78,6 @@ class Bracketing:
         return (isinstance(other, Bracketing) and self.tree == other.tree
                 and self.brackets == other.brackets)
 
-    def __le__(self, other):
-        return self.tree == other.tree and self.brackets <= other.brackets
-
-    def __lt__(self, other):
-        return self <= other and self.brackets != other.brackets
-
     def __hash__(self):
         return hash((self.tree, self.brackets))
 
@@ -97,10 +91,9 @@ class WeightedBracketing:
 
     __slots__ = ("tree", "weights")
 
-    def __init__(self, tree, weights, validate=True):
+    def __init__(self, tree, weights):
         items = canonical_weights(weights)
-        if validate:
-            check_brackets(tree, [v for v, _ in items], _all_vertices(tree))
+        check_brackets(tree, [v for v, _ in items], _all_vertices(tree))
         self.tree = tree
         self.weights = items
 
@@ -125,40 +118,6 @@ def merge_brackets(items, size):
         if 2 <= len(vset) < size and (vset not in out or out[vset] < w):
             out[vset] = w
     return out
-
-
-class BracketChain:
-    "A strictly increasing chain of bracketings with simplex coordinates."
-
-    __slots__ = ("chain", "coords")
-
-    def __init__(self, chain, coords):
-        chain = tuple(chain)
-        coords = tuple(Fraction(c) for c in coords)
-        if len(chain) != len(coords):
-            raise ValueError("chain/coordinate length mismatch")
-        if not chain:
-            raise ValueError("empty chain")
-        if coords[0] != 1:
-            raise ValueError("first coordinate must be 1")
-        for a, b in zip(chain, chain[1:]):
-            if not a < b:
-                raise ValueError("chain is not strictly increasing")
-        for a, b in zip(coords, coords[1:]):
-            if not a >= b:
-                raise ValueError("coordinates must be weakly decreasing")
-        if any(not 0 <= c <= 1 for c in coords):
-            raise ValueError("coordinates outside [0,1]")
-        self.chain = chain
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (isinstance(other, BracketChain)
-                and self.chain == other.chain and self.coords == other.coords)
-
-    def __repr__(self):
-        return "BracketChain(%r, %s)" % (list(self.chain),
-                                         [str(c) for c in self.coords])
 
 
 def enumerate_bracketings(tree):
@@ -249,36 +208,11 @@ def chain_levels(items):
     return values, levels
 
 
-def weights_to_chain(w):
-    """Group brackets by weight value, descending; level l of the chain
-    collects all brackets of weight >= the l-th distinct value.  If no
-    bracket has weight 1 the chain is padded with an empty level of
-    coordinate 1."""
-    values, levels = chain_levels(w.weights)
-    return BracketChain([Bracketing(w.tree, lv, validate=False)
-                         for lv in levels], values)
-
-
-def chain_to_weights(c):
-    "Inverse of weights_to_chain up to normal form (weight 0 dropped)."
-    weights = {}
-    prev = frozenset()
-    for level, coord in zip(c.chain, c.coords):
-        for vset in level.brackets - prev:
-            weights[vset] = coord
-        prev = level.brackets
-    return WeightedBracketing(c.chain[0].tree, weights, validate=False)
-
-
 # ---------------------------------------------------------------------------
 # Serialization.
 
 def bracketing_to_obj(b):
     return [sorted(v) for v in b.sorted_brackets()]
-
-
-def bracketing_from_obj(tree, obj):
-    return Bracketing(tree, [frozenset(v) for v in obj])
 
 
 def weighted_to_obj(w):

@@ -10,7 +10,6 @@ scale-and-subdivide rule; the rescaling identity ties the two together.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .trees import frac_to_str
@@ -69,22 +68,24 @@ class Cactus:
         self._check_interleaving()
 
     def _check_interleaving(self):
+        """Refuse two lobes whose labels read i..j..i..j along the circle,
+        in one pass over the arcs: the lobes on the stack are open, and
+        coming back to one closes the lobes opened after it, which may
+        not come back."""
         labels = [lab for _, _, lab in self.arcs]
-        for i in set(labels):
-            for j in set(labels):
-                if i >= j:
-                    continue
-                word = [l for l in labels if l in (i, j)]
-                blocks = [word[0]]
-                for l in word[1:]:
-                    if l != blocks[-1]:
-                        blocks.append(l)
-                # cyclic: merge last block into first if equal
-                if len(blocks) > 1 and blocks[0] == blocks[-1]:
-                    blocks.pop()
-                if len(blocks) > 2:
-                    raise CactusError(
-                        "lobes %d and %d interleave (pattern %s)" % (i, j, word))
+        stack, seen, closed_by = [], set(), {}
+        for lab in labels:
+            if lab in closed_by:
+                i, j = sorted((closed_by[lab], lab))
+                raise CactusError(
+                    "lobes %d and %d interleave (pattern %s)"
+                    % (i, j, [l for l in labels if l in (i, j)]))
+            if lab in seen:
+                while stack[-1] != lab:
+                    closed_by[stack.pop()] = lab
+            else:
+                stack.append(lab)
+                seen.add(lab)
 
     def lobe_arcs(self, lab):
         return [(a, b) for a, b, l in self.arcs if l == lab]
@@ -198,6 +199,8 @@ def phi(elem):
 def cactus_metric(x, y):
     if x.k != y.k:
         raise CactusError("lobe counts differ")
+    if x.k == 0:
+        return ZERO  # EMPTY_CACTUS is the one 0-lobe point
     overlap = ZERO
     for lab in range(1, x.k + 1):
         for a, b in x.lobe_arcs(lab):
@@ -360,7 +363,7 @@ def rescaling_identity_check(x, ys):
 # Serialization.
 
 def cactus_to_obj(x):
-    if x is EMPTY_CACTUS or getattr(x, "k", None) == 0:
+    if x is EMPTY_CACTUS:
         return {"k": 0, "arcs": []}
     return {"k": x.k,
             "arcs": [[frac_to_str(a), frac_to_str(b), lab]
@@ -374,11 +377,3 @@ def cactus_from_obj(obj):
         return EMPTY_CACTUS
     return Cactus(obj["k"],
                   [(Fraction(a), Fraction(b), lab) for a, b, lab in obj["arcs"]])
-
-
-def cactus_to_json(x):
-    return json.dumps(cactus_to_obj(x), sort_keys=True, separators=(",", ":"))
-
-
-def cactus_from_json(text):
-    return cactus_from_obj(json.loads(text))

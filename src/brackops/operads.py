@@ -11,7 +11,6 @@ with a large tree records it as a new bracket of weight 1."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import trees as T
@@ -145,14 +144,6 @@ def sigma_act_O(perm, a):
     return OElement(a.tree, tuple(a.sigma[p] for p in perm), a.tau)
 
 
-def tau_act_O(perm, a):
-    "Postcompose the leaf labelling by a permutation (0-based)."
-    perm = tuple(perm)
-    if sorted(perm) != list(range(a.leaf_count)):
-        raise ValueError("not a permutation of the leaves")
-    return OElement(a.tree, a.sigma, tuple(a.tau[p] for p in perm))
-
-
 class BOElement:
     "An OElement with a weighted bracketing on its tree."
 
@@ -249,11 +240,3 @@ def bo_to_obj(a):
 def bo_from_obj(obj):
     base = o_from_obj(obj)
     return BOElement(base, weighted_from_obj(base.tree, obj.get("brackets", [])))
-
-
-def bo_to_json(a):
-    return json.dumps(bo_to_obj(a), sort_keys=True, separators=(",", ":"))
-
-
-def bo_from_json(text):
-    return bo_from_obj(json.loads(text))

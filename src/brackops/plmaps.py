@@ -199,8 +199,3 @@ def average_of_steps(maps):
 def pl_to_obj(f):
     return {"x": [frac_to_str(x) for x in f.breakpoints],
             "y": [frac_to_str(y) for y in f.values]}
-
-
-def pl_from_obj(obj):
-    return PLMap([Fraction(x) for x in obj["x"]],
-                 [Fraction(y) for y in obj["y"]])

@@ -9,7 +9,7 @@ from fractions import Fraction
 from . import trees as T
 from .bracketings import enumerate_bracketings, WeightedBracketing
 from .operads import OElement, BOElement
-from .plmaps import monotone_reparam, identity_map
+from .plmaps import monotone_reparam
 from .cacti import (Cactus, MSElement, unit_cactus, cact1_compose,
                     relabel_cactus)
 
@@ -61,8 +61,8 @@ def random_cactus(k, rng):
     return relabel_cactus(x, perm)
 
 
-def random_ms_element(k, rng, reparam=True):
-    f = random_reparam(rng) if reparam else identity_map()
+def random_ms_element(k, rng):
+    f = random_reparam(rng)
     return MSElement(random_cactus(k, rng), f)
 
 

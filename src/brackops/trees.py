@@ -103,29 +103,26 @@ def star(arms):
 
 class TreeIndex:
     """Tables for a tree: for each vertex (by DFS id) its subtree object,
-    parent id (-1 for the root), slot in the parent, arity, and its input
-    edges in slot order, ("out", child_id) or ("leaf", leaf_position).
+    parent id (-1 for the root), arity, and its input edges in slot
+    order, ("out", child_id) or ("leaf", leaf_position).
     `index` hands the same tables to every caller: they are read-only."""
 
-    __slots__ = ("tree", "subtree", "parent", "parent_slot",
-                 "child_entries", "leaf_at")
+    __slots__ = ("tree", "subtree", "parent", "child_entries", "leaf_at")
 
     def __init__(self, tree):
         self.tree = tree
         subtree = self.subtree = []
         parent = self.parent = []
-        parent_slot = self.parent_slot = []
         child_entries = self.child_entries = []
         # leaf position -> (vertex_id, slot); [] for Eta
         leaf_at = self.leaf_at = []
         if tree.is_eta:
             return
 
-        def walk(node, par, slot):
+        def walk(node, par):
             vid = len(subtree)
             subtree.append(node)
             parent.append(par)
-            parent_slot.append(slot)
             entries = []
             child_entries.append(entries)
             for s, ch in enumerate(node.children):
@@ -133,10 +130,10 @@ class TreeIndex:
                     entries.append(("leaf", len(leaf_at)))
                     leaf_at.append((vid, s))
                 else:
-                    entries.append(("out", walk(ch, vid, s)))
+                    entries.append(("out", walk(ch, vid)))
             return vid
 
-        walk(tree, -1, -1)
+        walk(tree, -1)
 
     def arity(self, vid):
         return len(self.subtree[vid].children)
@@ -550,10 +547,6 @@ def tree_from_obj(obj, top=True):
 
 def tree_to_json(tree):
     return json.dumps(tree_to_obj(tree), sort_keys=True, separators=(",", ":"))
-
-
-def tree_from_json(text):
-    return tree_from_obj(json.loads(text))
 
 
 def frac_to_str(q):

@@ -14,7 +14,6 @@ representative per bracketed tree."""
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from . import trees as T
@@ -158,10 +157,6 @@ def normalize_W(w):
     return psi_inverse(psi(w))
 
 
-def is_normal(w):
-    return normalize_W(w) == w
-
-
 def compose_W(a, i, b):
     "Graft b onto global input i of a; the new edge has length 1."
     if not 1 <= i <= len(a.leaf_order):
@@ -200,10 +195,6 @@ def project_with_provenance(w):
     if w.leaf_order:
         acc = sigma_act_O(w.leaf_order, acc)
     return acc, prov
-
-
-def project_to_O(w):
-    return project_with_provenance(w)[0]
 
 
 def psi(w):
@@ -269,11 +260,3 @@ def w_from_obj(obj):
                  [p - 1 for p in obj["leaf_order"]],
                  [Fraction(x) for x in obj["lengths"]],
                  [o_from_obj(d) for d in obj["decorations"]])
-
-
-def w_to_json(w):
-    return json.dumps(w_to_obj(w), sort_keys=True, separators=(",", ":"))
-
-
-def w_from_json(text):
-    return w_from_obj(json.loads(text))

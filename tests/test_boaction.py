@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from brackops.trees import ETA, PlanarTree, caterpillar
+from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops import trees as T
 from brackops.operads import (bo_element, eta_BO, unit_BO,
                               compose_BO, sigma_act_BO)
-from brackops.cacti import unit_cactus, cact1_compose, scaling_map
+from brackops.cacti import (EMPTY_CACTUS, unit_cactus, cact1_compose,
+                            scaling_map)
 from brackops.plmaps import (identity_map, pl_compose, pl_convex_combination,
                              pl_invert)
 from brackops.bracketings import chain_levels, enumerate_bracketings
@@ -192,6 +193,18 @@ def test_lam_rejects_inputs_that_do_not_fit():
         A.lam(e, [R.random_cactus(2, rng), R.random_cactus(3, rng)])
     with pytest.raises(ValueError, match="no inputs"):
         A.lam(eta_BO(), [R.random_cactus(1, rng)])
+
+
+def test_lam_refuses_a_nullary_vertex():
+    rng = R.rng_from_seed(14)
+    with pytest.raises(ValueError, match="^vertex 0 has arity 0; the cactus "
+                       "action needs an input at every vertex$"):
+        A.lam(bo_element(corolla(0), (0,), ()), [EMPTY_CACTUS])
+    # the root has a nullary child and a leaf
+    t = PlanarTree((corolla(0), ETA))
+    with pytest.raises(ValueError, match="^vertex 1 has arity 0"):
+        A.lam(bo_element(t, (0, 1), (0,)),
+              [R.random_cactus(2, rng), EMPTY_CACTUS])
 
 
 def test_coherence_weight_one_fixed_pair():

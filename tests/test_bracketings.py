@@ -1,16 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from brackops.trees import ETA, caterpillar, corolla, star, planar_trees
 from brackops.bracketings import (Bracketing, WeightedBracketing,
                                   enumerate_bracketings, maximal_bracketings,
-                                  nerve_statistics, weights_to_chain,
-                                  chain_to_weights, bracketing_to_obj,
-                                  bracketing_from_obj, weighted_to_obj,
-                                  weighted_from_obj)
-from brackops import randomgen as R
+                                  nerve_statistics, bracketing_to_obj,
+                                  weighted_to_obj, weighted_from_obj)
 from brackops import trees as T
 
 
@@ -120,40 +116,10 @@ def test_weights_outside_unit_interval_rejected():
         WeightedBracketing(t, {frozenset({0, 1}): Fraction(3, 2)})
 
 
-def test_weights_to_chain_grouping():
-    t = caterpillar(4)
-    w = WeightedBracketing(t, {frozenset({1, 2}): Fraction(1),
-                               frozenset({1, 2, 3}): Fraction(1, 2)})
-    c = weights_to_chain(w)
-    assert [sorted(map(sorted, level.brackets)) for level in c.chain] == \
-        [[[1, 2]], [[1, 2], [1, 2, 3]]]
-    assert c.coords == (Fraction(1), Fraction(1, 2))
-
-
-def test_weights_to_chain_pads_missing_weight_one():
-    t = caterpillar(3)
-    w = WeightedBracketing(t, {frozenset({0, 1}): Fraction(1, 3)})
-    c = weights_to_chain(w)
-    assert c.chain[0].brackets == frozenset()
-    assert c.coords[0] == 1
-
-
-@settings(max_examples=60)
-@given(st.integers(0, 10 ** 6))
-def test_chain_roundtrip_random(seed):
-    rng = R.rng_from_seed(seed)
-    t = R.random_planar_tree(rng, max_vertices=5, max_leaves=5)
-    e = R.random_bo_element(rng, tree=t,
-                            weight_choices=(Fraction(1), Fraction(1, 2),
-                                            Fraction(1, 3)))
-    w = e.weighted
-    assert chain_to_weights(weights_to_chain(w)) == w
-
-
 def test_serialization_roundtrip():
     t = caterpillar(4)
     b = Bracketing(t, [frozenset({1, 2}), frozenset({1, 2, 3})])
-    assert bracketing_from_obj(t, bracketing_to_obj(b)) == b
+    assert bracketing_to_obj(b) == [[1, 2], [1, 2, 3]]
     w = WeightedBracketing(t, {frozenset({1, 2}): Fraction(2, 3)})
     assert weighted_from_obj(t, weighted_to_obj(w)) == w
     assert weighted_to_obj(w) == [{"vertices": [1, 2], "w": "2/3"}]

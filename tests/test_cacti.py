@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from brackops.cacti import (Cactus, CactusError, EMPTY_CACTUS, unit_cactus,
                             coend_compose, phi, cactus_metric, scaling_map,
                             relabel_cactus, cact1_compose, _insert, ms_compose,
                             gamma_cact1, rescaling_identity_check,
-                            cactus_to_json, cactus_from_json)
+                            cactus_to_obj, cactus_from_obj)
 from brackops import randomgen as R
 
 F = Fraction
@@ -27,6 +28,52 @@ def test_validation_rules():
         # 1,2,1,2 pattern: the two lobes interleave
         Cactus(2, [(0, F(1, 4), 1), (F(1, 4), F(1, 2), 2),
                    (F(1, 2), F(3, 4), 1), (F(3, 4), 1, 2)])
+
+
+def pairwise_interleaving(labels):
+    "The first pair (i, j) whose restricted word has > 2 cyclic blocks."
+    for i in sorted(set(labels)):
+        for j in sorted(set(labels)):
+            if i >= j:
+                continue
+            word = [l for l in labels if l in (i, j)]
+            blocks = [word[0]]
+            for l in word[1:]:
+                if l != blocks[-1]:
+                    blocks.append(l)
+            if len(blocks) > 1 and blocks[0] == blocks[-1]:
+                blocks.pop()
+            if len(blocks) > 2:
+                return i, j
+    return None
+
+
+def test_interleaving_matches_the_pairwise_rule():
+    rng = R.rng_from_seed(21)
+    refused = 0
+    for _ in range(3000):
+        k = rng.randint(1, 6)
+        word = list(range(1, k + 1)) + [rng.randint(1, k)
+                                        for _ in range(rng.randint(0, 10 - k))]
+        rng.shuffle(word)
+        # lobe j's c_j arcs have length 1/(k c_j) each
+        arcs, pos = [], F(0)
+        for lab in word:
+            end = pos + F(1, k * word.count(lab))
+            arcs.append((pos, end, lab))
+            pos = end
+        want = pairwise_interleaving(word)
+        if want is None:
+            Cactus(k, arcs)
+            continue
+        refused += 1
+        with pytest.raises(CactusError, match="interleave") as exc:
+            Cactus(k, arcs)
+        i, j = map(int, str(exc.value).split()[1:4:2])
+        # the named pair interleaves, though it may not be the first one
+        assert pairwise_interleaving([l for l in word if l in (i, j)]) \
+            == (i, j)
+    assert 0 < refused < 3000
 
 
 def test_return_arcs_are_legal():
@@ -68,6 +115,7 @@ def test_metric_axioms():
         assert 0 <= cactus_metric(x, y) <= 1
         if x != y:
             assert cactus_metric(x, y) > 0
+    assert cactus_metric(EMPTY_CACTUS, EMPTY_CACTUS) == 0
 
 
 def test_scaling_map_identity_multipliers():
@@ -183,7 +231,7 @@ def test_json_roundtrip():
     rng = R.rng_from_seed(6)
     for _ in range(20):
         x = R.random_cactus(rng.randint(1, 4), rng)
-        assert cactus_from_json(cactus_to_json(x)) == x
+        assert cactus_from_obj(json.loads(json.dumps(cactus_to_obj(x)))) == x
 
 
 @given(st.integers(0, 10 ** 6))

@@ -6,11 +6,11 @@ import pytest
 from brackops import bo_action
 from brackops import dendroidal as D
 from brackops.cli import main
-from brackops.trees import caterpillar
-from brackops.operads import bo_element, bo_to_json, bo_to_obj
+from brackops.trees import ETA, PlanarTree, caterpillar, corolla, num_leaves
+from brackops.operads import bo_element, bo_to_obj
 from brackops.wconstruction import (WTree, psi, psi_inverse, w_from_obj,
-                                    w_to_json)
-from brackops.cacti import Cactus, cactus_to_json, cactus_to_obj
+                                    w_to_obj)
+from brackops.cacti import EMPTY_CACTUS, Cactus, cactus_to_obj
 
 F = Fraction
 
@@ -46,8 +46,8 @@ def test_bo_compose(tmp_path, capsys):
     e = bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
                    {frozenset({1, 2}): F(1, 2)})
     u = bo_element(caterpillar(1), (0,), (0, 1))
-    lhs = write(tmp_path, "lhs.json", bo_to_json(e))
-    rhs = write(tmp_path, "rhs.json", bo_to_json(u))
+    lhs = write(tmp_path, "lhs.json", json.dumps(bo_to_obj(e)))
+    rhs = write(tmp_path, "rhs.json", json.dumps(bo_to_obj(u)))
     code, out = run(capsys, "bo", "compose", "--lhs", lhs,
                     "--slot", "1", "--rhs", rhs)
     assert code == 0
@@ -58,8 +58,8 @@ def test_bo_compose(tmp_path, capsys):
 def test_cacti_compose_and_metric(tmp_path, capsys):
     x = Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])
     y = Cactus(2, [(0, F(1, 4), 1), (F(1, 4), F(3, 4), 2), (F(3, 4), 1, 1)])
-    xp = write(tmp_path, "x.json", cactus_to_json(x))
-    yp = write(tmp_path, "y.json", cactus_to_json(y))
+    xp = write(tmp_path, "x.json", json.dumps(cactus_to_obj(x)))
+    yp = write(tmp_path, "y.json", json.dumps(cactus_to_obj(y)))
     code, out = run(capsys, "cacti", "compose", "--lhs", xp,
                     "--slot", "1", "--rhs", yp)
     assert code == 0 and json.loads(out)["k"] == 3
@@ -73,7 +73,7 @@ def test_cacti_validate_rejects_bad_input(tmp_path, capsys):
     code, out = run(capsys, "cacti", "validate", "--input", bad)
     assert code == 1 and json.loads(out)["valid"] is False
     good = write(tmp_path, "good.json",
-                 cactus_to_json(Cactus(1, [(0, 1, 1)])))
+                 json.dumps(cactus_to_obj(Cactus(1, [(0, 1, 1)]))))
     code, out = run(capsys, "cacti", "validate", "--input", good)
     assert code == 0 and json.loads(out)["valid"] is True
 
@@ -109,11 +109,45 @@ def test_omega_segal_terminal(capsys):
     assert code == 0 and json.loads(out)["segal"] is True
 
 
+def test_omega_segal_on_the_vertexless_tree_is_a_structured_error(
+        tmp_path, capsys):
+    eta = write(tmp_path, "eta.json", json.dumps("eta"))
+    code, out = run(capsys, "omega", "segal", "--tree", eta)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ValueError: the vertexless tree has no Segal map"}
+
+
+def test_cacti_metric_of_the_zero_lobe_point(tmp_path, capsys):
+    p = write(tmp_path, "e.json", json.dumps(cactus_to_obj(EMPTY_CACTUS)))
+    code, out = run(capsys, "cacti", "metric", "--lhs", p, "--rhs", p)
+    assert code == 0 and json.loads(out) == {"distance": "0/1"}
+
+
+@pytest.mark.parametrize("tree, inputs, vertex", [
+    (corolla(0), [EMPTY_CACTUS], 0),
+    (PlanarTree((corolla(0), ETA)),
+     [Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)]), EMPTY_CACTUS], 1)])
+def test_bo_action_on_a_nullary_vertex_is_a_structured_error(
+        tmp_path, capsys, tree, inputs, vertex):
+    e = bo_element(tree, tuple(range(len(inputs))),
+                   tuple(range(num_leaves(tree))))
+    ep = write(tmp_path, "e.json", json.dumps(bo_to_obj(e)))
+    xp = write(tmp_path, "xs.json",
+               json.dumps([cactus_to_obj(x) for x in inputs]))
+    code, out = run(capsys, "bo-action", "eval",
+                    "--element", ep, "--inputs", xp)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ValueError: vertex %d has arity 0; the cactus action "
+                 "needs an input at every vertex" % vertex}
+
+
 def test_bo_action_eval_with_trace(tmp_path, capsys, monkeypatch):
     e = bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
                    {frozenset({1, 2}): F(1, 2)})
     xs = [Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])] * 3
-    ep = write(tmp_path, "e.json", bo_to_json(e))
+    ep = write(tmp_path, "e.json", json.dumps(bo_to_obj(e)))
     xp = write(tmp_path, "xs.json",
                json.dumps([cactus_to_obj(x) for x in xs]))
     calls = []
@@ -185,7 +219,7 @@ def test_bad_bo_action_element_is_a_structured_error(tmp_path, capsys,
 def test_bo_action_eval_without_inputs_is_a_structured_error(tmp_path,
                                                              capsys):
     e = bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3))
-    ep = write(tmp_path, "e.json", bo_to_json(e))
+    ep = write(tmp_path, "e.json", json.dumps(bo_to_obj(e)))
     xp = write(tmp_path, "xs.json", "[]")
     code, out = run(capsys, "bo-action", "eval",
                     "--element", ep, "--inputs", xp)
@@ -195,7 +229,7 @@ def test_bo_action_eval_without_inputs_is_a_structured_error(tmp_path,
 
 def test_bo_compose_slot_out_of_range_is_a_structured_error(tmp_path, capsys):
     u = write(tmp_path, "u.json",
-              bo_to_json(bo_element(caterpillar(1), (0,), (0, 1))))
+              json.dumps(bo_to_obj(bo_element(caterpillar(1), (0,), (0, 1)))))
     code, out = run(capsys, "bo", "compose", "--lhs", u,
                     "--slot", "9", "--rhs", u)
     assert code == 2
@@ -213,7 +247,7 @@ def test_bo_compose_bracket_outside_the_tree_is_a_structured_error(
         tmp_path, capsys):
     a = write(tmp_path, "a.json", _with_bracket([0, 7]))
     u = write(tmp_path, "u.json",
-              bo_to_json(bo_element(caterpillar(1), (0,), (0, 1))))
+              json.dumps(bo_to_obj(bo_element(caterpillar(1), (0,), (0, 1)))))
     code, out = run(capsys, "bo", "compose", "--lhs", a,
                     "--slot", "1", "--rhs", u)
     assert code == 2
@@ -234,8 +268,8 @@ def test_bo_action_bracket_outside_the_tree_is_a_structured_error(
 
 def test_cacti_compose_slot_out_of_range_is_a_structured_error(tmp_path,
                                                                capsys):
-    x = write(tmp_path, "x.json",
-              cactus_to_json(Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])))
+    x = write(tmp_path, "x.json", json.dumps(cactus_to_obj(
+        Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)]))))
     code, out = run(capsys, "cacti", "compose", "--lhs", x,
                     "--slot", "9", "--rhs", x)
     assert code == 2
@@ -307,7 +341,7 @@ def test_w_psi_reads_a_tree_with_a_zero_length_edge(tmp_path, capsys):
     w = psi_inverse(bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
                                {frozenset({1, 2}): F(1)}))
     w = WTree(w.shape, w.leaf_order, (F(0),), w.decorations)
-    path = write(tmp_path, "w.json", w_to_json(w))
+    path = write(tmp_path, "w.json", json.dumps(w_to_obj(w)))
     code, out = run(capsys, "w", "psi", "--input", path)
     assert code == 0
     assert json.loads(out) == bo_to_obj(bo_element(

@@ -1,6 +1,9 @@
-"""Every definition in src/brackops/ is named somewhere outside its own
-body, in src/, tests/ or bench/, and every imported name in src/ and
-tests/ is used by the file that imports it.
+"""Every top-level definition in src/brackops/ is used by the program:
+named somewhere outside its own body in src/ or bench/, not only by a
+test, except the few in TESTED_ONLY, kept on purpose.  Every method,
+property and module constant is named in src/, tests/ or bench/, and
+every imported name in src/ and tests/ is used by the file that
+imports it.
 
 A definition is a top-level function or class, a method or property, or
 a module-level assignment; dunder names are exempt.  A name counts as
@@ -10,8 +13,8 @@ counts too, except for a method or property, which a local variable of
 the same name must not keep alive.  Import lines do not count as uses.
 
 Every parameter default of such a function or method is overridden by
-some call of that name: one that passes the parameter by keyword or by
-position, or passes *args or **kwargs."""
+some call of that name in src/, tests/ or bench/: one that passes the
+parameter by keyword or by position, or passes *args or **kwargs."""
 
 import ast
 import re
@@ -22,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "brackops"
 SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "bench"]
+PROGRAM = [ROOT / "src", ROOT / "bench"]
 IMPORTING = [ROOT / "src", ROOT / "tests"]
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
@@ -59,6 +63,18 @@ def _assigned_names(stmt):
                else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
+
+# Top-level definitions only tests call, each kept for one reason.
+TESTED_ONLY = {
+    # the inverse of cactus_map: it shows that cactus_map is injective,
+    # which is why coend/ms-compose-pointwise compares embeddings
+    "cacti.py:cactus_from_maps",
+    # the generators of Omega, whose identities the tests check
+    "dendroidal.py:inner_face",
+    "dendroidal.py:outer_face",
+    "dendroidal.py:degeneracy",
+    "dendroidal.py:isomorphisms",
+}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -106,13 +122,18 @@ def _unreferenced(definitions, sources, bare=True):
             and used[name] <= _names_in(node, bare)[name]]
 
 
-def _searched():
-    return [_parse(path) for path in _files(SEARCHED)]
+def _searched(tops=SEARCHED):
+    return [_parse(path) for path in _files(tops)]
 
 
 def test_every_top_level_definition_is_referenced():
-    dead = _unreferenced(_top_level_definitions(_modules()), _searched())
-    assert not dead, "unreferenced: " + ", ".join(dead)
+    dead = set(_unreferenced(_top_level_definitions(_modules()),
+                             _searched(PROGRAM)))
+    assert not dead - TESTED_ONLY, (
+        "unreferenced by src/ and bench/: " + ", ".join(sorted(dead - TESTED_ONLY)))
+    assert not TESTED_ONLY - dead, (
+        "used by the program, not only by tests: "
+        + ", ".join(sorted(TESTED_ONLY - dead)))
 
 
 def test_every_method_and_module_constant_is_referenced():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import given, strategies as st
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops.operads import (OElement, o_unit, eta_element,
                               unit_BO, eta_BO, bo_element, compose_O,
-                              compose_BO, sigma_act_O, tau_act_O,
-                              sigma_act_BO, bo_to_json,
-                              bo_from_json)
+                              compose_BO, sigma_act_O, sigma_act_BO,
+                              bo_to_obj, bo_from_obj)
 from brackops import randomgen as R
 
 
@@ -76,9 +76,6 @@ def test_sigma_tau_are_actions():
     pq = tuple(p[q[i]] for i in range(3))
     assert sigma_act_O(q, sigma_act_O(p, a)) == sigma_act_O(pq, a)
     assert sigma_act_O((0, 1, 2), a) == a
-    r = (3, 2, 1, 0)
-    assert tau_act_O((0, 1, 2, 3), a) == a
-    assert tau_act_O(r, tau_act_O(r, a)) == a
 
 
 def guest2():
@@ -153,7 +150,7 @@ def test_json_roundtrip():
     rng = R.rng_from_seed(4)
     for _ in range(20):
         a = R.random_bo_element(rng, max_vertices=4)
-        assert bo_from_json(bo_to_json(a)) == a
+        assert bo_from_obj(json.loads(json.dumps(bo_to_obj(a)))) == a
 
 
 @given(st.integers(0, 10 ** 6))

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from brackops import trees as T
-from brackops.plmaps import identity_map
 from brackops import randomgen as R
 
 F = Fraction
@@ -46,12 +45,6 @@ def test_random_cactus_is_valid_and_labelled():
         assert labels == set(range(1, k + 1))
     with pytest.raises(ValueError):
         R.random_cactus(0, rng)
-
-
-def test_random_ms_element_without_reparam():
-    rng = R.rng_from_seed(3)
-    m = R.random_ms_element(2, rng, reparam=False)
-    assert m.reparam == identity_map()
 
 
 def test_random_planar_tree_respects_bounds():
