@@ -143,7 +143,7 @@ def cmd_cacti(args):
         obj = _load(args.input)
         try:
             cactus_from_obj(obj)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             _emit({"valid": False, "error": str(exc)})
             return 1
         _emit({"valid": True})

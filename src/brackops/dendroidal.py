@@ -2,12 +2,11 @@
 thickening, and the nerve construction that turns an algebra handle
 into a diagram indexed by trees.
 
-A morphism S -> T is stored extensionally: a map on edges together
-with, for every vertex of S, the connected set of T-vertices it
-expands to (the empty set for a vertex degenerating onto an edge).
-Edges carry the names of trees.TreeIndex: ("out", vertex_id) or
-("leaf", leaf_position); the vertexless tree has the single edge
-("leaf", 0)."""
+A morphism S -> T is its map on edges.  The connected set of
+T-vertices each vertex of S expands to (the empty set for a vertex
+degenerating onto an edge) is read off that map.  Edges carry the names
+of trees.TreeIndex: ("out", vertex_id) or ("leaf", leaf_position); the
+vertexless tree has the single edge ("leaf", 0)."""
 
 from __future__ import annotations
 
@@ -39,22 +38,28 @@ def edges(tree):
 # Morphisms of the tree category.
 
 class OmegaMorphism:
-    """A morphism of trees S -> T: an edge map plus one connected set of
-    target vertices per source vertex (empty = degenerated onto the
-    image of the vertex's edges)."""
+    """A morphism of trees S -> T, fixed by its edge map.  The connected
+    set of target vertices each source vertex expands to is read off the
+    edge map at construction (empty = degenerated onto the image of the
+    vertex's edges)."""
 
     __slots__ = ("source", "target", "edge_map", "vertex_images", "_hash")
 
-    def __init__(self, source, target, edge_map, vertex_images):
+    def __init__(self, source, target, edge_map):
         edge_map = dict(edge_map)
-        vertex_images = tuple(frozenset(s) for s in vertex_images)
-        _validate_morphism(source, target, edge_map, vertex_images)
+        if set(edge_map) != set(edges(source)):
+            raise ValueError("edge map must be defined on exactly the source edges")
+        tgt_edges = set(edges(target))
+        for e in edge_map.values():
+            if e not in tgt_edges:
+                raise ValueError("edge map value %r is not a target edge" % (e,))
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "edge_map", edge_map)
-        object.__setattr__(self, "vertex_images", vertex_images)
+        object.__setattr__(self, "vertex_images",
+                           _vertex_images(source, target, edge_map))
         object.__setattr__(self, "_hash", hash(
-            (source, target, tuple(sorted(edge_map.items())), vertex_images)))
+            (source, target, tuple(sorted(edge_map.items())))))
 
     def __setattr__(self, *a):
         raise AttributeError("morphisms are immutable")
@@ -62,8 +67,7 @@ class OmegaMorphism:
     def __eq__(self, other):
         return (isinstance(other, OmegaMorphism)
                 and self.source == other.source and self.target == other.target
-                and self.edge_map == other.edge_map
-                and self.vertex_images == other.vertex_images)
+                and self.edge_map == other.edge_map)
 
     def __hash__(self):
         return self._hash
@@ -73,51 +77,38 @@ class OmegaMorphism:
             [sorted(s) for s in self.vertex_images],)
 
 
-def _validate_morphism(source, target, edge_map, vertex_images):
-    src_edges = set(edges(source))
-    tgt_edges = set(edges(target))
-    if set(edge_map) != src_edges:
-        raise ValueError("edge map must be defined on exactly the source edges")
-    for e in edge_map.values():
-        if e not in tgt_edges:
-            raise ValueError("edge map value %r is not a target edge" % (e,))
-    n = T.num_vertices(source)
-    if len(vertex_images) != n:
-        raise ValueError("need one image per source vertex")
-    if n == 0:
-        return
-    idx = T.index(source)
-    nt = T.num_vertices(target)
-    seen = set()
-    for v in range(n):
-        img = vertex_images[v]
-        ins = [edge_map[e] for e in idx.child_entries[v]]
-        oe = edge_map[("out", v)]
-        if not img:
-            if idx.arity(v) != 1:
-                raise ValueError("only a unary vertex may degenerate")
-            if ins[0] != oe:
-                raise ValueError("degenerate vertex must collapse its edges")
-            continue
-        if not all(0 <= u < nt for u in img):
-            raise ValueError("vertex image %s is not inside the target"
-                             % (sorted(img),))
-        if img & seen:
-            raise ValueError("vertex images overlap")
-        seen |= img
-        if not T.is_connected(target, img):
-            raise ValueError("vertex image is not connected")
-        _, old, exits = T.region(target, img)
-        if oe != ("out", old[0]):
-            raise ValueError("image root edge does not match the output edge")
+def _vertex_images(source, target, edge_map):
+    """The image of each source vertex: the target vertices met walking
+    upward from the image of its output edge, stopping at the images of
+    its input edges.  A unary vertex whose two edges have one image
+    stops at once and gets the empty image.  Refuses an edge map that is
+    not a morphism.  The images cannot overlap: the images of a vertex's
+    children lie above distinct edges leaving its own."""
+    idxS, idxT = T.index(source), T.index(target)
+    images = []
+    for v in range(idxS.num_vertices()):
+        ins = [edge_map[e] for e in idxS.child_entries[v]]
+        img, exits = [], []
+        stack = [edge_map[("out", v)]]
+        while stack:
+            e = stack.pop()
+            if e in ins:
+                exits.append(e)
+            elif e[0] == "leaf":
+                raise ValueError("leaf %d is not the image of an input edge "
+                                 "of vertex %d" % (e[1], v))
+            else:
+                img.append(e[1])
+                stack += idxT.child_entries[e[1]]
         if sorted(exits) != sorted(ins):
-            raise ValueError("image leaf edges do not match the input edges")
+            raise ValueError("the edges leaving the image of vertex %d are "
+                             "not the images of its input edges" % v)
+        images.append(frozenset(img))
+    return tuple(images)
 
 
 def identity_omega(tree):
-    em = {e: e for e in edges(tree)}
-    n = T.num_vertices(tree)
-    return OmegaMorphism(tree, tree, em, [frozenset([v]) for v in range(n)])
+    return OmegaMorphism(tree, tree, {e: e for e in edges(tree)})
 
 
 def compose_omega(g, f):
@@ -125,13 +116,7 @@ def compose_omega(g, f):
     if f.target != g.source:
         raise ValueError("morphisms are not composable")
     em = {e: g.edge_map[fe] for e, fe in f.edge_map.items()}
-    imgs = []
-    for w in range(len(f.vertex_images)):
-        s = set()
-        for v in f.vertex_images[w]:
-            s |= g.vertex_images[v]
-        imgs.append(frozenset(s))
-    return OmegaMorphism(f.source, g.target, em, imgs)
+    return OmegaMorphism(f.source, g.target, em)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +128,7 @@ def subtree_inclusion(tree, vset):
     em = {("out", nw): ("out", u) for nw, u in enumerate(old)}
     for p, e in enumerate(exits):
         em[("leaf", p)] = e
-    return OmegaMorphism(src, tree, em, [frozenset([u]) for u in old])
+    return OmegaMorphism(src, tree, em)
 
 
 def collapse_morphism(tree, vsets):
@@ -151,21 +136,11 @@ def collapse_morphism(tree, vsets):
     connected vertex sets to a single vertex of the source."""
     vsets = [frozenset(s) for s in vsets]
     src, vmap = T.collapse_with_map(tree, vsets)
-    pre = {}
-    for old, new in vmap.items():
-        pre.setdefault(new, set()).add(old)
-    n_old = T.num_vertices(tree)
-    for old in range(n_old):
-        if old not in vmap:
-            raise AssertionError("collapse map must cover all vertices")
-    em = {}
-    imgs = []
-    for new in range(T.num_vertices(src)):
-        em[("out", new)] = ("out", T.subtree_root(tree, pre[new]))
-        imgs.append(frozenset(pre[new]))
-    for p in range(T.num_leaves(tree)):
-        em[("leaf", p)] = ("leaf", p)
-    return OmegaMorphism(src, tree, em, imgs)
+    em = {("leaf", p): ("leaf", p) for p in range(T.num_leaves(tree))}
+    # a connected set's root has its least DFS id
+    for old, new in sorted(vmap.items()):
+        em.setdefault(("out", new), ("out", old))
+    return OmegaMorphism(src, tree, em)
 
 
 def inner_face(tree, c):
@@ -211,10 +186,7 @@ def degeneracy(tree, v):
         kind, ref = idx.child_entries[v][0] if e == ("out", v) else e
         return kind, moved[kind][ref]
 
-    em = {e: image(e) for e in edges(tree)}
-    imgs = [frozenset([res.vmap_host[u]]) if u != v else frozenset()
-            for u in range(idx.num_vertices())]
-    return OmegaMorphism(tree, res.tree, em, imgs)
+    return OmegaMorphism(tree, res.tree, {e: image(e) for e in edges(tree)})
 
 
 def isomorphisms(s, t):
@@ -226,7 +198,7 @@ def isomorphisms(s, t):
         return []
 
     def match(vs, vt):
-        "Options (edge fragment, image fragment) matching vs onto vt."
+        "Edge-map fragments matching vs onto vt."
         es, et = idxS.child_entries[vs], idxT.child_entries[vt]
         if len(es) != len(et):
             return []
@@ -240,7 +212,7 @@ def isomorphisms(s, t):
                     ok = False
                     break
                 if ks == "leaf":
-                    slot_opts.append([({es[s_slot]: et[t_slot]}, {})])
+                    slot_opts.append([{es[s_slot]: et[t_slot]}])
                 else:
                     sub = match(rs, rt)
                     if not sub:
@@ -251,18 +223,13 @@ def isomorphisms(s, t):
                 continue
             for combo in itertools.product(*slot_opts):
                 em = {("out", vs): ("out", vt)}
-                im = {vs: vt}
-                for em2, im2 in combo:
+                for em2 in combo:
                     em.update(em2)
-                    im.update(im2)
-                out.append((em, im))
+                out.append(em)
         return out
 
-    result = []
-    for em, im in match(0, 0):
-        imgs = [frozenset([im[v]]) for v in range(idxS.num_vertices())]
-        result.append(OmegaMorphism(s, t, em, imgs))
-    return sorted(set(result), key=lambda m: sorted(m.edge_map.items()))
+    result = {OmegaMorphism(s, t, em) for em in match(0, 0)}
+    return sorted(result, key=lambda m: sorted(m.edge_map.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +359,14 @@ def phi_morphism(P, m, values):
     return tuple(out)
 
 
-def segal_check(P, tree, values=None, rng=None):
+def segal_check(P, tree, values=None):
     """Recompute the corolla factors of a value tuple through the vertex
     inclusions and compare with plain re-indexing."""
     if tree.is_eta:
         raise ValueError("the vertexless tree has no Segal map")
     n = T.num_vertices(tree)
     if values is None:
-        values = tuple(P.sample(a, rng) for a in T.arities(tree))
+        values = tuple(P.sample(a) for a in T.arities(tree))
     for v in range(n):
         inc = OmegaTildeMorphism(subtree_inclusion(tree, {v}))
         if phi_morphism(P, inc, values) != (values[v],):
@@ -423,10 +390,16 @@ def morphism_to_obj(g):
 
 
 def morphism_from_obj(obj):
+    "The morphism of an object; its vertices must be those of its edges."
     src = T.tree_from_obj(obj["source"])
     tgt = T.tree_from_obj(obj["target"])
     em = {(a[0], a[1]): (b[0], b[1]) for a, b in obj["edges"]}
-    return OmegaMorphism(src, tgt, em, [frozenset(s) for s in obj["vertices"]])
+    g = OmegaMorphism(src, tgt, em)
+    if [frozenset(s) for s in obj["vertices"]] != list(g.vertex_images):
+        raise ValueError("vertices %s do not match the edge map, which "
+                         "gives %s" % (obj["vertices"],
+                                       [sorted(s) for s in g.vertex_images]))
+    return g
 
 
 def tilde_to_obj(m):

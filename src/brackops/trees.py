@@ -1,4 +1,4 @@
-"""Rooted planar trees: grafting, substitution, regions on connected
+"""Rooted planar trees: substitution, regions on connected
 vertex sets, mutable nests for surgery and a bottom-up fold.
 
 Trees are stored recursively.  A tree is either the vertexless tree Eta
@@ -264,9 +264,10 @@ def guest(k):
 
 
 class SurgeryResult:
-    """Result of graft/substitute with translation maps: `vmap_host` /
-    `vmap_guest` take old vertex ids to new ones, `leafmap_host` /
-    `leafmap_guest` likewise for planar leaf positions."""
+    """A spliced nest of host and guest nodes, closed, with translation
+    maps (a substitution, an augmented tree): `vmap_host` / `vmap_guest`
+    take old vertex ids to new ones, `leafmap_host` / `leafmap_guest`
+    likewise for planar leaf positions."""
 
     def __init__(self, root):
         self.tree, verts, leaves = close_nest(root)
@@ -276,26 +277,6 @@ class SurgeryResult:
             for new, node in enumerate(nodes):
                 side, old = node.label
                 maps[side][old] = new
-
-
-def graft_with_maps(t, i, t2):
-    "Attach the root of t2 at leaf i (1-based planar index) of t."
-    root, _, leaves = open_nest(t, host, host)
-    if not 1 <= i <= len(leaves):
-        raise IndexError("leaf index %d out of range (tree has %d leaves)"
-                         % (i, len(leaves)))
-    if not t2.is_eta:
-        sub = open_nest(t2, guest, guest)[0]
-        parent, slot = leaves[i - 1]
-        if parent is None:
-            root = sub
-        else:
-            parent.children[slot] = sub
-    return SurgeryResult(root)
-
-
-def graft(t, i, t2):
-    return graft_with_maps(t, i, t2).tree
 
 
 def substitute_with_maps(t, v, t2, tau=None):

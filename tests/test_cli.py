@@ -87,6 +87,16 @@ def test_cacti_validate_rejects_arcs_on_the_empty_cactus(tmp_path, capsys,
     assert code == 1 and json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("obj", [{"k": 2, "arcs": [[None, "1", 1]]},
+                                 {"k": [1], "arcs": []},
+                                 [1, 2]])
+def test_cacti_validate_reports_a_value_of_the_wrong_type(tmp_path, capsys,
+                                                          obj):
+    bad = write(tmp_path, "bad.json", json.dumps(obj))
+    code, out = run(capsys, "cacti", "validate", "--input", bad)
+    assert code == 1 and json.loads(out)["valid"] is False
+
+
 def test_witness_nonassoc(capsys):
     code, out = run(capsys, "witness", "nonassoc")
     assert code == 0
@@ -286,7 +296,7 @@ def test_omega_image_outside_the_target_is_a_structured_error(
     args = ["--input", g] if action == "image" else ["--lhs", g, "--rhs", g]
     code, out = run(capsys, "omega", action, *args)
     assert code == 2
-    assert "not inside the target" in json.loads(out)["error"]
+    assert "do not match the edge map" in json.loads(out)["error"]
 
 
 def test_verify_exit_codes_and_determinism(capsys):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,78 @@ def test_compose_omega_associative_random():
         assert lhs == rhs
 
 
+SMALL_TREES = [t for nv in range(1, 5) for nl in range(5)
+               for t in T.planar_trees(nv, nl)]
+
+
+def _singletons(vertices):
+    return tuple(frozenset([u]) for u in vertices)
+
+
+def _collapsed(tree, vset):
+    "The collapse of vset with its images, each the preimage of a vertex."
+    src, vmap = T.collapse_with_map(tree, [vset])
+    return src, tuple(frozenset(u for u in vmap if vmap[u] == k)
+                      for k in range(T.num_vertices(src)))
+
+
+def _union(outer, inner):
+    "A composite's images: the union of the outer images of each inner one."
+    return tuple(frozenset().union(*(outer[v] for v in img)) for img in inner)
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_vertex_images_read_off_the_edges(nv):
+    """On every tree with at most 4 vertices and 4 leaves, the images
+    read off the edge map are those the generators are built from."""
+    for tree in [t for t in SMALL_TREES if T.num_vertices(t) == nv]:
+        n = T.num_vertices(tree)
+        assert D.identity_omega(tree).vertex_images == _singletons(range(n))
+        for m in D.isomorphisms(tree, tree):
+            assert m.vertex_images == _singletons(
+                m.edge_map[("out", v)][1] for v in range(n))
+        for v in range(n):
+            if T.index(tree).arity(v) == 1:
+                res = T.substitute_with_maps(tree, v, ETA)
+                assert D.degeneracy(tree, v).vertex_images == tuple(
+                    frozenset() if u == v else frozenset([res.vmap_host[u]])
+                    for u in range(n))
+        for vset in (s.vertex_set for s in T.enumerate_subtrees(tree)):
+            assert D.subtree_inclusion(tree, vset).vertex_images \
+                == _singletons(T.region(tree, vset)[1])
+            src, collapsed = _collapsed(tree, vset)
+            g = D.collapse_morphism(tree, [vset])
+            assert g.vertex_images == collapsed
+            for wset in (s.vertex_set for s in T.enumerate_subtrees(src)):
+                f = D.subtree_inclusion(src, wset)
+                assert D.compose_omega(g, f).vertex_images == _union(
+                    collapsed, _singletons(T.region(src, wset)[1]))
+
+
+def test_images_read_off_an_edge_map_never_overlap():
+    """Every edge map the walk accepts, from a tree with at most 2
+    vertices to one with at most 3, both with at most 2 leaves, has
+    pairwise disjoint images, so the walk needs no overlap check."""
+    def small(max_vertices):
+        return [t for nv in range(max_vertices + 1) for nl in range(3)
+                for t in T.planar_trees(nv, nl)]
+
+    accepted = 0
+    for source in small(2):
+        for target in small(3):
+            es, et = D.edges(source), D.edges(target)
+            for values in itertools.product(et, repeat=len(es)):
+                try:
+                    g = D.OmegaMorphism(source, target, zip(es, values))
+                except ValueError:
+                    continue
+                accepted += 1
+                images = [img for img in g.vertex_images if img]
+                assert len(frozenset().union(*images)) \
+                    == sum(map(len, images))
+    assert accepted > 1000
+
+
 def test_isomorphisms_of_a_tree_with_itself():
     t = star(3)
     autos = D.isomorphisms(t, t)
@@ -139,10 +212,48 @@ def test_tilde_morphism_rejects_brackets_on_a_degenerated_vertex():
 
 @pytest.mark.parametrize("image", [[3, 9], [3, -1]])
 def test_morphism_rejects_an_image_outside_the_target(image):
-    g = D.collapse_morphism(caterpillar(5), [{3, 4}])
-    images = list(g.vertex_images[:-1]) + [frozenset(image)]
-    with pytest.raises(ValueError, match="not inside the target"):
-        D.OmegaMorphism(g.source, g.target, g.edge_map, images)
+    obj = D.morphism_to_obj(D.collapse_morphism(caterpillar(5), [{3, 4}]))
+    obj["vertices"][-1] = image
+    with pytest.raises(ValueError, match="do not match the edge map"):
+        D.morphism_from_obj(obj)
+
+
+def test_morphism_from_obj_rejects_a_missing_image():
+    obj = D.morphism_to_obj(D.collapse_morphism(caterpillar(5), [{3, 4}]))
+    del obj["vertices"][-1]
+    with pytest.raises(ValueError, match="do not match the edge map"):
+        D.morphism_from_obj(obj)
+
+
+def _leaves(*images):
+    "An edge map's part on leaves: leaf p onto leaf images[p]."
+    return {("leaf", p): ("leaf", q) for p, q in enumerate(images)}
+
+
+ROOT = {("out", 0): ("out", 0)}
+
+
+@pytest.mark.parametrize("source, target, edge_map, match", [
+    # the walk reaches a leaf that no input edge is sent to
+    (corolla(2), corolla(2), {**ROOT, **_leaves(0, 0)},
+     "leaf 1 is not the image of an input edge of vertex 0"),
+    # the output edge is sent above the input edge
+    (corolla(1), corolla(1),
+     {("out", 0): ("leaf", 0), ("leaf", 0): ("out", 0)},
+     "leaf 0 is not the image of an input edge of vertex 0"),
+    # two input edges share one image, which the walk leaves by once
+    (corolla(3), corolla(2), {**ROOT, **_leaves(0, 1, 1)},
+     "not the images of its input edges"),
+    # a binary vertex sent onto an edge
+    (corolla(2), ETA, {("out", 0): ("leaf", 0), **_leaves(0, 0)},
+     "not the images of its input edges"),
+    (corolla(2), corolla(2), ROOT, "exactly the source edges"),
+    (corolla(2), corolla(2), {**ROOT, **_leaves(0, 2)}, "not a target edge"),
+])
+def test_morphism_refuses_an_edge_map_that_is_no_morphism(
+        source, target, edge_map, match):
+    with pytest.raises(ValueError, match=match):
+        D.OmegaMorphism(source, target, edge_map)
 
 
 def test_tilde_morphism_drops_weight_zero_brackets():
@@ -231,7 +342,8 @@ def test_segal_check_cacti_small():
         if min(T.arities(t)) == 0:
             continue
         done += 1
-        assert D.segal_check(P, t, rng=rng)
+        values = tuple(P.sample(a, rng) for a in T.arities(t))
+        assert D.segal_check(P, t, values=values)
 
 
 def test_morphism_json_roundtrip():

@@ -8,9 +8,11 @@ imports it.
 A definition is a top-level function or class, a method or property, or
 a module-level assignment; dunder names are exempt.  A name counts as
 used when it appears as an attribute, or as a string that is a (dotted)
-identifier, as in a getattr() or a table of names to wrap; a bare name
-counts too, except for a method or property, which a local variable of
-the same name must not keep alive.  Import lines do not count as uses.
+identifier, as in a getattr() or a table of names to wrap.  A bare name
+counts too, unless an enclosing function binds it (as a parameter, a
+local or a nested def), and except for a method or property, which a
+local variable of the same name must not keep alive.  Import lines do
+not count as uses.
 
 Every parameter default of such a function or method is overridden by
 some call of that name in src/, tests/ or bench/: one that passes the
@@ -35,15 +37,52 @@ def _names_in(node, bare=True):
     and bare names too unless `bare`."""
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            if bare:
-                out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             out[sub.attr] += 1
         elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
               and DOTTED.fullmatch(sub.value)):
             out.update(sub.value.split("."))
+    if bare:
+        _count_free_names(node, frozenset(), out)
     return out
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+NESTED = SCOPES + (ast.ClassDef,)
+
+
+def _bound_in(func):
+    """The names a function binds: its parameters, the names it assigns
+    and its nested defs and classes, less those it declares global."""
+    args = func.args
+    bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None}
+    declared = set()
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, NESTED):
+            if not isinstance(node, ast.Lambda):
+                bound.add(node.name)
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def _count_free_names(node, bound, out):
+    "Count the bare names under node that no enclosing function binds."
+    if isinstance(node, SCOPES):
+        bound = bound | _bound_in(node)
+    elif isinstance(node, ast.Name) and node.id not in bound:
+        out[node.id] += 1
+    for child in ast.iter_child_nodes(node):
+        _count_free_names(child, bound, out)
 
 
 def _parse(path):
@@ -155,11 +194,37 @@ def test_a_local_variable_does_not_keep_a_method_alive():
         def measure(box):
             size = box.used()
             return size
+
+        size = measure(Box())
     """))
     methods = list(_methods([("box.py", module.body)]))
     assert _unreferenced(methods, [module], bare=False) == ["box.py:Box.size"]
-    # counting bare names, the local variable hides the dead method
+    # counting bare names, the module variable hides the dead method
     assert _unreferenced(methods, [module]) == []
+
+
+def test_a_parameter_or_local_def_does_not_keep_a_function_alive():
+    module = ast.parse(textwrap.dedent("""
+        def graft(a, b):
+            return a + b
+
+        def used():
+            return 1
+
+        def fold(value, graft):
+            def rec():
+                return graft(value, used())
+            return rec()
+
+        def project():
+            def graft(a, b):
+                return a
+            return fold(1, graft)
+
+        RESULT = project()
+    """))
+    defs = list(_top_level_definitions([("nest.py", module.body)]))
+    assert _unreferenced(defs, [module]) == ["nest.py:graft"]
 
 
 def _defaults(modules):

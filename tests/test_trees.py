@@ -71,12 +71,6 @@ def test_substitute_inverse_of_restrict():
     assert sorted(set(res.vmap_host.values()) | {res.vmap_guest[0]}) == [0, 1, 2]
 
 
-def test_graft_leaf_count():
-    t = T.graft(corolla(2), 1, corolla(3))
-    assert num_vertices(t) == 2
-    assert num_leaves(t) == 4
-
-
 def test_restrict_and_collapse_roundtrip_sizes():
     t = caterpillar(4)
     sub, old, exits = T.region(t, {1, 2})
