@@ -12,8 +12,8 @@ from __future__ import annotations
 from . import trees as T
 from .bracketings import Bracketing, chain_levels
 from .operads import OElement, check_inputs, fold_inputs
-from .cacti import (MSElement, unit_cactus, ms_unit, ms_compose,
-                    scaling_map, relabel_cactus)
+from .cacti import (MSElement, ms_unit, ms_compose, scaling_map,
+                    relabel_cactus)
 from .plmaps import identity_map, pl_compose, pl_invert, pl_convex_combination
 
 
@@ -63,34 +63,17 @@ def lambda_MS(elem, inputs):
 
 
 # ---------------------------------------------------------------------------
-# The augmented tree.
+# The weighted action, folded along the element's own tree.
 
-def augment(base, brackets):
-    """The labelled tree with one extra unary vertex on the root edge of
-    each bracket, and the brackets in canonical order; the new vertices
-    take the last slots, in that order."""
-    sets = Bracketing(base.tree, brackets).sorted_brackets()
-    # tree vertices are host, bracket vertices guest
-    root, verts, _ = T.open_nest(base.tree, T.host, T.host)
-    # smaller brackets wrap first, so the largest ends nearest the root
-    for j, b in enumerate(sets):
-        node = verts[T.subtree_root(base.tree, b)]
-        inner = T.Nest(node.label, node.children)
-        node.label, node.children = T.guest(j), [inner]
-    res = T.SurgeryResult(root)
-    sigma2 = tuple(res.vmap_host[v] for v in base.sigma) \
-        + tuple(res.vmap_guest[j] for j in range(len(sets)))
-    return OElement(res.tree, sigma2, base.tau), sets
-
-
-# ---------------------------------------------------------------------------
-# Scaling maps.
-
-def _assembly(base, weight_items, cacti):
-    """Augmented element and brackets plus interpolated scaling maps: per
-    input the convex combination of the per-level maps; per bracket one
-    recursively interpolated sub-action, rescaled level by level
-    (identity on the levels the bracket is absent from)."""
+def _ms_action(base, weight_items, cacti):
+    """The MS element of a weighted action, whose cactus is the action,
+    and (brackets in canonical order, per-input maps g, per-bracket maps
+    h).  g is the convex combination of the input's per-level maps; h is
+    one recursively interpolated sub-action, rescaled level by level
+    (identity on the levels the bracket is absent from).  h precomposes
+    the input at the bracket's root vertex, smaller brackets first: a
+    unit cactus carrying h composed in front of an MS element would only
+    precompose its reparametrization with h."""
     values, levels = chain_levels(weight_items)
     # level l weighs t_l - t_{l+1} (t past the end 0): convex coefficients
     coeffs = [s - t for s, t in zip(values, values[1:] + [0])]
@@ -98,16 +81,22 @@ def _assembly(base, weight_items, cacti):
         coeffs, [scaling_map(cacti[i], xi_map(base.tree, lv, {base.sigma[i]}))
                  for lv in levels])
         for i in range(base.arity)]
-    element, brackets = augment(base, levels[-1])
+    brackets = Bracketing(base.tree, levels[-1]).sorted_brackets()
+    slot_of = {v: i for i, v in enumerate(base.sigma)}
+    fs = list(gs)
     hs = []
     for b in brackets:
         y = _sub_action(base, weight_items, cacti, b)
         unwind = pl_invert(y.reparam)
         # undo the sub-action's reparametrization, then rescale
-        hs.append(pl_convex_combination(coeffs, [
+        h = pl_convex_combination(coeffs, [
             pl_compose(unwind, scaling_map(y.cactus, xi_map(base.tree, lv, b)))
-            if b in lv else identity_map() for lv in levels]))
-    return element, brackets, gs, hs
+            if b in lv else identity_map() for lv in levels])
+        hs.append(h)
+        i = slot_of[T.subtree_root(base.tree, b)]
+        fs[i] = pl_compose(fs[i], h)
+    ms = lambda_MS(base, [MSElement(x, f) for x, f in zip(cacti, fs)])
+    return ms, (brackets, gs, hs)
 
 
 def _sub_action(base, weight_items, cacti, b):
@@ -119,20 +108,7 @@ def _sub_action(base, weight_items, cacti, b):
     sub_elem = OElement(rt)
     pos_of = {base.sigma[i]: i for i in range(base.arity)}
     sub_cacti = [cacti[pos_of[u]] for u in old]
-    return _ms_action(sub_elem, inner, sub_cacti)
-
-
-def _ms_action(base, weight_items, cacti):
-    "The MS element of a weighted action; its cactus is the action."
-    return _compose_assembly(cacti, _assembly(base, weight_items, cacti))
-
-
-def _compose_assembly(cacti, assembly):
-    "Compose the inputs with their scaling maps along the augmented tree."
-    element, _, gs, hs = assembly
-    ms_inputs = [MSElement(x, g) for x, g in zip(cacti, gs)]
-    ms_inputs += [MSElement(unit_cactus(), h) for h in hs]
-    return lambda_MS(element, ms_inputs)
+    return _ms_action(sub_elem, inner, sub_cacti)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +121,37 @@ def lam(element, inputs):
 
 def lam_traced(element, inputs):
     """One evaluation of the action, with its intermediates: (result, the
-    MS element whose cactus it is, (augmented element, brackets in
-    canonical order, per-input maps, per-bracket maps)).  A vertex of
-    arity 0 has no input edge to scale, so a tree with one is refused."""
+    MS element whose cactus it is, (brackets in canonical order, per-input
+    maps, per-bracket maps)).  A vertex of arity 0 has no input edge to
+    scale, so a tree with one is refused."""
     check_inputs(element.base, [x.k for x in inputs])
     idx = T.index(element.base.tree)
     for v in range(idx.num_vertices()):
         if idx.arity(v) == 0:
             raise ValueError("vertex %d has arity 0; the cactus action "
                              "needs an input at every vertex" % v)
-    assembly = _assembly(element.base, element.weighted.weights, inputs)
-    ms = _compose_assembly(inputs, assembly)
-    return ms.cactus, ms, assembly
+    ms, trace = _ms_action(element.base, element.weighted.weights, inputs)
+    return ms.cactus, ms, trace
+
+
+# ---------------------------------------------------------------------------
+# The augmented tree: a reference for the action.
+
+def augment(base, brackets):
+    """The labelled tree with one extra unary vertex on the root edge of
+    each bracket, and the brackets in canonical order; the new vertices
+    take the last slots, in that order.  Not on the action's path: the
+    tests compose unit cacti along it as a reference for the action, and
+    the benchmark's tracer wraps it by name."""
+    sets = Bracketing(base.tree, brackets).sorted_brackets()
+    # tree vertices are host, bracket vertices guest
+    root, verts, _ = T.open_nest(base.tree, T.host, T.host)
+    # smaller brackets wrap first, so the largest ends nearest the root
+    for j, b in enumerate(sets):
+        node = verts[T.subtree_root(base.tree, b)]
+        inner = T.Nest(node.label, node.children)
+        node.label, node.children = T.guest(j), [inner]
+    res = T.SurgeryResult(root)
+    sigma2 = tuple(res.vmap_host[v] for v in base.sigma) \
+        + tuple(res.vmap_guest[j] for j in range(len(sets)))
+    return OElement(res.tree, sigma2, base.tau), sets

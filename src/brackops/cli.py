@@ -46,7 +46,7 @@ def _load(path, parse=lambda obj: obj):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
         raise InputError("%s: %s: %s"
                          % (path, type(exc).__name__, exc)) from exc
 
@@ -171,8 +171,8 @@ def cmd_bo_action(args):
     if not args.trace or elem.base.tree.is_eta:
         _emit({"result": cactus_to_obj(_apply(bo_action.lam, elem, inputs))})
         return 0
-    result, ms, (_, brackets, gs, hs) = _apply(bo_action.lam_traced, elem,
-                                               inputs)
+    result, ms, (brackets, gs, hs) = _apply(bo_action.lam_traced, elem,
+                                            inputs)
     _emit({
         "result": cactus_to_obj(result),
         "trace": {

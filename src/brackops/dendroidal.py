@@ -411,7 +411,7 @@ def tilde_to_obj(m):
 
 def tilde_from_obj(obj):
     base = morphism_from_obj(obj)
-    fams = [[(frozenset(B), T.frac_from_str(w)) for B, w in fam]
+    fams = [[(frozenset(B), Fraction(w)) for B, w in fam]
             for fam in obj.get("brackets", [])]
     if not fams:
         return OmegaTildeMorphism(base)

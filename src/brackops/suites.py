@@ -683,8 +683,8 @@ def suite_weight_zero(cfg):
             kept = [(b, w) for b, w in items if w != 0]
             base = OElement(sh)
             xs = R.random_labelled_cacti(base, rng)
-            lhs = bo_action._ms_action(base, items, xs).cactus
-            rhs = bo_action._ms_action(base, kept, xs).cactus
+            lhs = bo_action._ms_action(base, items, xs)[0].cactus
+            rhs = bo_action._ms_action(base, kept, xs)[0].cactus
             yield ("trial %d: zero bracket %r on %r"
                    % (trial, sorted(zero), sh), lhs == rhs)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from fractions import Fraction
 
 
 class PlanarTree:
@@ -457,22 +456,18 @@ def vsets_nested(a, b):
 # ---------------------------------------------------------------------------
 # Enumeration of tree shapes (test/CLI grids).
 
+@functools.cache
 def planar_trees(num_verts, num_lvs):
     "All planar trees with the given vertex and leaf counts."
-    key = (num_verts, num_lvs)
-    if key in _tree_cache:
-        return _tree_cache[key]
     if num_verts == 0:
-        out = [ETA] if num_lvs == 1 else []
-    else:
-        out = []
-        for child_count in range(0, num_verts + num_lvs):
-            for kinds in itertools.product(("out", "leaf"), repeat=child_count):
-                nv = kinds.count("out")
-                if nv > num_verts - 1 or child_count - nv > num_lvs:
-                    continue
-                out.extend(_fill(kinds, num_verts - 1, num_lvs))
-    _tree_cache[key] = out
+        return [ETA] if num_lvs == 1 else []
+    out = []
+    for child_count in range(0, num_verts + num_lvs):
+        for kinds in itertools.product(("out", "leaf"), repeat=child_count):
+            nv = kinds.count("out")
+            if nv > num_verts - 1 or child_count - nv > num_lvs:
+                continue
+            out.extend(_fill(kinds, num_verts - 1, num_lvs))
     return out
 
 
@@ -498,9 +493,6 @@ def _fill(kinds, verts_left, leaves_left):
                     for t in tails:
                         out.append(PlanarTree((s,) + t.children))
     return out
-
-
-_tree_cache = {}
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +525,3 @@ def tree_to_json(tree):
 def frac_to_str(q):
     "A Fraction or int as a 'p/q' string."
     return "%d/%d" % (q.numerator, q.denominator)
-
-
-def frac_from_str(s):
-    "Inverse of frac_to_str; also accepts an int."
-    return Fraction(s)

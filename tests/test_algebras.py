@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from brackops.trees import caterpillar
+from brackops.cacti import unit_cactus
 from brackops.operads import bo_element
 from brackops.algebras import (TerminalAlgebra, EndoValue, endo_identity,
                                endo_compose, EndoAlgebra, CactusAlgebra)
@@ -105,7 +106,7 @@ def test_terminal_algebra():
 def test_cactus_algebra_is_the_bracketed_action():
     rng = R.rng_from_seed(3)
     P = CactusAlgebra()
-    assert P.unit() == bo_action.unit_cactus()
+    assert P.unit() == unit_cactus()
     for _ in range(10):
         e = chain_elem(3, {frozenset({0, 1}): rng.choice((F(1), F(1, 2)))})
         xs = [P.sample(2, rng) for _ in range(3)]

@@ -4,13 +4,14 @@ import pytest
 
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops import trees as T
-from brackops.operads import (bo_element, eta_BO, unit_BO,
+from brackops.operads import (BOElement, bo_element, eta_BO, unit_BO,
                               compose_BO, sigma_act_BO)
-from brackops.cacti import (EMPTY_CACTUS, unit_cactus, cact1_compose,
-                            scaling_map)
+from brackops.cacti import (EMPTY_CACTUS, MSElement, unit_cactus,
+                            cact1_compose, scaling_map)
 from brackops.plmaps import (identity_map, pl_compose, pl_convex_combination,
                              pl_invert)
-from brackops.bracketings import chain_levels, enumerate_bracketings
+from brackops.bracketings import (WeightedBracketing, chain_levels,
+                                  enumerate_bracketings)
 from brackops import bo_action as A
 from brackops import randomgen as R
 
@@ -158,7 +159,7 @@ def test_vertex_scaling_no_brackets():
     rng = R.rng_from_seed(5)
     e = chain_elem(2)
     xs = [R.random_cactus(2, rng) for _ in range(2)]
-    _, brackets, gs, hs = A.lam_traced(e, xs)[2]
+    brackets, gs, hs = A.lam_traced(e, xs)[2]
     assert gs == [scaling_map(xs[0], (2, 1)), identity_map()]
     assert brackets == [] and hs == []
 
@@ -170,18 +171,45 @@ def test_vertex_scaling_interpolates():
     want = pl_convex_combination(
         [F(1, 2), F(1, 2)],
         [scaling_map(xs[0], (2, 1)), scaling_map(xs[0], (3, 1))])
-    assert A.lam_traced(e, xs)[2][2][0] == want
+    assert A.lam_traced(e, xs)[2][1][0] == want
 
 
 def test_bracket_scaling_weight_one_chain():
     rng = R.rng_from_seed(7)
     xs = [R.random_cactus(2, rng) for _ in range(3)]
     e = chain_elem(3, {frozenset({1, 2}): 1})
-    _, brackets, _, hs = A.lam_traced(e, xs)[2]
+    brackets, _, hs = A.lam_traced(e, xs)[2]
     y = A._sub_action(e.base, e.weighted.weights, xs, frozenset({1, 2}))
     want = pl_compose(pl_invert(y.reparam), scaling_map(y.cactus, (1, 1, 1)))
     assert brackets == [frozenset({1, 2})]
     assert hs == [want]
+
+
+def test_brackets_act_like_unit_cacti_on_the_augmented_tree():
+    # the reference composes one unit cactus carrying h_b per bracket
+    # along the augmented tree, instead of precomposing root inputs
+    rng = R.rng_from_seed(14)
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                if any(T.index(t).arity(v) == 0 for v in range(nv)):
+                    continue
+                for br in enumerate_bracketings(t):
+                    base = R.random_o_element(rng, tree=t)
+                    e = BOElement(base, WeightedBracketing(t, {
+                        b: R.random_weight(rng, (1, F(1, 2), F(1, 3)))
+                        for b in br.brackets}))
+                    xs = R.random_labelled_cacti(base, rng)
+                    _, ms, (brackets, gs, hs) = A.lam_traced(e, xs)
+                    aug, sets = A.augment(base, br.brackets)
+                    assert sets == brackets
+                    want = A.lambda_MS(
+                        aug, [MSElement(x, g) for x, g in zip(xs, gs)]
+                        + [MSElement(unit_cactus(), h) for h in hs])
+                    assert ms == want
+                    cases += 1
+    assert cases == 783
 
 
 def test_lam_rejects_inputs_that_do_not_fit():
@@ -262,6 +290,6 @@ def test_weight_zero_bracket_acts_like_no_bracket():
         xs = R.random_labelled_cacti(base, rng)
         items = [(frozenset({1, 2}), F(0)), (frozenset({1, 2, 3}), F(1, 2))]
         kept = [(b, w) for b, w in items if w != 0]
-        lhs = A._ms_action(base, items, xs).cactus
-        rhs = A._ms_action(base, kept, xs).cactus
+        lhs = A._ms_action(base, items, xs)[0].cactus
+        rhs = A._ms_action(base, kept, xs)[0].cactus
         assert lhs == rhs

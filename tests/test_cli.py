@@ -161,13 +161,13 @@ def test_bo_action_eval_with_trace(tmp_path, capsys, monkeypatch):
     xp = write(tmp_path, "xs.json",
                json.dumps([cactus_to_obj(x) for x in xs]))
     calls = []
-    assembly = bo_action._assembly
+    ms_action = bo_action._ms_action
 
     def counted(*args):
         calls.append(args)
-        return assembly(*args)
+        return ms_action(*args)
 
-    monkeypatch.setattr(bo_action, "_assembly", counted)
+    monkeypatch.setattr(bo_action, "_ms_action", counted)
     code, out = run(capsys, "bo-action", "eval",
                     "--element", ep, "--inputs", xp)
     assert code == 0
@@ -297,6 +297,16 @@ def test_omega_image_outside_the_target_is_a_structured_error(
     code, out = run(capsys, "omega", action, *args)
     assert code == 2
     assert "do not match the edge map" in json.loads(out)["error"]
+
+
+def test_omega_image_of_a_too_short_edge_name_is_a_structured_error(
+        tmp_path, capsys):
+    obj = D.morphism_to_obj(D.collapse_morphism(caterpillar(3), [{1, 2}]))
+    obj["edges"][0][0] = ["out"]
+    g = write(tmp_path, "g.json", json.dumps(obj))
+    code, out = run(capsys, "omega", "image", "--input", g)
+    assert code == 2
+    assert "IndexError" in json.loads(out)["error"]
 
 
 def test_verify_exit_codes_and_determinism(capsys):

@@ -172,4 +172,4 @@ def test_malformed_json_rejected():
 def test_frac_str_roundtrip():
     from fractions import Fraction
     q = Fraction(22, 7)
-    assert T.frac_from_str(T.frac_to_str(q)) == q
+    assert Fraction(T.frac_to_str(q)) == q
