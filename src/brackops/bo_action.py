@@ -65,15 +65,17 @@ def lambda_MS(elem, inputs):
 # ---------------------------------------------------------------------------
 # The weighted action, folded along the element's own tree.
 
-def _ms_action(base, weight_items, cacti):
+def _ms_action(base, weight_items, cacti, subs=None):
     """The MS element of a weighted action, whose cactus is the action,
     and (brackets in canonical order, per-input maps g, per-bracket maps
     h).  g is the convex combination of the input's per-level maps; h is
-    one recursively interpolated sub-action, rescaled level by level
-    (identity on the levels the bracket is absent from).  h precomposes
-    the input at the bracket's root vertex, smaller brackets first: a
-    unit cactus carrying h composed in front of an MS element would only
-    precompose its reparametrization with h."""
+    one interpolated sub-action, rescaled level by level (identity on the
+    levels the bracket is absent from).  h precomposes the input at the
+    bracket's root vertex, smaller brackets first: a unit cactus carrying
+    h composed in front of an MS element would only precompose its
+    reparametrization with h.  subs holds the sub-action of each bracket,
+    keyed by its vertex set; when it is not given, each is computed once,
+    smaller brackets first."""
     values, levels = chain_levels(weight_items)
     # level l weighs t_l - t_{l+1} (t past the end 0): convex coefficients
     coeffs = [s - t for s, t in zip(values, values[1:] + [0])]
@@ -82,11 +84,15 @@ def _ms_action(base, weight_items, cacti):
                  for lv in levels])
         for i in range(base.arity)]
     brackets = Bracketing(base.tree, levels[-1]).sorted_brackets()
+    if subs is None:
+        subs = {}
+        for b in brackets:
+            subs[b] = _sub_action(base, weight_items, cacti, b, subs)
     slot_of = {v: i for i, v in enumerate(base.sigma)}
     fs = list(gs)
     hs = []
     for b in brackets:
-        y = _sub_action(base, weight_items, cacti, b)
+        y = subs[b]
         unwind = pl_invert(y.reparam)
         # undo the sub-action's reparametrization, then rescale
         h = pl_convex_combination(coeffs, [
@@ -99,16 +105,21 @@ def _ms_action(base, weight_items, cacti):
     return ms, (brackets, gs, hs)
 
 
-def _sub_action(base, weight_items, cacti, b):
-    "The (weighted) MS element of the restriction of the action to b."
+def _sub_action(base, weight_items, cacti, b, subs):
+    """The (weighted) MS element of the restriction of the action to b,
+    given in subs the sub-action of every bracket inside b.  The region of
+    a bracket inside b is its region inside b's region, with the same
+    vertex order, so those sub-actions carry over renumbered."""
     rt, old, _ = T.region(base.tree, b)
     new = {u: j for j, u in enumerate(old)}
     inner = [(frozenset(new[u] for u in c), w)
              for c, w in weight_items if c < b]
+    inner_subs = {frozenset(new[u] for u in c): y
+                  for c, y in subs.items() if c < b}
     sub_elem = OElement(rt)
     pos_of = {base.sigma[i]: i for i in range(base.arity)}
     sub_cacti = [cacti[pos_of[u]] for u in old]
-    return _ms_action(sub_elem, inner, sub_cacti)[0]
+    return _ms_action(sub_elem, inner, sub_cacti, inner_subs)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Normalized cacti: partitions of the circle [0,1]/~ into k labelled
 closed 1-manifolds of length 1/k each, subject to non-interleaving.
 
-The circle is cut at 0, so a cactus is an ordered list of arcs with
-rational endpoints.  Composition is implemented twice: once on
-(cactus, reparametrization) pairs via the two-step normal form of the
-coendomorphism composite, and once directly on cacti by the
-scale-and-subdivide rule; the rescaling identity ties the two together.
+The circle is cut at 0, so a cactus is an ordered list of arcs.  Their
+endpoints are held as integer cuts over one common denominator, and a
+Fraction is made only for a reader: in Cactus.arcs, in repr, JSON and
+error messages, and in the breakpoints of a PLMap.  Composition is
+implemented twice: once on (cactus, reparametrization) pairs via the
+two-step normal form of the coendomorphism composite, and once directly
+on cacti by the scale-and-subdivide rule; the rescaling identity ties the
+two together.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .trees import frac_to_str
 from .plmaps import (
@@ -26,86 +30,116 @@ class CactusError(ValueError):
 
 
 class Cactus:
-    "k labelled lobes as consecutive arcs covering [0,1]; canonical form."
+    """k labelled lobes as consecutive arcs covering [0,1]: arc r runs
+    from cuts[r]/den to cuts[r+1]/den in lobe labels[r].  Canonical form:
+    adjacent arcs of one lobe are merged and gcd(den, *cuts) = 1, so two
+    cacti are equal iff their fields are."""
 
-    __slots__ = ("k", "arcs")
+    __slots__ = ("k", "den", "cuts", "labels")
 
     def __init__(self, k, arcs):
-        k = int(k)
+        "From rational (start, end, label) triples; empty arcs are dropped."
+        arcs = [(Fraction(a), Fraction(b), int(lab)) for a, b, lab in arcs]
+        den = lcm(*[z.denominator for a, b, _ in arcs for z in (a, b)])
+        self._set(int(k), den, [
+            (a.numerator * (den // a.denominator),
+             b.numerator * (den // b.denominator), lab) for a, b, lab in arcs])
+
+    def _set(self, k, den, arcs):
+        """Check and store the integer (start, end, label) arcs over den:
+        they cover [0, den] in order, every lobe has length den/k and no
+        two lobes interleave."""
         if k < 1:
             raise CactusError("lobe count must be >= 1 (the empty cactus is EMPTY_CACTUS)")
         merged = []
         for a, b, lab in arcs:
-            a, b, lab = Fraction(a), Fraction(b), int(lab)
             if b <= a:
                 continue
             if merged and merged[-1][2] == lab and merged[-1][1] == a:
                 merged[-1] = (merged[-1][0], b, lab)
             else:
                 merged.append((a, b, lab))
-        self.k = k
-        self.arcs = tuple(merged)
-        self._validate()
-
-    def _validate(self):
-        if not self.arcs:
+        if not merged:
             raise CactusError("no arcs")
-        if self.arcs[0][0] != 0 or self.arcs[-1][1] != 1:
+        if merged[0][0] != 0 or merged[-1][1] != den:
             raise CactusError("arcs must cover [0,1]")
-        for (a0, b0, _), (a1, b1, _) in zip(self.arcs, self.arcs[1:]):
-            if b0 != a1:
+        cuts = [0]
+        for a, b, _ in merged:
+            if a != cuts[-1]:
                 raise CactusError("arcs must be consecutive")
-        totals = {}
-        for a, b, lab in self.arcs:
-            if not 1 <= lab <= self.k:
-                raise CactusError("label %d outside 1..%d" % (lab, self.k))
-            totals[lab] = totals.get(lab, ZERO) + (b - a)
-        want = Fraction(1, self.k)
-        for lab in range(1, self.k + 1):
-            if totals.get(lab, ZERO) != want:
+            cuts.append(b)
+        labels = [lab for _, _, lab in merged]
+        totals = [0] * (k + 1)
+        for a, b, lab in merged:
+            if not 1 <= lab <= k:
+                raise CactusError("label %d outside 1..%d" % (lab, k))
+            totals[lab] += b - a
+        for lab in range(1, k + 1):
+            if totals[lab] * k != den:
                 raise CactusError("lobe %d has length %s, expected %s"
-                                  % (lab, totals.get(lab, ZERO), want))
-        self._check_interleaving()
+                                  % (lab, Fraction(totals[lab], den),
+                                     Fraction(1, k)))
+        _check_interleaving(labels)
+        g = gcd(*cuts)
+        self.k = k
+        self.den = den // g
+        self.cuts = tuple([c // g for c in cuts])
+        self.labels = tuple(labels)
 
-    def _check_interleaving(self):
-        """Refuse two lobes whose labels read i..j..i..j along the circle,
-        in one pass over the arcs: the lobes on the stack are open, and
-        coming back to one closes the lobes opened after it, which may
-        not come back."""
-        labels = [lab for _, _, lab in self.arcs]
-        stack, seen, closed_by = [], set(), {}
-        for lab in labels:
-            if lab in closed_by:
-                i, j = sorted((closed_by[lab], lab))
-                raise CactusError(
-                    "lobes %d and %d interleave (pattern %s)"
-                    % (i, j, [l for l in labels if l in (i, j)]))
-            if lab in seen:
-                while stack[-1] != lab:
-                    closed_by[stack.pop()] = lab
-            else:
-                stack.append(lab)
-                seen.add(lab)
-
-    def lobe_arcs(self, lab):
-        return [(a, b) for a, b, l in self.arcs if l == lab]
+    @property
+    def arcs(self):
+        "The arcs as (start, end, label) with Fraction ends, made on each read."
+        d, c = self.den, self.cuts
+        return tuple([(Fraction(c[r], d), Fraction(c[r + 1], d), lab)
+                      for r, lab in enumerate(self.labels)])
 
     def __eq__(self, other):
         return (isinstance(other, Cactus) and self.k == other.k
-                and self.arcs == other.arcs)
+                and self.den == other.den and self.cuts == other.cuts
+                and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.k, self.arcs))
+        return hash((self.k, self.den, self.cuts, self.labels))
 
     def __repr__(self):
         return "Cactus(%d, %s)" % (
             self.k, [(str(a), str(b), l) for a, b, l in self.arcs])
 
 
+def _from_arcs(k, den, arcs):
+    "The cactus of integer (start, end, label) arcs over den, checked."
+    x = Cactus.__new__(Cactus)
+    x._set(k, den, arcs)
+    return x
+
+
+def _check_interleaving(labels):
+    """Refuse two lobes whose labels read i..j..i..j along the circle, in
+    one pass over the arcs' labels: the lobes on the stack are open, and
+    coming back to one closes the lobes opened after it, which may not
+    come back."""
+    stack, seen, closed_by = [], set(), {}
+    for lab in labels:
+        if lab in closed_by:
+            i, j = sorted((closed_by[lab], lab))
+            raise CactusError(
+                "lobes %d and %d interleave (pattern %s)"
+                % (i, j, [l for l in labels if l in (i, j)]))
+        if lab in seen:
+            while stack[-1] != lab:
+                closed_by[stack.pop()] = lab
+        else:
+            stack.append(lab)
+            seen.add(lab)
+
+
 class _EmptyCactus:
     "The 0-ary point; carries no arcs and supports no composition."
 
     k = 0
+    den = 1
+    cuts = (0,)
+    labels = ()
     arcs = ()
 
     def __repr__(self):
@@ -151,12 +185,17 @@ def ms_unit():
 def cactus_map(x):
     """The k slope-k step maps: component j at time t is k times the
     length of lobe j seen in [0,t]."""
+    k, d, cuts = x.k, x.den, x.cuts
+    xs = [Fraction(c, d) for c in cuts]
     out = []
-    for lab in range(1, x.k + 1):
-        xs, ys = [ZERO], [ZERO]
-        for a, b, l in x.arcs:
-            xs.append(b)
-            ys.append(ys[-1] + (b - a) * x.k if l == lab else ys[-1])
+    for lab in range(1, k + 1):
+        ys, v = [ZERO], 0
+        for r, l in enumerate(x.labels):
+            if l == lab:
+                v += (cuts[r + 1] - cuts[r]) * k
+                ys.append(Fraction(v, d))
+            else:
+                ys.append(ys[-1])
         out.append(PLMap(xs, ys))
     return out
 
@@ -197,50 +236,60 @@ def phi(elem):
 
 
 def cactus_metric(x, y):
+    """1 minus the length on which the two cacti have the same lobe, in
+    one sweep over both arc lists on their common denominator."""
     if x.k != y.k:
         raise CactusError("lobe counts differ")
     if x.k == 0:
         return ZERO  # EMPTY_CACTUS is the one 0-lobe point
-    overlap = ZERO
-    for lab in range(1, x.k + 1):
-        for a, b in x.lobe_arcs(lab):
-            for c, d in y.lobe_arcs(lab):
-                lo, hi = max(a, c), min(b, d)
-                if hi > lo:
-                    overlap += hi - lo
-    return 1 - overlap
+    d = lcm(x.den, y.den)
+    xc = [c * (d // x.den) for c in x.cuts]
+    yc = [c * (d // y.den) for c in y.cuts]
+    xl, yl = x.labels, y.labels
+    overlap = r = q = 0
+    while r < len(xl):  # both lists end at d, so r and q run out together
+        xe, ye = xc[r + 1], yc[q + 1]
+        if xl[r] == yl[q]:
+            overlap += min(xe, ye) - max(xc[r], yc[q])
+        r, q = r + (xe <= ye), q + (ye <= xe)
+    return Fraction(d - overlap, d)
 
 
 # ---------------------------------------------------------------------------
 # Scaling maps.
 
 def _scaled_ends(x, m):
-    """The values of scaling_map(x, m) at 0 and at the end of each arc:
-    the cumulative sums of the arc lengths, lobe j scaled by
-    k*m[j-1]/sum(m)."""
+    """The values of scaling_map(x, m) at 0 and at the end of each arc,
+    as integers over x.den * sum(m): the cumulative sums of the arc
+    lengths, lobe j scaled by k*m[j-1]/sum(m)."""
     if len(m) != x.k:
         raise ValueError("need one multiplier per lobe")
     if any(v <= 0 for v in m):
         raise ValueError("multipliers must be >= 1 (zero breaks monotonicity)")
-    total = sum(m)
-    ends = [ZERO]
-    for a, b, lab in x.arcs:
-        ends.append(ends[-1] + (b - a) * x.k * m[lab - 1] / total)
+    k, cuts = x.k, x.cuts
+    ends = [0]
+    for r, lab in enumerate(x.labels):
+        ends.append(ends[-1] + (cuts[r + 1] - cuts[r]) * k * m[lab - 1])
     return ends
 
 
 def scaling_map(x, m):
     """The reparametrization that scales lobe j by k*m[j-1]/sum(m);
     strictly monotone only when every multiplier is positive."""
-    return monotone_reparam([ZERO] + [b for _, b, _ in x.arcs],
-                            _scaled_ends(x, m))
+    ends = _scaled_ends(x, m)
+    d = x.den
+    e = d * sum(m)
+    return monotone_reparam([Fraction(c, d) for c in x.cuts],
+                            [Fraction(v, e) for v in ends])
 
 
 def relabel_cactus(x, perm):
     "perm[old-1] = new label (1-based); a bijection on 1..k."
     if sorted(perm) != list(range(1, x.k + 1)):
         raise ValueError("not a permutation of 1..%d" % x.k)
-    return Cactus(x.k, [(a, b, perm[lab - 1]) for a, b, lab in x.arcs])
+    c = x.cuts
+    return _from_arcs(x.k, x.den, [(c[r], c[r + 1], perm[lab - 1])
+                                   for r, lab in enumerate(x.labels)])
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +328,46 @@ def ms_compose(a, i, b):
     if not 1 <= i <= k:
         raise IndexError("slot %d out of range" % i)
     # step one: new arc lengths for lobe i, the rest untouched
-    ends = [ZERO]  # k times the length of lobe i before each of its arcs
-    for a0, b0, lab in x.arcs:
+    d, cuts, labels = x.den, x.cuts, x.labels
+    ends = [0]  # k times the length of lobe i before each of its arcs, over d
+    for r, lab in enumerate(labels):
         if lab == i:
-            ends.append(ends[-1] + (b0 - a0) * k)
-    g_ends = _sweep(g, ends)
-    spans = zip(ends, ends[1:], g_ends, g_ends[1:])
-    new_arcs = []
-    gt_x, gt_y = [ZERO], [ZERO]  # graph of the identification map
-    pos = ZERO
-    for a0, b0, lab in x.arcs:
+            ends.append(ends[-1] + (cuts[r + 1] - cuts[r]) * k)
+    g_ends = _sweep(g, [Fraction(e, d) for e in ends])
+    # one denominator w for x, g's graph and g at the ends; the factor k
+    # makes every division by k below exact
+    w = k * lcm(d, *[z.denominator
+                     for z in (*g.breakpoints, *g.values, *g_ends)])
+    s = w // d
+    gx, gy, ge = ([z.numerator * (w // z.denominator) for z in zs]
+                  for zs in (g.breakpoints, g.values, g_ends))
+    arcs = []
+    gt_x, gt_y = [0], [0]  # graph of the identification map, over w
+    pos = j = 0
+    q = 1  # g's first breakpoint above the current arc's start
+    for r, lab in enumerate(labels):
+        a0, b0 = cuts[r] * s, cuts[r + 1] * s
         if lab == i:
-            ca, cb, gca, gcb = next(spans)
-            # interior gradient of g contributes breakpoints
-            for p, gp in zip(g.breakpoints, g.values):
-                if ca <= p <= cb:
-                    t = a0 + (p - ca) / k
-                    val = pos + (gp - gca) / k
-                    if t > gt_x[-1]:
-                        gt_x.append(t)
-                        gt_y.append(val)
-            newlen = (gcb - gca) / k
+            ca, cb = ends[j] * s, ends[j + 1] * s
+            gca, gcb = ge[j], ge[j + 1]
+            j += 1
+            # interior breakpoints of g are breakpoints of the graph
+            while gx[q] <= ca:
+                q += 1
+            while gx[q] < cb:
+                gt_x.append(a0 + (gx[q] - ca) // k)
+                gt_y.append(pos + (gy[q] - gca) // k)
+                q += 1
+            newlen = (gcb - gca) // k
         else:
             newlen = b0 - a0
+        arcs.append((pos, pos + newlen, lab))
         pos += newlen
-        new_arcs.append((pos - newlen, pos, lab))
-        if b0 > gt_x[-1]:
-            gt_x.append(b0)
-            gt_y.append(pos)
-    xt = Cactus(k, new_arcs)
-    gtilde = monotone_reparam(gt_x, gt_y)
+        gt_x.append(b0)
+        gt_y.append(pos)
+    xt = _from_arcs(k, w, arcs)
+    gtilde = monotone_reparam([Fraction(t, w) for t in gt_x],
+                              [Fraction(v, w) for v in gt_y])
     z, h = _insert(xt, i, y)
     return MSElement(z, pl_compose(h, pl_compose(gtilde, f)))
 
@@ -316,27 +375,34 @@ def ms_compose(a, i, b):
 def gamma_cact1(x, ys):
     """Simultaneous insertion of one cactus per lobe, the
     scale-and-subdivide rule: lobe j is scaled by k*m_j/n and each of its
-    arcs is cut along the arcs of ys[j-1] it traverses."""
+    arcs is cut along the arcs of ys[j-1] it traverses.  x and the ys are
+    read on their common denominator l, the result is cut over l*n."""
     k = x.k
     if len(ys) != k:
         raise ValueError("need one cactus per lobe")
     m = [y.k for y in ys]
+    ends = _scaled_ends(x, m)  # over x.den * n
     n = sum(m)
     offset = [sum(m[:r]) for r in range(k)]
+    l = lcm(x.den, *[y.den for y in ys])
+    s = l // x.den
+    ycuts = [[c * (l // y.den) for c in y.cuts] for y in ys]
+    cuts = x.cuts
     # seen[j-1]: k times the length of lobe j in the arcs already passed,
-    # the value of lobe j's step map at the current arc's left end
-    seen = [ZERO] * k
+    # over l, the value of lobe j's step map at the current arc's left end
+    seen = [0] * k
     arcs = []
-    for (a, b, lab), ga in zip(x.arcs, _scaled_ends(x, m)):
-        ca = seen[lab - 1]
-        cb = seen[lab - 1] = ca + (b - a) * k
-        for p, q, ly in ys[lab - 1].arcs:
-            lo, hi = max(p, ca), min(q, cb)
+    for r, lab in enumerate(x.labels):
+        j = lab - 1
+        ca = seen[j]
+        cb = seen[j] = ca + (cuts[r + 1] - cuts[r]) * s * k
+        ga, mj, yc = ends[r] * s, m[j], ycuts[j]
+        for p, ly in enumerate(ys[j].labels):
+            lo, hi = max(yc[p], ca), min(yc[p + 1], cb)
             if hi > lo:
-                arcs.append((ga + (lo - ca) * m[lab - 1] / n,
-                             ga + (hi - ca) * m[lab - 1] / n,
-                             offset[lab - 1] + ly))
-    return Cactus(n, arcs)
+                arcs.append((ga + (lo - ca) * mj, ga + (hi - ca) * mj,
+                             offset[j] + ly))
+    return _from_arcs(n, l * n, arcs)
 
 
 def gamma_ms(a, bs):

@@ -179,10 +179,29 @@ def test_bracket_scaling_weight_one_chain():
     xs = [R.random_cactus(2, rng) for _ in range(3)]
     e = chain_elem(3, {frozenset({1, 2}): 1})
     brackets, _, hs = A.lam_traced(e, xs)[2]
-    y = A._sub_action(e.base, e.weighted.weights, xs, frozenset({1, 2}))
+    y = A._sub_action(e.base, e.weighted.weights, xs, frozenset({1, 2}), {})
     want = pl_compose(pl_invert(y.reparam), scaling_map(y.cactus, (1, 1, 1)))
     assert brackets == [frozenset({1, 2})]
     assert hs == [want]
+
+
+def test_each_sub_action_is_computed_once(monkeypatch):
+    # the chain {0,1} < {0,1,2} < ... nests every bracket in the next
+    calls = []
+    ms_action = A._ms_action
+
+    def counted(*args):
+        calls.append(args)
+        return ms_action(*args)
+
+    monkeypatch.setattr(A, "_ms_action", counted)
+    rng = R.rng_from_seed(15)
+    for n in range(3, 7):
+        ws = {frozenset(range(j + 1)): F(1, j) for j in range(1, n - 1)}
+        xs = [R.random_cactus(2, rng) for _ in range(n)]
+        del calls[:]
+        A.lam_traced(chain_elem(n, ws), xs)
+        assert len(calls) == 1 + len(ws)
 
 
 def test_brackets_act_like_unit_cacti_on_the_augmented_tree():

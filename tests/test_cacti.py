@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from brackops.plmaps import identity_map
+from brackops.plmaps import (_sweep, identity_map, monotone_reparam,
+                             pl_compose)
 from brackops.cacti import (Cactus, CactusError, EMPTY_CACTUS, unit_cactus,
                             ms_unit, cactus_map, cactus_from_maps,
                             coend_compose, phi, cactus_metric, scaling_map,
@@ -17,17 +18,27 @@ F = Fraction
 HALVES = Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])
 
 
+REFUSED = [
+    (2, [(0, 1, 1)]),                                 # lobe 2 missing
+    (2, [(0, F(1, 3), 1), (F(1, 3), 1, 2)]),          # unequal lengths
+    (2, [(0, F(1, 2), 1), (F(3, 4), 1, 2)]),          # gap
+    # 1,2,1,2 pattern: the two lobes interleave
+    (2, [(0, F(1, 4), 1), (F(1, 4), F(1, 2), 2),
+         (F(1, 2), F(3, 4), 1), (F(3, 4), 1, 2)]),
+    (0, [(0, 1, 1)]),                                 # no lobes
+    (1, []),                                          # no arcs
+    (1, [(F(1, 2), F(1, 4), 1)]),                     # only an empty arc
+    (2, [(F(1, 4), F(1, 2), 1), (F(1, 2), 1, 2)]),    # starts past 0
+    (2, [(0, F(1, 2), 1), (F(1, 4), 1, 2)]),          # overlap
+    (2, [(0, F(1, 2), 1), (F(1, 2), 1, 3)]),          # label 3 of 2
+    (3, [(0, F(1, 2), 1), (F(1, 2), 1, 2)]),          # lobe 3 missing
+]
+
+
 def test_validation_rules():
-    with pytest.raises(CactusError):
-        Cactus(2, [(0, 1, 1)])                       # lobe 2 missing
-    with pytest.raises(CactusError):
-        Cactus(2, [(0, F(1, 3), 1), (F(1, 3), 1, 2)])  # unequal lengths
-    with pytest.raises(CactusError):
-        Cactus(2, [(0, F(1, 2), 1), (F(3, 4), 1, 2)])  # gap
-    with pytest.raises(CactusError):
-        # 1,2,1,2 pattern: the two lobes interleave
-        Cactus(2, [(0, F(1, 4), 1), (F(1, 4), F(1, 2), 2),
-                   (F(1, 2), F(3, 4), 1), (F(3, 4), 1, 2)])
+    for k, arcs in REFUSED:
+        with pytest.raises(CactusError):
+            Cactus(k, arcs)
 
 
 def pairwise_interleaving(labels):
@@ -74,6 +85,175 @@ def test_interleaving_matches_the_pairwise_rule():
         assert pairwise_interleaving([l for l in word if l in (i, j)]) \
             == (i, j)
     assert 0 < refused < 3000
+
+
+# ---------------------------------------------------------------------------
+# A Fraction reference: cacti held as Fraction arcs, as they were before
+# they moved to integer cuts over one denominator.
+
+class RefCactus:
+    def __init__(self, k, arcs):
+        k = int(k)
+        if k < 1:
+            raise CactusError("lobe count must be >= 1 (the empty cactus is EMPTY_CACTUS)")
+        merged = []
+        for a, b, lab in arcs:
+            a, b, lab = Fraction(a), Fraction(b), int(lab)
+            if b <= a:
+                continue
+            if merged and merged[-1][2] == lab and merged[-1][1] == a:
+                merged[-1] = (merged[-1][0], b, lab)
+            else:
+                merged.append((a, b, lab))
+        self.k = k
+        self.arcs = tuple(merged)
+        if not self.arcs:
+            raise CactusError("no arcs")
+        if self.arcs[0][0] != 0 or self.arcs[-1][1] != 1:
+            raise CactusError("arcs must cover [0,1]")
+        for (a0, b0, _), (a1, b1, _) in zip(self.arcs, self.arcs[1:]):
+            if b0 != a1:
+                raise CactusError("arcs must be consecutive")
+        totals = {}
+        for a, b, lab in self.arcs:
+            if not 1 <= lab <= k:
+                raise CactusError("label %d outside 1..%d" % (lab, k))
+            totals[lab] = totals.get(lab, F(0)) + (b - a)
+        for lab in range(1, k + 1):
+            if totals.get(lab, F(0)) != F(1, k):
+                raise CactusError("lobe %d has length %s, expected %s"
+                                  % (lab, totals.get(lab, F(0)), F(1, k)))
+        labels = [lab for _, _, lab in self.arcs]
+        stack, seen, closed_by = [], set(), {}
+        for lab in labels:
+            if lab in closed_by:
+                i, j = sorted((closed_by[lab], lab))
+                raise CactusError(
+                    "lobes %d and %d interleave (pattern %s)"
+                    % (i, j, [l for l in labels if l in (i, j)]))
+            if lab in seen:
+                while stack[-1] != lab:
+                    closed_by[stack.pop()] = lab
+            else:
+                stack.append(lab)
+                seen.add(lab)
+
+
+def ref_scaled_ends(x, m):
+    ends = [F(0)]
+    for a, b, lab in x.arcs:
+        ends.append(ends[-1] + (b - a) * x.k * m[lab - 1] / sum(m))
+    return ends
+
+
+def ref_scaling_map(x, m):
+    return monotone_reparam([F(0)] + [b for _, b, _ in x.arcs],
+                            ref_scaled_ends(x, m))
+
+
+def ref_gamma_cact1(x, ys):
+    k = x.k
+    m = [y.k for y in ys]
+    n = sum(m)
+    offset = [sum(m[:r]) for r in range(k)]
+    seen = [F(0)] * k
+    arcs = []
+    for (a, b, lab), ga in zip(x.arcs, ref_scaled_ends(x, m)):
+        ca = seen[lab - 1]
+        cb = seen[lab - 1] = ca + (b - a) * k
+        for p, q, ly in ys[lab - 1].arcs:
+            lo, hi = max(p, ca), min(q, cb)
+            if hi > lo:
+                arcs.append((ga + (lo - ca) * m[lab - 1] / n,
+                             ga + (hi - ca) * m[lab - 1] / n,
+                             offset[lab - 1] + ly))
+    return RefCactus(n, arcs)
+
+
+def ref_ms_compose(x, f, i, y, g):
+    "The (cactus, reparametrization) of ms_compose((x, f), i, (y, g))."
+    k = x.k
+    ends = [F(0)]
+    for a0, b0, lab in x.arcs:
+        if lab == i:
+            ends.append(ends[-1] + (b0 - a0) * k)
+    g_ends = _sweep(g, ends)
+    spans = zip(ends, ends[1:], g_ends, g_ends[1:])
+    new_arcs = []
+    gt_x, gt_y = [F(0)], [F(0)]
+    pos = F(0)
+    for a0, b0, lab in x.arcs:
+        if lab == i:
+            ca, cb, gca, gcb = next(spans)
+            for p, gp in zip(g.breakpoints, g.values):
+                if ca <= p <= cb:
+                    t = a0 + (p - ca) / k
+                    if t > gt_x[-1]:
+                        gt_x.append(t)
+                        gt_y.append(pos + (gp - gca) / k)
+            newlen = (gcb - gca) / k
+        else:
+            newlen = b0 - a0
+        pos += newlen
+        new_arcs.append((pos - newlen, pos, lab))
+        if b0 > gt_x[-1]:
+            gt_x.append(b0)
+            gt_y.append(pos)
+    xt = RefCactus(k, new_arcs)
+    ys = [RefCactus(1, [(0, 1, 1)])] * k
+    ys[i - 1] = y
+    h = ref_scaling_map(xt, [c.k for c in ys])
+    return (ref_gamma_cact1(xt, ys),
+            pl_compose(h, pl_compose(monotone_reparam(gt_x, gt_y), f)))
+
+
+def ref_metric(x, y):
+    "The per-lobe double loop over the two cacti's arcs."
+    overlap = F(0)
+    for lab in range(1, x.k + 1):
+        for a, b, l in x.arcs:
+            for c, d, m in y.arcs:
+                if l == m == lab and min(b, d) > max(a, c):
+                    overlap += min(b, d) - max(a, c)
+    return 1 - overlap
+
+
+def ref(x):
+    return RefCactus(x.k, x.arcs)
+
+
+def test_integer_cacti_match_the_fraction_reference():
+    for k, arcs in REFUSED:
+        with pytest.raises(CactusError) as want:
+            RefCactus(k, arcs)
+        with pytest.raises(CactusError) as got:
+            Cactus(k, arcs)
+        assert str(got.value) == str(want.value)
+    rng = R.rng_from_seed(31)
+    for _ in range(2000):
+        k = rng.randint(1, 5)
+        a = R.random_ms_element(k, rng)
+        b = R.random_ms_element(rng.randint(1, 5), rng)
+        x = a.cactus
+        assert Cactus(k, x.arcs) == x and ref(x).arcs == x.arcs
+        ys = [R.random_cactus(rng.randint(1, 5), rng) for _ in range(k)]
+        assert gamma_cact1(x, ys).arcs \
+            == ref_gamma_cact1(x, [ref(y) for y in ys]).arcs
+        m = [c.k for c in ys]
+        assert scaling_map(x, m) == ref_scaling_map(x, m)
+        i = rng.randint(1, k)
+        z = ms_compose(a, i, b)
+        want, reparam = ref_ms_compose(ref(x), a.reparam, i,
+                                       ref(b.cactus), b.reparam)
+        assert z.cactus.arcs == want.arcs and z.reparam == reparam
+
+
+def test_metric_matches_the_per_lobe_double_loop():
+    rng = R.rng_from_seed(32)
+    for _ in range(500):
+        k = rng.randint(1, 5)
+        x, y = R.random_cactus(k, rng), R.random_cactus(k, rng)
+        assert cactus_metric(x, y) == ref_metric(x, y)
 
 
 def test_return_arcs_are_legal():
