@@ -83,7 +83,7 @@ def _ms_action(base, weight_items, cacti, subs=None):
         coeffs, [scaling_map(cacti[i], xi_map(base.tree, lv, {base.sigma[i]}))
                  for lv in levels])
         for i in range(base.arity)]
-    brackets = Bracketing(base.tree, levels[-1]).sorted_brackets()
+    brackets = levels[-1]  # every bracket, in canonical order
     if subs is None:
         subs = {}
         for b in brackets:

@@ -16,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .trees import frac_to_str
+from .trees import frac_to_str, int_from_obj
 from .plmaps import (
-    PLMap, _sweep, identity_map, monotone_reparam, pl_compose, pl_invert,
+    PLMap, identity_map, monotone_reparam, pl_compose, pl_invert,
 )
 
 ZERO = Fraction(0)
@@ -333,14 +333,14 @@ def ms_compose(a, i, b):
     for r, lab in enumerate(labels):
         if lab == i:
             ends.append(ends[-1] + (cuts[r + 1] - cuts[r]) * k)
-    g_ends = _sweep(g, [Fraction(e, d) for e in ends])
+    g_ends = [g(Fraction(e, d)) for e in ends]
     # one denominator w for x, g's graph and g at the ends; the factor k
     # makes every division by k below exact
-    w = k * lcm(d, *[z.denominator
-                     for z in (*g.breakpoints, *g.values, *g_ends)])
+    w = k * lcm(d, g.dx, g.dy, *[z.denominator for z in g_ends])
     s = w // d
-    gx, gy, ge = ([z.numerator * (w // z.denominator) for z in zs]
-                  for zs in (g.breakpoints, g.values, g_ends))
+    gx = [x * (w // g.dx) for x in g.nx]
+    gy = [y * (w // g.dy) for y in g.ny]
+    ge = [z.numerator * (w // z.denominator) for z in g_ends]
     arcs = []
     gt_x, gt_y = [0], [0]  # graph of the identification map, over w
     pos = j = 0
@@ -437,9 +437,10 @@ def cactus_to_obj(x):
 
 
 def cactus_from_obj(obj):
-    if obj["k"] == 0:
+    k = int_from_obj(obj["k"])
+    if k == 0:
         if obj.get("arcs", []) != []:
             raise CactusError("the 0-lobe cactus has no arcs")
         return EMPTY_CACTUS
-    return Cactus(obj["k"],
-                  [(Fraction(a), Fraction(b), lab) for a, b, lab in obj["arcs"]])
+    return Cactus(k, [(Fraction(a), Fraction(b), int_from_obj(lab))
+                      for a, b, lab in obj["arcs"]])

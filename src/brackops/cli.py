@@ -46,7 +46,8 @@ def _load(path, parse=lambda obj: obj):
     try:
         with open(path) as fh:
             return parse(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, IndexError,
+            RecursionError) as exc:
         raise InputError("%s: %s: %s"
                          % (path, type(exc).__name__, exc)) from exc
 
@@ -55,7 +56,7 @@ def _apply(op, *args):
     "Run an operation; input that does not fit it is bad input (exit code 2)."
     try:
         return op(*args)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, RecursionError) as exc:
         raise InputError("%s: %s" % (type(exc).__name__, exc)) from exc
 
 

@@ -393,9 +393,11 @@ def morphism_from_obj(obj):
     "The morphism of an object; its vertices must be those of its edges."
     src = T.tree_from_obj(obj["source"])
     tgt = T.tree_from_obj(obj["target"])
-    em = {(a[0], a[1]): (b[0], b[1]) for a, b in obj["edges"]}
+    em = {(a[0], T.int_from_obj(a[1])): (b[0], T.int_from_obj(b[1]))
+          for a, b in obj["edges"]}
     g = OmegaMorphism(src, tgt, em)
-    if [frozenset(s) for s in obj["vertices"]] != list(g.vertex_images):
+    if [frozenset(map(T.int_from_obj, s))
+            for s in obj["vertices"]] != list(g.vertex_images):
         raise ValueError("vertices %s do not match the edge map, which "
                          "gives %s" % (obj["vertices"],
                                        [sorted(s) for s in g.vertex_images]))
@@ -411,7 +413,7 @@ def tilde_to_obj(m):
 
 def tilde_from_obj(obj):
     base = morphism_from_obj(obj)
-    fams = [[(frozenset(B), Fraction(w)) for B, w in fam]
+    fams = [[(frozenset(map(T.int_from_obj, B)), Fraction(w)) for B, w in fam]
             for fam in obj.get("brackets", [])]
     if not fams:
         return OmegaTildeMorphism(base)

@@ -227,8 +227,8 @@ def o_to_obj(a):
 
 def o_from_obj(obj):
     tree = T.tree_from_obj(obj["tree"])
-    return OElement(tree, [v - 1 for v in obj["sigma"]],
-                    [p - 1 for p in obj["tau"]])
+    return OElement(tree, [T.int_from_obj(v) - 1 for v in obj["sigma"]],
+                    [T.int_from_obj(p) - 1 for p in obj["tau"]])
 
 
 def bo_to_obj(a):

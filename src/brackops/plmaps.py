@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .trees import frac_to_str
 
@@ -17,64 +17,45 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _numerators(zs):
-    """The Fractions zs as integers over their least common denominator:
-    (numerators, denominator)."""
-    d = lcm(*[z.denominator for z in zs])
-    return [z.numerator * (d // z.denominator) for z in zs], d
-
-
-def _lines(xs, ys):
-    """Per segment of the graph through the points (xs[k], ys[k]), xs
-    strictly increasing: integers (A, B, C), C > 0, such that the
-    segment's line takes the value (A*p + B*q)/(C*q) at p/q."""
-    nx, d = _numerators(xs)
-    ny, e = _numerators(ys)
-    out = []
-    for x0, x1, y0, y1 in zip(nx, nx[1:], ny, ny[1:]):
-        w, h = x1 - x0, y1 - y0
-        a, b, c = h * d, y0 * w - h * x0, w * e
-        g = gcd(a, b, c)
-        out.append((a // g, b // g, c // g))
-    return out
-
-
 class PLMap:
     """Weakly increasing piecewise-linear map on [0,1], canonical form.
 
-    Point evaluation reads a segment table built on the first call: the
-    breakpoints as integers over their common denominator, and each
-    segment's line as three integers (see _lines)."""
+    Next to its Fraction breakpoints and values it keeps the integers
+    they were validated as: breakpoint k is nx[k]/dx and value k is
+    ny[k]/dy, where dx and dy are the lcms of the given breakpoints' and
+    values' denominators.  Point evaluation reads these integers."""
 
-    __slots__ = ("breakpoints", "values", "_table")
+    __slots__ = ("breakpoints", "values", "nx", "dx", "ny", "dy")
 
     def __init__(self, breakpoints, values):
         xs = [x if type(x) is Fraction else Fraction(x) for x in breakpoints]
         ys = [y if type(y) is Fraction else Fraction(y) for y in values]
         if len(xs) != len(ys) or len(xs) < 2:
             raise ValueError("need matching breakpoint/value arrays of length >= 2")
-        if xs[0] != 0 or xs[-1] != 1:
+        dx = lcm(*[x.denominator for x in xs])
+        dy = lcm(*[y.denominator for y in ys])
+        nx = [x.numerator * (dx // x.denominator) for x in xs]
+        ny = [y.numerator * (dy // y.denominator) for y in ys]
+        if nx[0] != 0 or nx[-1] != dx:
             raise ValueError("breakpoints must start at 0 and end at 1")
-        nx, ny = _numerators(xs)[0], _numerators(ys)[0]
-        dx = [b - a for a, b in zip(nx, nx[1:])]
-        dy = [b - a for a, b in zip(ny, ny[1:])]
-        if min(dx) <= 0:
+        sx = [b - a for a, b in zip(nx, nx[1:])]
+        sy = [b - a for a, b in zip(ny, ny[1:])]
+        if min(sx) <= 0:
             raise ValueError("breakpoints must be strictly increasing")
-        if min(dy) < 0:
+        if min(sy) < 0:
             raise ValueError("values must be weakly increasing")
-        if ys[0] < 0 or ys[-1] > 1:
+        if ny[0] < 0 or ny[-1] > dy:
             raise ValueError("values must lie in [0,1]")
         # canonical form: drop interior points where the slope does not
-        # change; dx > 0, so comparing slopes is comparing cross products
-        keep = ([0] + [k for k in range(1, len(dx))
-                       if dy[k - 1] * dx[k] != dy[k] * dx[k - 1]]
-                + [len(dx)])
+        # change; sx > 0, so comparing slopes is comparing cross products
+        keep = ([0] + [k for k in range(1, len(sx))
+                       if sy[k - 1] * sx[k] != sy[k] * sx[k - 1]]
+                + [len(sx)])
         self.breakpoints = tuple([xs[k] for k in keep])
         self.values = tuple([ys[k] for k in keep])
-
-    def _segment_table(self):
-        nx, d = _numerators(self.breakpoints)
-        return d, tuple(nx), tuple(_lines(self.breakpoints, self.values))
+        self.nx = tuple([nx[k] for k in keep])
+        self.ny = tuple([ny[k] for k in keep])
+        self.dx, self.dy = dx, dy
 
     def __call__(self, t):
         if type(t) is not Fraction:
@@ -82,14 +63,12 @@ class PLMap:
         p, q = t.numerator, t.denominator
         if not 0 <= p <= q:
             raise ValueError("argument outside [0,1]")
-        try:
-            d, nx, lines = self._table
-        except AttributeError:
-            d, nx, lines = self._table = self._segment_table()
-        # the segment [nx[j]/d, nx[j+1]/d] holding p/q
-        j = bisect_left(nx, -(-p * d // q), 1, len(nx)) - 1
-        a, b, c = lines[j]
-        return Fraction(a * p + b * q, c * q)
+        nx, dx, ny = self.nx, self.dx, self.ny
+        # the segment [nx[j]/dx, nx[j+1]/dx] holding p/q
+        j = bisect_left(nx, -(-p * dx // q), 1, len(nx)) - 1
+        w = nx[j + 1] - nx[j]
+        num = ny[j] * w * q + (ny[j + 1] - ny[j]) * (p * dx - nx[j] * q)
+        return Fraction(num, self.dy * w * q)
 
     def is_strictly_monotone(self):
         v = self.values
@@ -109,28 +88,6 @@ class PLMap:
         pts = ", ".join("(%s,%s)" % (x, y)
                         for x, y in zip(self.breakpoints, self.values))
         return "PLMap[%s]" % pts
-
-
-def _sweep(f, ts):
-    """f at each of the weakly increasing Fractions ts in [0,1], in one
-    pass over its segments; at one of its breakpoints, f's own value."""
-    xs, ys = f.breakpoints, f.values
-    out = []
-    k, line = 0, None
-    for t in ts:
-        while t > xs[k + 1]:
-            k, line = k + 1, None
-        if t == xs[k]:
-            out.append(ys[k])
-        elif t == xs[k + 1]:
-            out.append(ys[k + 1])
-        else:
-            if line is None:
-                line = _lines(xs[k:k + 2], ys[k:k + 2])[0]
-            a, b, c = line
-            p, q = t.numerator, t.denominator
-            out.append(Fraction(a * p + b * q, c * q))
-    return out
 
 
 def monotone_reparam(breakpoints, values):
@@ -169,7 +126,7 @@ def pl_compose(a, b):
             bvals.append(y)
     pts += bx[k + 1:]
     bvals += by[k + 1:]
-    return PLMap(pts, _sweep(a, bvals))
+    return PLMap(pts, [a(v) for v in bvals])
 
 
 def pl_invert(f):
@@ -186,8 +143,7 @@ def pl_convex_combination(coeffs, maps):
     if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
         raise ValueError("coefficients must be nonnegative and sum to 1")
     pts = sorted(set(x for m in maps for x in m.breakpoints))
-    columns = [_sweep(m, pts) for m in maps]
-    vals = [sum(c * v for c, v in zip(coeffs, row)) for row in zip(*columns)]
+    vals = [sum(c * m(t) for c, m in zip(coeffs, maps)) for t in pts]
     return PLMap(pts, vals)
 
 

@@ -518,6 +518,13 @@ def tree_from_obj(obj, top=True):
     raise ValueError("malformed tree object: %r" % (obj,))
 
 
+def int_from_obj(value):
+    "An integer field of a JSON object; a float or a bool is refused."
+    if type(value) is not int:
+        raise ValueError("expected an integer, got %s" % json.dumps(value))
+    return value
+
+
 def tree_to_json(tree):
     return json.dumps(tree_to_obj(tree), sort_keys=True, separators=(",", ":"))
 

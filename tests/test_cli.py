@@ -97,6 +97,20 @@ def test_cacti_validate_reports_a_value_of_the_wrong_type(tmp_path, capsys,
     assert code == 1 and json.loads(out)["valid"] is False
 
 
+@pytest.mark.parametrize("obj", [
+    {"k": 2.5, "arcs": [["0", "1/2", 1], ["1/2", "1", 2]]},
+    {"k": 2, "arcs": [["0", "1/2", 1.9], ["1/2", "1", 2]]},
+    {"k": 1, "arcs": [["0", "1", True]]}])
+def test_cacti_validate_refuses_a_float_or_bool_integer_field(tmp_path, capsys,
+                                                              obj):
+    bad = write(tmp_path, "bad.json", json.dumps(obj))
+    code, out = run(capsys, "cacti", "validate", "--input", bad)
+    assert code == 1 and json.loads(out)["valid"] is False
+    code, out = run(capsys, "cacti", "compose", "--lhs", bad,
+                    "--slot", "1", "--rhs", bad)
+    assert code == 2 and "expected an integer" in json.loads(out)["error"]
+
+
 def test_witness_nonassoc(capsys):
     code, out = run(capsys, "witness", "nonassoc")
     assert code == 0
@@ -307,6 +321,40 @@ def test_omega_image_of_a_too_short_edge_name_is_a_structured_error(
     code, out = run(capsys, "omega", "image", "--input", g)
     assert code == 2
     assert "IndexError" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["bo", "bo-action"])
+def test_a_float_vertex_label_is_a_structured_error(tmp_path, capsys,
+                                                    command):
+    obj = bo_to_obj(bo_element(caterpillar(2), (0, 1), (0, 1, 2)))
+    obj["sigma"] = [float(v) for v in obj["sigma"]]
+    ep = write(tmp_path, "e.json", json.dumps(obj))
+    if command == "bo":
+        args = ["compose", "--lhs", ep, "--slot", "1", "--rhs", ep]
+    else:
+        xs = [Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])] * 2
+        xp = write(tmp_path, "xs.json",
+                   json.dumps([cactus_to_obj(x) for x in xs]))
+        args = ["eval", "--element", ep, "--inputs", xp]
+    code, out = run(capsys, command, *args)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "%s: ValueError: expected an integer, got 1.0" % ep}
+
+
+@pytest.mark.parametrize("command, tree", [
+    (["brackets", "enumerate"], "caterpillar:1000"),
+    (["omega", "segal"], "caterpillar:900"),
+    (["brackets", "enumerate"], None)])
+def test_a_tree_too_deep_to_recurse_on_is_a_structured_error(tmp_path, capsys,
+                                                             command, tree):
+    if tree is None:  # a tree JSON file nested 1200 vertices deep
+        n = 1200
+        tree = write(tmp_path, "deep.json",
+                     '{"node": [' * n + '"leaf"' + "]}" * n)
+    code, out = run(capsys, *command, "--tree", tree)
+    assert code == 2
+    assert "RecursionError" in json.loads(out)["error"]
 
 
 def test_verify_exit_codes_and_determinism(capsys):
