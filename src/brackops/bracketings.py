@@ -7,8 +7,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .trees import (
-    enumerate_subtrees, frac_to_str, int_from_obj, is_connected,
-    num_vertices, vsets_nested,
+    enumerate_subtrees, frac_from_obj, frac_to_str, int_from_obj,
+    is_connected, num_vertices, vsets_nested,
 )
 
 
@@ -221,5 +221,5 @@ def weighted_to_obj(w):
 
 def weighted_from_obj(tree, obj):
     return WeightedBracketing(
-        tree, [(frozenset(map(int_from_obj, d["vertices"])), Fraction(d["w"]))
-               for d in obj])
+        tree, [(frozenset(map(int_from_obj, d["vertices"])),
+                frac_from_obj(d["w"])) for d in obj])

@@ -2,13 +2,13 @@
 closed 1-manifolds of length 1/k each, subject to non-interleaving.
 
 The circle is cut at 0, so a cactus is an ordered list of arcs.  Their
-endpoints are held as integer cuts over one common denominator, and a
-Fraction is made only for a reader: in Cactus.arcs, in repr, JSON and
-error messages, and in the breakpoints of a PLMap.  Composition is
-implemented twice: once on (cactus, reparametrization) pairs via the
-two-step normal form of the coendomorphism composite, and once directly
-on cacti by the scale-and-subdivide rule; the rescaling identity ties the
-two together.
+endpoints are held as integer cuts over one common denominator, which
+the cactus and scaling maps hand to PLMap as they are; a Fraction is
+made only for a reader: in Cactus.arcs, in repr, JSON and error
+messages.  Composition is implemented twice: once on (cactus,
+reparametrization) pairs via the two-step normal form of the
+coendomorphism composite, and once directly on cacti by the
+scale-and-subdivide rule; the rescaling identity ties the two together.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .trees import frac_to_str, int_from_obj
-from .plmaps import (
-    PLMap, identity_map, monotone_reparam, pl_compose, pl_invert,
-)
+from .trees import frac_from_obj, frac_to_str, int_from_obj
+from .plmaps import PLMap, identity_map, pl_compose, pl_invert
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,16 +67,18 @@ class Cactus:
                 raise CactusError("arcs must be consecutive")
             cuts.append(b)
         labels = [lab for _, _, lab in merged]
-        totals = [0] * (k + 1)
+        totals = {}
         for a, b, lab in merged:
             if not 1 <= lab <= k:
                 raise CactusError("label %d outside 1..%d" % (lab, k))
-            totals[lab] += b - a
-        for lab in range(1, k + 1):
-            if totals[lab] * k != den:
+            totals[lab] = totals.get(lab, 0) + b - a
+        # with fewer labels than lobes, one of 1..len(totals)+1 is missing,
+        # so the first lobe of the wrong length is found among them
+        for lab in range(1, min(k, len(totals) + 1) + 1):
+            total = totals.get(lab, 0)
+            if total * k != den:
                 raise CactusError("lobe %d has length %s, expected %s"
-                                  % (lab, Fraction(totals[lab], den),
-                                     Fraction(1, k)))
+                                  % (lab, Fraction(total, den), Fraction(1, k)))
         _check_interleaving(labels)
         g = gcd(*cuts)
         self.k = k
@@ -186,17 +186,13 @@ def cactus_map(x):
     """The k slope-k step maps: component j at time t is k times the
     length of lobe j seen in [0,t]."""
     k, d, cuts = x.k, x.den, x.cuts
-    xs = [Fraction(c, d) for c in cuts]
     out = []
     for lab in range(1, k + 1):
-        ys, v = [ZERO], 0
+        ys = [0]
         for r, l in enumerate(x.labels):
-            if l == lab:
-                v += (cuts[r + 1] - cuts[r]) * k
-                ys.append(Fraction(v, d))
-            else:
-                ys.append(ys[-1])
-        out.append(PLMap(xs, ys))
+            ys.append(ys[-1] + (cuts[r + 1] - cuts[r]) * k if l == lab
+                      else ys[-1])
+        out.append(PLMap(cuts, d, ys, d))
     return out
 
 
@@ -276,11 +272,7 @@ def _scaled_ends(x, m):
 def scaling_map(x, m):
     """The reparametrization that scales lobe j by k*m[j-1]/sum(m);
     strictly monotone only when every multiplier is positive."""
-    ends = _scaled_ends(x, m)
-    d = x.den
-    e = d * sum(m)
-    return monotone_reparam([Fraction(c, d) for c in x.cuts],
-                            [Fraction(v, e) for v in ends])
+    return PLMap(x.cuts, x.den, _scaled_ends(x, m), x.den * sum(m))
 
 
 def relabel_cactus(x, perm):
@@ -333,14 +325,14 @@ def ms_compose(a, i, b):
     for r, lab in enumerate(labels):
         if lab == i:
             ends.append(ends[-1] + (cuts[r + 1] - cuts[r]) * k)
-    g_ends = [g(Fraction(e, d)) for e in ends]
+    g_ends = [g.at(e, d) for e in ends]
     # one denominator w for x, g's graph and g at the ends; the factor k
     # makes every division by k below exact
-    w = k * lcm(d, g.dx, g.dy, *[z.denominator for z in g_ends])
+    w = k * lcm(d, g.dx, g.dy, *[q for _, q in g_ends])
     s = w // d
     gx = [x * (w // g.dx) for x in g.nx]
     gy = [y * (w // g.dy) for y in g.ny]
-    ge = [z.numerator * (w // z.denominator) for z in g_ends]
+    ge = [p * (w // q) for p, q in g_ends]
     arcs = []
     gt_x, gt_y = [0], [0]  # graph of the identification map, over w
     pos = j = 0
@@ -366,8 +358,7 @@ def ms_compose(a, i, b):
         gt_x.append(b0)
         gt_y.append(pos)
     xt = _from_arcs(k, w, arcs)
-    gtilde = monotone_reparam([Fraction(t, w) for t in gt_x],
-                              [Fraction(v, w) for v in gt_y])
+    gtilde = PLMap(gt_x, w, gt_y, w)  # strictly increasing, as g is
     z, h = _insert(xt, i, y)
     return MSElement(z, pl_compose(h, pl_compose(gtilde, f)))
 
@@ -442,5 +433,5 @@ def cactus_from_obj(obj):
         if obj.get("arcs", []) != []:
             raise CactusError("the 0-lobe cactus has no arcs")
         return EMPTY_CACTUS
-    return Cactus(k, [(Fraction(a), Fraction(b), int_from_obj(lab))
+    return Cactus(k, [(frac_from_obj(a), frac_from_obj(b), int_from_obj(lab))
                       for a, b, lab in obj["arcs"]])

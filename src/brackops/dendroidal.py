@@ -413,7 +413,8 @@ def tilde_to_obj(m):
 
 def tilde_from_obj(obj):
     base = morphism_from_obj(obj)
-    fams = [[(frozenset(map(T.int_from_obj, B)), Fraction(w)) for B, w in fam]
+    fams = [[(frozenset(map(T.int_from_obj, B)), T.frac_from_obj(w))
+             for B, w in fam]
             for fam in obj.get("brackets", [])]
     if not fams:
         return OmegaTildeMorphism(base)

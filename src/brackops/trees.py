@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from fractions import Fraction
 
 
 class PlanarTree:
@@ -523,6 +524,15 @@ def int_from_obj(value):
     if type(value) is not int:
         raise ValueError("expected an integer, got %s" % json.dumps(value))
     return value
+
+
+def frac_from_obj(value):
+    "A rational field of a JSON object; 1/0 and infinities are refused."
+    try:
+        return Fraction(value)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError("expected a rational, got %s"
+                         % json.dumps(value)) from exc
 
 
 def tree_to_json(tree):

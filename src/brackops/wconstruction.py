@@ -258,5 +258,5 @@ def w_to_obj(w):
 def w_from_obj(obj):
     return WTree(T.tree_from_obj(obj["shape"]),
                  [T.int_from_obj(p) - 1 for p in obj["leaf_order"]],
-                 [Fraction(x) for x in obj["lengths"]],
+                 [T.frac_from_obj(x) for x in obj["lengths"]],
                  [o_from_obj(d) for d in obj["decorations"]])

@@ -31,6 +31,8 @@ REFUSED = [
     (2, [(0, F(1, 2), 1), (F(1, 4), 1, 2)]),          # overlap
     (2, [(0, F(1, 2), 1), (F(1, 2), 1, 3)]),          # label 3 of 2
     (3, [(0, F(1, 2), 1), (F(1, 2), 1, 2)]),          # lobe 3 missing
+    (4, [(0, F(1, 4), 1), (F(1, 4), 1, 3)]),          # lobe 2 missing
+    (10 ** 20, [(0, 1, 1)]),                          # lobe 1 too long
 ]
 
 

@@ -417,3 +417,84 @@ def test_w_psi_reads_a_tree_with_a_zero_length_edge(tmp_path, capsys):
     code, out = run(capsys, "w", "normalize", "--input", path)
     assert code == 0
     assert w_from_obj(json.loads(out)) == psi_inverse(psi(w))
+
+
+def test_cacti_with_a_huge_lobe_count_is_invalid(tmp_path, capsys):
+    bad = write(tmp_path, "bad.json",
+                json.dumps({"k": 10 ** 20, "arcs": [["0", "1", 1]]}))
+    message = "lobe 1 has length 1, expected 1/%d" % 10 ** 20
+    code, out = run(capsys, "cacti", "validate", "--input", bad)
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "error": message}
+    for args in (["compose", "--lhs", bad, "--slot", "1", "--rhs", bad],
+                 ["metric", "--lhs", bad, "--rhs", bad]):
+        code, out = run(capsys, "cacti", *args)
+        assert code == 2 and message in json.loads(out)["error"]
+
+
+# a zero denominator, and a float that JSON reads as an infinity
+BAD_RATIONALS = [pytest.param('"1/0"', '"1/0"', id="zero-denominator"),
+                 pytest.param("1e400", "Infinity", id="infinity")]
+
+
+def with_bad_rational(obj, token):
+    "The JSON text of obj with its one 'BAD' string replaced by token."
+    text = json.dumps(obj)
+    assert text.count('"BAD"') == 1
+    return text.replace('"BAD"', token)
+
+
+@pytest.mark.parametrize("token, shown", BAD_RATIONALS)
+def test_a_bad_rational_arc_end_is_a_structured_error(tmp_path, capsys,
+                                                      token, shown):
+    bad = write(tmp_path, "bad.json", with_bad_rational(
+        {"k": 1, "arcs": [["0", "BAD", 1]]}, token))
+    message = "expected a rational, got %s" % shown
+    code, out = run(capsys, "cacti", "validate", "--input", bad)
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "error": message}
+    code, out = run(capsys, "cacti", "compose", "--lhs", bad,
+                    "--slot", "1", "--rhs", bad)
+    assert code == 2
+    assert json.loads(out) == {"error": "%s: ValueError: %s" % (bad, message)}
+
+
+@pytest.mark.parametrize("token, shown", BAD_RATIONALS)
+def test_a_bad_rational_bracket_weight_is_a_structured_error(tmp_path, capsys,
+                                                             token, shown):
+    obj = bo_to_obj(bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
+                               {frozenset({1, 2}): F(1, 2)}))
+    obj["brackets"][0]["w"] = "BAD"
+    ep = write(tmp_path, "e.json", with_bad_rational(obj, token))
+    code, out = run(capsys, "bo", "compose", "--lhs", ep, "--slot", "1",
+                    "--rhs", ep)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "%s: ValueError: expected a rational, got %s" % (ep, shown)}
+
+
+@pytest.mark.parametrize("token, shown", BAD_RATIONALS)
+def test_a_bad_rational_edge_length_is_a_structured_error(tmp_path, capsys,
+                                                          token, shown):
+    obj = w_to_obj(psi_inverse(bo_element(
+        caterpillar(3), (0, 1, 2), (0, 1, 2, 3), {frozenset({1, 2}): F(1)})))
+    obj["lengths"][0] = "BAD"
+    path = write(tmp_path, "w.json", with_bad_rational(obj, token))
+    code, out = run(capsys, "w", "normalize", "--input", path)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "%s: ValueError: expected a rational, got %s" % (path, shown)}
+
+
+@pytest.mark.parametrize("token, shown", BAD_RATIONALS)
+def test_a_bad_rational_thickened_weight_is_a_structured_error(
+        tmp_path, capsys, token, shown):
+    g = D.collapse_morphism(caterpillar(4), [{1, 2, 3}])
+    obj = D.tilde_to_obj(D.OmegaTildeMorphism(
+        g, [{}, {frozenset({1, 2}): F(1, 2)}]))
+    obj["brackets"][1][0][1] = "BAD"
+    path = write(tmp_path, "m.json", with_bad_rational(obj, token))
+    code, out = run(capsys, "omega", "compose", "--lhs", path, "--rhs", path)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "%s: ValueError: expected a rational, got %s" % (path, shown)}
