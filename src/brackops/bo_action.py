@@ -155,14 +155,15 @@ def augment(base, brackets):
     tests compose unit cacti along it as a reference for the action, and
     the benchmark's tracer wraps it by name."""
     sets = Bracketing(base.tree, brackets).sorted_brackets()
-    # tree vertices are host, bracket vertices guest
-    root, verts, _ = T.open_nest(base.tree, T.host, T.host)
+    root, verts, _ = T.open_nest(base.tree, lambda v: ("vertex", v),
+                                 lambda p: None)
     # smaller brackets wrap first, so the largest ends nearest the root
     for j, b in enumerate(sets):
         node = verts[T.subtree_root(base.tree, b)]
         inner = T.Nest(node.label, node.children)
-        node.label, node.children = T.guest(j), [inner]
-    res = T.SurgeryResult(root)
-    sigma2 = tuple(res.vmap_host[v] for v in base.sigma) \
-        + tuple(res.vmap_guest[j] for j in range(len(sets)))
-    return OElement(res.tree, sigma2, base.tau), sets
+        node.label, node.children = ("bracket", j), [inner]
+    tree, new_verts, _ = T.close_nest(root)
+    new = {node.label: u for u, node in enumerate(new_verts)}
+    sigma2 = tuple(new["vertex", v] for v in base.sigma) \
+        + tuple(new["bracket", j] for j in range(len(sets)))
+    return OElement(tree, sigma2, base.tau), sets

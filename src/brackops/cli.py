@@ -331,6 +331,10 @@ def main(argv=None):
     except InputError as exc:
         _emit({"error": str(exc)})
         return 2
+    except RecursionError as exc:
+        # a tree read and checked, but too deep for the writers
+        _emit({"error": "RecursionError: %s" % exc})
+        return 2
 
 
 if __name__ == "__main__":

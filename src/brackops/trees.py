@@ -4,12 +4,14 @@ vertex sets, mutable nests for surgery and a bottom-up fold.
 Trees are stored recursively.  A tree is either the vertexless tree Eta
 (one edge, no vertices) or a root vertex with an ordered tuple of
 children; every child is again a tree, and a child equal to Eta plays
-the role of a leaf edge.  Vertices are addressed by their index in
-depth-first (root first, children left to right) order, which is stable
-for a given tree; the surgery operations return translation maps so
-that vertex references can be transported across compositions.  An edge
-is named by its upper end: ("out", v) is the output edge of vertex v and
-("leaf", p) the leaf at planar position p.
+the role of a leaf edge.  Trees are hash-consed: equal trees are one
+object, so they compare and hash by identity and share their subtrees.
+Vertices are addressed by their index in depth-first (root first,
+children left to right) order, which is stable for a given tree; the
+surgery operations return translation maps so that vertex references
+can be transported across compositions.  An edge is named by its upper
+end: ("out", v) is the output edge of vertex v and ("leaf", p) the leaf
+at planar position p.
 """
 
 from __future__ import annotations
@@ -17,60 +19,63 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
+import weakref
 from fractions import Fraction
 
 
 class PlanarTree:
     """A rooted planar tree.  `children` is a tuple of PlanarTree values;
-    the singleton ETA stands for both the vertexless tree and a leaf."""
+    the singleton ETA stands for both the vertexless tree and a leaf.
+    Trees are hash-consed: PlanarTree(children) returns the one live tree
+    with those children, so equal trees are one object, `==` and `hash`
+    go by identity, and each tree carries its vertex and leaf counts."""
 
-    __slots__ = ("children", "_hash")
+    __slots__ = ("children", "vertex_count", "leaf_count", "__weakref__")
     is_eta = False
 
-    def __init__(self, children=()):
+    def __new__(cls, children=()):
         children = tuple(children)
+        tree = _LIVE.get(children)
+        if tree is not None:
+            return tree
+        nv, nl = 1, 0
         for c in children:
             if not isinstance(c, PlanarTree):
                 raise TypeError("children must be PlanarTree values")
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", None)
+            nv += c.vertex_count
+            nl += c.leaf_count
+        tree = object.__new__(cls)
+        _init(tree, children, nv, nl)
+        _LIVE[children] = tree
+        return tree
 
     def __setattr__(self, *a):
         raise AttributeError("PlanarTree is immutable")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, PlanarTree) or other.is_eta:
-            return False
-        return self.children == other.children
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(("node", self.children))
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self):
-        if self.is_eta:
-            return "ETA"
         return "PlanarTree(%s)" % (list(self.children),)
+
+
+def _init(tree, children, nv, nl):
+    object.__setattr__(tree, "children", children)
+    object.__setattr__(tree, "vertex_count", nv)
+    object.__setattr__(tree, "leaf_count", nl)
+
+
+# children tuple -> the live tree with those children; a tree leaves the
+# table when the last reference to it goes
+_LIVE = weakref.WeakValueDictionary()
 
 
 class _Eta(PlanarTree):
     __slots__ = ()
     is_eta = True
 
-    def __init__(self):
-        object.__setattr__(self, "children", ())
-        object.__setattr__(self, "_hash", hash("eta"))
-
-    def __eq__(self, other):
-        return isinstance(other, PlanarTree) and other.is_eta
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls):
+        eta = object.__new__(cls)
+        _init(eta, (), 0, 1)
+        return eta
 
     def __repr__(self):
         return "ETA"
@@ -155,22 +160,11 @@ def index(tree):
 
 
 def num_vertices(tree):
-    if tree.is_eta:
-        return 0
-    n = 1
-    for c in tree.children:
-        if not c.is_eta:
-            n += num_vertices(c)
-    return n
+    return tree.vertex_count
 
 
 def num_leaves(tree):
-    if tree.is_eta:
-        return 1
-    n = 0
-    for c in tree.children:
-        n += num_leaves(c)
-    return n
+    return tree.leaf_count
 
 
 def arities(tree):
@@ -253,30 +247,63 @@ def fold(idx, value, graft):
 
 
 # ---------------------------------------------------------------------------
-# Surgery.  Host nodes are labelled (0, id), guest nodes (1, id).
+# Surgery.
 
-def host(k):
-    return (0, k)
+def splice(pieces):
+    """Substitute trees for vertices, any number at once, in one walk.
+    pieces[k] is (tree, subs): subs maps a vertex v of that tree to (j,
+    tau), and piece j (never piece 0) then replaces v, with its leaf at
+    position tau[i] receiving input i of v; v's arity is the piece's leaf
+    count.  Piece 0 is the outermost.  Returns the new tree, the (piece,
+    vertex) label of each new vertex in DFS order, and the new planar
+    position of each leaf of piece 0."""
+    idxs = [index(tree) for tree, _ in pieces]
+    labels = []
+    outer = []  # leaves of piece 0, in their new planar order
 
+    def edge(k, kind, ref, ctx):
+        # the edge (kind, ref) of piece k, which sits where ctx says:
+        # None for piece 0, else (k', v, tau, ctx') when piece k replaces
+        # vertex v of piece k'
+        while True:
+            if kind == "leaf":
+                if ctx is None:
+                    outer.append(ref)
+                    return ETA
+                k, v, tau, ctx = ctx
+                kind, ref = idxs[k].child_entries[v][tau.index(ref)]
+                continue
+            sub = pieces[k][1].get(ref)
+            if sub is None:
+                break
+            j, tau = sub
+            ctx = (k, ref, tau, ctx)
+            k = j
+            kind, ref = ("leaf", 0) if pieces[j][0].is_eta else ("out", 0)
+        labels.append((k, ref))
+        children = []
+        for e in idxs[k].child_entries[ref]:
+            children.append(edge(k, e[0], e[1], ctx))
+        return PlanarTree(children)
 
-def guest(k):
-    return (1, k)
+    tree = edge(0, "leaf" if pieces[0][0].is_eta else "out", 0, None)
+    positions = [0] * len(outer)
+    for new, old in enumerate(outer):
+        positions[old] = new
+    return tree, labels, positions
 
 
 class SurgeryResult:
-    """A spliced nest of host and guest nodes, closed, with translation
-    maps (a substitution, an augmented tree): `vmap_host` / `vmap_guest`
-    take old vertex ids to new ones, `leafmap_host` / `leafmap_guest`
-    likewise for planar leaf positions."""
+    """A substitution's tree with its translation maps: `vmap_host` and
+    `vmap_guest` take old vertex ids of the host and of the substituted
+    tree to new ones, `leafmap_host` the host's planar leaf positions."""
 
-    def __init__(self, root):
-        self.tree, verts, leaves = close_nest(root)
+    def __init__(self, tree, labels, leafmap_host):
+        self.tree = tree
         self.vmap_host, self.vmap_guest = vmaps = {}, {}
-        self.leafmap_host, self.leafmap_guest = leafmaps = {}, {}
-        for maps, nodes in ((vmaps, verts), (leafmaps, leaves)):
-            for new, node in enumerate(nodes):
-                side, old = node.label
-                maps[side][old] = new
+        for new, (side, old) in enumerate(labels):
+            vmaps[side][old] = new
+        self.leafmap_host = leafmap_host
 
 
 def substitute_with_maps(t, v, t2, tau=None):
@@ -284,29 +311,17 @@ def substitute_with_maps(t, v, t2, tau=None):
     the leaves of t2.  `tau` (optional) is a tuple with tau[j] = planar
     leaf position of t2 that receives input j of v; identity if omitted.
     Requires arity(v) == num_leaves(t2)."""
-    root, verts, _ = open_nest(t, host, host)
-    if not 0 <= v < len(verts):
+    if not 0 <= v < t.vertex_count:
         raise IndexError("no vertex %r" % (v,))
-    node = verts[v]
-    m = len(node.children)
-    sub, _, slots = open_nest(t2, guest, guest)
-    if len(slots) != m:
+    m = index(t).arity(v)
+    if t2.leaf_count != m:
         raise ValueError("arity mismatch: vertex has %d inputs, tree has %d leaves"
-                         % (m, len(slots)))
+                         % (m, t2.leaf_count))
     if tau is None:
         tau = tuple(range(m))
     if sorted(tau) != list(range(m)):
         raise ValueError("tau is not a permutation of 0..%d" % (m - 1))
-    if t2.is_eta:
-        # v removed, its single input identified with its output
-        sub = node.children[0]
-    else:
-        for j, q in enumerate(tau):
-            parent, slot = slots[q]
-            parent.children[slot] = node.children[j]
-    # the replacement takes v's place: v's node adopts its label and children
-    node.label, node.children = sub.label, sub.children
-    return SurgeryResult(root)
+    return SurgeryResult(*splice([(t, {v: (1, tuple(tau))}), (t2, {})]))
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +541,20 @@ def int_from_obj(value):
     return value
 
 
+# the exponent of a decimal string: Fraction builds 10 ** exponent, so
+# one beyond +-1000 is refused (every writer emits p/q)
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def frac_from_obj(value):
-    "A rational field of a JSON object; 1/0 and infinities are refused."
+    """A rational field of a JSON object; 1/0, infinities and decimal
+    exponents beyond +-1000 are refused."""
     try:
+        if isinstance(value, str):
+            m = _EXPONENT.search(value)
+            digits = m.group(1).replace("_", "").lstrip("0") if m else ""
+            if len(digits) > 4 or int(digits or 0) > 1000:
+                raise OverflowError("decimal exponent out of range")
         return Fraction(value)
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError("expected a rational, got %s"

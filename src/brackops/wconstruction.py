@@ -19,8 +19,7 @@ from fractions import Fraction
 from . import trees as T
 from .bracketings import WeightedBracketing, merge_brackets
 from .operads import (
-    BOElement, OElement, compose_O_with_maps, eta_element, o_from_obj,
-    o_to_obj, sigma_act_O,
+    BOElement, OElement, eta_element, o_from_obj, o_to_obj, sigma_act_O,
 )
 
 
@@ -178,23 +177,28 @@ def compose_W(a, i, b):
 # Projection and the bracketing isomorphism.
 
 def project_with_provenance(w):
-    """Total composite of the decorations; returns (OElement, map from
-    the composite's vertex ids to the shape vertex they came from)."""
-
-    def value(v):
-        deco = w.decorations[v]
-        return deco, {u: v for u in range(deco.arity)}
-
-    def graft(a, s, b):
-        (acc, prov), (bval, bprov) = a, b
-        acc, ma, mb = compose_O_with_maps(acc, s, bval)
-        return acc, ({ma[u]: pv for u, pv in prov.items() if u in ma}
-                     | {mb[u]: pv for u, pv in bprov.items()})
-
-    acc, prov = T.fold(T.index(w.shape), value, graft)
-    if w.leaf_order:
-        acc = sigma_act_O(w.leaf_order, acc)
-    return acc, prov
+    """Total composite of the decorations, spliced in one walk; returns
+    (OElement, the shape vertex each composite vertex came from, in the
+    composite's DFS order)."""
+    idx = T.index(w.shape)
+    decos = w.decorations
+    pieces = []
+    for v, deco in enumerate(decos):
+        # the shape child at slot s + 1 replaces the vertex of that slot,
+        # its leaves taking the vertex's inputs by the child's tau
+        pieces.append((deco.tree, {
+            deco.sigma[s]: (ref, decos[ref].tau)
+            for s, (kind, ref) in enumerate(idx.child_entries[v])
+            if kind == "out"}))
+    tree, labels, leaves = T.splice(pieces)
+    new = {label: u for u, label in enumerate(labels)}
+    # the composite's slots are the shape's leaves, in w's input order
+    sigma = []
+    for pos in w.leaf_order:
+        v, s = idx.leaf_at[pos]
+        sigma.append(new[v, decos[v].sigma[s]])
+    tau = [leaves[p] for p in decos[0].tau]
+    return OElement(tree, sigma, tau), [v for v, _ in labels]
 
 
 def psi(w):
@@ -204,7 +208,7 @@ def psi(w):
     base, prov = project_with_provenance(w)
     idx = T.index(w.shape)
     above = [[] for _ in range(idx.num_vertices())]
-    for u, pv in prov.items():
+    for u, pv in enumerate(prov):
         above[pv].append(u)
     items = []
     # a child's DFS id exceeds its parent's: children are done first

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -354,7 +358,11 @@ def test_a_tree_too_deep_to_recurse_on_is_a_structured_error(tmp_path, capsys,
                      '{"node": [' * n + '"leaf"' + "]}" * n)
     code, out = run(capsys, *command, "--tree", tree)
     assert code == 2
-    assert "RecursionError" in json.loads(out)["error"]
+    # a tree knows its size, so the enumeration limit refuses this one
+    # before anything recurses on it
+    expected = {"caterpillar:1000": "exceeds the enumeration limit"}.get(
+        tree, "RecursionError")
+    assert expected in json.loads(out)["error"]
 
 
 def test_verify_exit_codes_and_determinism(capsys):
@@ -366,6 +374,22 @@ def test_verify_exit_codes_and_determinism(capsys):
     assert out1 == out2
     report = json.loads(out1)
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("suite", ["omega-tilde", "nerve"])
+def test_verify_output_does_not_depend_on_the_hash_seed(suite):
+    # trees hash by identity and strings by the hash seed: neither may
+    # order anything a report shows
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "brackops.cli", "verify", suite,
+             "--samples", "100", "--json"],
+            env=env, capture_output=True, timeout=60, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["passed"] is True
 
 
 def test_verify_summary_lines(capsys):
@@ -432,9 +456,12 @@ def test_cacti_with_a_huge_lobe_count_is_invalid(tmp_path, capsys):
         assert code == 2 and message in json.loads(out)["error"]
 
 
-# a zero denominator, and a float that JSON reads as an infinity
+# a zero denominator, a float that JSON reads as an infinity, and a
+# decimal exponent that would take seconds to expand
 BAD_RATIONALS = [pytest.param('"1/0"', '"1/0"', id="zero-denominator"),
-                 pytest.param("1e400", "Infinity", id="infinity")]
+                 pytest.param("1e400", "Infinity", id="infinity"),
+                 pytest.param('"1e-10000000"', '"1e-10000000"',
+                              id="huge-exponent")]
 
 
 def with_bad_rational(obj, token):

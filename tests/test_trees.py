@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,6 +45,64 @@ def test_structural_equality_and_hash():
     assert a != c
 
 
+def test_equal_trees_are_one_object():
+    assert PlanarTree((ETA, ETA)) is corolla(2)
+    assert PlanarTree(()) is corolla(0) and corolla(0) is not ETA
+    for nv in range(5):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                assert T.tree_from_obj(T.tree_to_obj(t)) is t
+
+
+def recount(t):
+    "(vertices, leaves) of t, counted by recursion."
+    if t.is_eta:
+        return 0, 1
+    nv, nl = 1, 0
+    for c in t.children:
+        cv, cl = recount(c)
+        nv, nl = nv + cv, nl + cl
+    return nv, nl
+
+
+def test_stored_counts_match_a_recount():
+    cases = 0
+    for nv in range(6):
+        for nl in range(5):
+            for t in T.planar_trees(nv, nl):
+                assert (num_vertices(t), num_leaves(t)) == recount(t) \
+                    == (nv, nl)
+                cases += 1
+    assert cases > 1000
+
+
+def test_trees_are_immutable_and_hold_only_trees():
+    t = caterpillar(2)
+    for attr, value in (("children", ()), ("vertex_count", 5),
+                        ("leaf_count", 0)):
+        with pytest.raises(AttributeError):
+            setattr(t, attr, value)
+        with pytest.raises(AttributeError):
+            setattr(ETA, attr, value)
+    assert (t.children, num_vertices(t), num_leaves(t)) \
+        == ((corolla(2), ETA), 2, 3)
+    for bad in ((ETA, "leaf"), (None,), ((ETA, ETA),)):
+        with pytest.raises(TypeError):
+            PlanarTree(bad)
+
+
+def test_a_dropped_tree_leaves_the_table():
+    # a shape no other test builds, so nothing else holds it
+    t = PlanarTree((corolla(11), corolla(13), ETA))
+    key, ref = t.children, weakref.ref(t)
+    assert PlanarTree(key) is t
+    live = len(T._LIVE)
+    del t
+    gc.collect()
+    assert ref() is None
+    assert key not in T._LIVE and len(T._LIVE) == live - 1
+
+
 def test_index_parent_child_tables():
     t = caterpillar(3)
     idx = T.index(t)
@@ -69,6 +129,63 @@ def test_substitute_inverse_of_restrict():
     res = T.substitute_with_maps(t, 1, corolla(2))
     assert res.tree == t
     assert sorted(set(res.vmap_host.values()) | {res.vmap_guest[0]}) == [0, 1, 2]
+
+
+def nest_substitute(t, v, t2, tau):
+    """Reference for substitute_with_maps: open both trees as nests,
+    hang v's children on the guest's leaves, let the guest take v's
+    place and close the result.  Returns the tree, the host and guest
+    vertex maps and the host's leaf positions."""
+    root, verts, _ = T.open_nest(t, lambda u: (0, u), lambda p: (0, p))
+    node = verts[v]
+    sub, _, slots = T.open_nest(t2, lambda u: (1, u), lambda p: (1, p))
+    if t2.is_eta:
+        sub = node.children[0]
+    else:
+        for j, q in enumerate(tau):
+            parent, slot = slots[q]
+            parent.children[slot] = node.children[j]
+    node.label, node.children = sub.label, sub.children
+    tree, new_verts, leaves = T.close_nest(root)
+    vmaps = {0: {}, 1: {}}
+    for new, n in enumerate(new_verts):
+        side, old = n.label
+        vmaps[side][old] = new
+    leafmap = {n.label: new for new, n in enumerate(leaves)}
+    return (tree, vmaps[0], vmaps[1],
+            [leafmap[0, p] for p in range(len(leaves))])
+
+
+def test_substitution_matches_the_nest_reference():
+    # every tree with at most 4 vertices and 3 leaves, each vertex, and
+    # every guest with at most 4 vertices that keeps the result at 5 or
+    # fewer, with the guest's leaves rotated by one (no involution, so a
+    # tau used where its inverse belongs shows)
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                for v in range(nv):
+                    m = T.index(t).arity(v)
+                    tau = tuple((j + 1) % m for j in range(m))
+                    for gv in range(min(4, 6 - nv) + 1):
+                        for t2 in T.planar_trees(gv, m):
+                            res = T.substitute_with_maps(t, v, t2, tau)
+                            assert (res.tree, res.vmap_host, res.vmap_guest,
+                                    res.leafmap_host) \
+                                == nest_substitute(t, v, t2, tau)
+                            cases += 1
+    assert cases == 41128
+
+
+def test_substitution_refuses_what_does_not_fit():
+    t = caterpillar(2)
+    with pytest.raises(IndexError):
+        T.substitute_with_maps(t, 2, corolla(2))
+    with pytest.raises(ValueError, match="arity mismatch"):
+        T.substitute_with_maps(t, 1, corolla(3))
+    with pytest.raises(ValueError, match="not a permutation"):
+        T.substitute_with_maps(t, 1, corolla(2), (0, 0))
 
 
 def test_restrict_and_collapse_roundtrip_sizes():
@@ -147,15 +264,14 @@ def test_json_roundtrip_random(seed):
 
 
 def test_index_tables_match_a_fresh_index():
-    # more distinct trees than the index cache holds, each indexed twice
-    # through a structurally equal copy
+    # more distinct trees than the index cache holds, each indexed twice,
+    # the second time as read back from its JSON object (the same tree)
     trees = [t for nv in range(1, 5) for nl in range(4)
              for t in T.planar_trees(nv, nl)]
     assert len(trees) > 64
-    for t in trees + trees:
-        copy = T.tree_from_obj(T.tree_to_obj(t))
-        idx, fresh = T.index(copy), T.TreeIndex(t)
-        assert idx.tree == t
+    for t in trees + [T.tree_from_obj(T.tree_to_obj(t)) for t in trees]:
+        idx, fresh = T.index(t), T.TreeIndex(t)
+        assert idx.tree is t
         assert idx.subtree == fresh.subtree
         assert idx.parent == fresh.parent
         assert idx.child_entries == fresh.child_entries

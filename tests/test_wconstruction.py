@@ -5,7 +5,9 @@ import pytest
 
 from brackops.trees import (ETA, Nest, PlanarTree, caterpillar, close_nest,
                             corolla, open_nest, planar_trees)
+from brackops import trees as T
 from brackops.operads import (OElement, o_unit, bo_element, compose_BO,
+                              compose_O_with_maps, eta_BO, sigma_act_O,
                               eta_element, unit_BO)
 from brackops.wconstruction import (WTree, normalize_W, compose_W,
                                     project_with_provenance, psi,
@@ -213,3 +215,43 @@ def test_normal_form_is_fixed_by_psi_inverse_of_psi():
 def test_psi_reads_any_tree_as_its_normal_form():
     for w, n in denormalized_trees(2, 300):
         assert psi(w) == psi(n), w
+
+
+def pairwise_project(w):
+    """Reference for project_with_provenance: fold the shape bottom-up,
+    composing each child's composite into its parent's decoration with
+    compose_O_with_maps, then relabel the slots by leaf_order."""
+
+    def value(v):
+        deco = w.decorations[v]
+        return deco, {u: v for u in range(deco.arity)}
+
+    def graft(a, s, b):
+        (acc, prov), (bval, bprov) = a, b
+        acc, ma, mb = compose_O_with_maps(acc, s, bval)
+        return acc, ({ma[u]: pv for u, pv in prov.items() if u in ma}
+                     | {mb[u]: pv for u, pv in bprov.items()})
+
+    acc, prov = T.fold(T.index(w.shape), value, graft)
+    if w.leaf_order:
+        acc = sigma_act_O(w.leaf_order, acc)
+    return acc, [prov[u] for u in range(len(prov))]
+
+
+def test_the_splice_matches_the_pairwise_composite():
+    rng = R.rng_from_seed(12)
+    normal = [psi_inverse(R.random_bo_element(rng, max_vertices=4,
+                                              weight_choices=THIRDS))
+              for _ in range(300)]
+    normal.append(psi_inverse(eta_BO()))
+    rng = R.rng_from_seed(13)
+    denormal = [w for w, _ in denormalized_trees(3, 300)]
+    denormal += [denormalize(normal[-1], rng) for _ in range(20)]
+    for w in normal + denormal:
+        assert project_with_provenance(w) == pairwise_project(w), w
+    # the grid has η decorations at the root and above it, unary
+    # corollas and zero lengths
+    assert any(w.decorations[0].tree.is_eta for w in denormal)
+    assert any(d.tree.is_eta for w in denormal for d in w.decorations[1:])
+    assert any(d.tree == corolla(1) for w in denormal for d in w.decorations)
+    assert any(x == 0 for w in denormal for x in w.lengths)
