@@ -155,15 +155,26 @@ def augment(base, brackets):
     tests compose unit cacti along it as a reference for the action, and
     the benchmark's tracer wraps it by name."""
     sets = Bracketing(base.tree, brackets).sorted_brackets()
-    root, verts, _ = T.open_nest(base.tree, lambda v: ("vertex", v),
-                                 lambda p: None)
-    # smaller brackets wrap first, so the largest ends nearest the root
+    idx = T.index(base.tree)
+    n = idx.num_vertices()
+    wraps = [[] for _ in range(n)]
     for j, b in enumerate(sets):
-        node = verts[T.subtree_root(base.tree, b)]
-        inner = T.Nest(node.label, node.children)
-        node.label, node.children = ("bracket", j), [inner]
-    tree, new_verts, _ = T.close_nest(root)
-    new = {node.label: u for u, node in enumerate(new_verts)}
-    sigma2 = tuple(new["vertex", v] for v in base.sigma) \
-        + tuple(new["bracket", j] for j in range(len(sets)))
+        # a later bracket rooted at the same vertex is larger: it wraps
+        # the earlier ones
+        wraps[T.subtree_root(base.tree, b)].insert(0, n + j)
+    order = []  # in DFS order, each new vertex: v, or n + j for bracket j
+
+    def walk(v):
+        order.extend(wraps[v] + [v])
+        node = T.PlanarTree(T.ETA if kind == "leaf" else walk(ref)
+                            for kind, ref in idx.child_entries[v])
+        for _ in wraps[v]:
+            node = T.PlanarTree((node,))
+        return node
+
+    tree = walk(0)
+    new = [0] * len(order)
+    for u, label in enumerate(order):
+        new[label] = u
+    sigma2 = [new[v] for v in base.sigma] + new[n:]
     return OElement(tree, sigma2, base.tau), sets

@@ -41,13 +41,16 @@ class _Recorder:
 
     def run(self, cid, cases):
         """Exhaust an iterable of (description, ok) pairs; keep the count
-        and the first failing description."""
+        and the first failing description.  A check that ran no case
+        fails: it showed nothing."""
         count = 0
         failure = None
         for desc, ok in cases:
             count += 1
             if not ok and failure is None:
                 failure = str(desc)
+        if count == 0:
+            failure = "no case ran"
         self.checks.append({"id": cid, "count": count,
                             "passed": failure is None,
                             "counterexample": failure})

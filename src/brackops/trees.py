@@ -1,5 +1,5 @@
 """Rooted planar trees: substitution, regions on connected
-vertex sets, mutable nests for surgery and a bottom-up fold.
+vertex sets and a bottom-up fold.
 
 Trees are stored recursively.  A tree is either the vertexless tree Eta
 (one edge, no vertices) or a root vertex with an ordered tuple of
@@ -171,61 +171,6 @@ def arities(tree):
     "Vertex arities in DFS order."
     idx = index(tree)
     return [idx.arity(v) for v in range(idx.num_vertices())]
-
-
-# ---------------------------------------------------------------------------
-# Mutable nests.  Surgery opens a tree into labelled nodes, splices, and
-# closes the result; the labels carry each vertex's and leaf's provenance
-# through the operation.
-
-class Nest:
-    "A mutable tree node: `children` is a list of nodes, or None on a leaf."
-
-    __slots__ = ("label", "children")
-
-    def __init__(self, label, children=None):
-        self.label = label
-        self.children = children
-
-
-def open_nest(tree, vertex, leaf):
-    """The tree as a nest whose vertex v is labelled vertex(v) and whose
-    leaf at planar position p is labelled leaf(p).  Returns the root, the
-    vertex nodes in DFS order and the (parent node, slot) of each leaf in
-    planar order; the vertexless tree is a lone leaf with parent None."""
-    verts = []
-    leaves = []
-
-    def rec(node):
-        me = Nest(vertex(len(verts)), [])
-        verts.append(me)
-        for s, ch in enumerate(node.children):
-            if ch.is_eta:
-                me.children.append(Nest(leaf(len(leaves))))
-                leaves.append((me, s))
-            else:
-                me.children.append(rec(ch))
-        return me
-
-    if tree.is_eta:
-        return Nest(leaf(0)), verts, [(None, None)]
-    return rec(tree), verts, leaves
-
-
-def close_nest(root):
-    """(tree, vertex nodes in DFS order, leaf nodes in planar order) of a
-    nest."""
-    verts = []
-    leaves = []
-
-    def rec(node):
-        if node.children is None:
-            leaves.append(node)
-            return ETA
-        verts.append(node)
-        return PlanarTree(tuple(rec(c) for c in node.children))
-
-    return rec(root), verts, leaves
 
 
 def fold(idx, value, graft):

@@ -18,9 +18,7 @@ from fractions import Fraction
 
 from . import trees as T
 from .bracketings import WeightedBracketing, merge_brackets
-from .operads import (
-    BOElement, OElement, eta_element, o_from_obj, o_to_obj, sigma_act_O,
-)
+from .operads import BOElement, OElement, eta_element, o_from_obj, o_to_obj
 
 
 class WTree:
@@ -95,61 +93,7 @@ class WTree:
 
 
 # ---------------------------------------------------------------------------
-# Surgery on the shape, opened as a trees.Nest.
-
-class _N:
-    """Nest label of a shape vertex: its decoration and the length of its
-    outgoing edge (None at the root)."""
-
-    __slots__ = ("deco", "length")
-
-    def __init__(self, deco, length):
-        self.deco = deco
-        self.length = length
-
-
-def _to_nest(w, relabel=lambda label: label):
-    """Open w as a nest (trees.open_nest) with _N vertex labels; the leaf
-    receiving global input i is labelled relabel(i).  Returns the root
-    and the (parent node, slot) of each leaf in planar order."""
-    lengths = (None,) + w.lengths
-    label_at = [None] * len(w.leaf_order)
-    for i, pos in enumerate(w.leaf_order):
-        label_at[pos] = relabel(i)
-    root, _, leaves = T.open_nest(
-        w.shape, lambda v: _N(w.decorations[v], lengths[v]),
-        label_at.__getitem__)
-    return root, leaves
-
-
-def _from_nest(root):
-    shape, verts, leaves = T.close_nest(root)
-    leaf_order = [None] * len(leaves)
-    for pos, leaf in enumerate(leaves):
-        leaf_order[leaf.label] = pos
-    return WTree(shape, leaf_order, [n.label.length for n in verts[1:]],
-                 [n.label.deco for n in verts])
-
-
-def _canon(node):
-    "Sort children canonically, adjusting the decoration; returns the key."
-    keys = []
-    for c in node.children:
-        if c.children is None:
-            keys.append((0, c.label))
-        else:
-            sub = _canon(c)
-            keys.append((1, c.label.length, _deco_key(c.label.deco)) + (sub,))
-    order = sorted(range(len(keys)), key=lambda s: keys[s])
-    if order != list(range(len(keys))):
-        node.children = [node.children[s] for s in order]
-        node.label.deco = sigma_act_O(order, node.label.deco)
-    return tuple(sorted(keys))
-
-
-def _deco_key(deco):
-    return (T.tree_to_json(deco.tree), deco.sigma, deco.tau)
-
+# The W composite.
 
 def normalize_W(w):
     "The W0 normal form: the representative psi_inverse picks for psi(w)."
@@ -163,14 +107,36 @@ def compose_W(a, i, b):
     if a.input_colors()[i - 1] != b.out_color:
         raise ValueError("color mismatch: input %d wants %d, argument offers %d"
                          % (i, a.input_colors()[i - 1], b.out_color))
+    idx = T.index(a.shape)
+    target = a.leaf_order[i - 1]
+    a_lengths = (None,) + a.lengths
+    decos, lengths = [], []
+
+    def walk(v):
+        # a's vertex v and everything above it, in DFS order
+        decos.append(a.decorations[v])
+        lengths.append(a_lengths[v])
+        children = []
+        for kind, ref in idx.child_entries[v]:
+            if kind == "out":
+                children.append(walk(ref))
+            elif ref == target:
+                decos.extend(b.decorations)
+                lengths.append(1)
+                lengths.extend(b.lengths)
+                children.append(b.shape)
+            else:
+                children.append(T.ETA)
+        return T.PlanarTree(children)
+
+    shape = walk(0)
+    # b's inputs take i..i+kb-1 and its leaves replace a's leaf at
+    # target; a's later inputs and leaves move up by kb-1
     kb = len(b.leaf_order)
-    # a's inputs after i shift up by kb-1; b's inputs sit at i..i+kb-1
-    na, leaves = _to_nest(a, lambda lab: lab if lab < i else lab + kb - 1)
-    nb = _to_nest(b, lambda lab: lab + i - 1)[0]
-    nb.label.length = Fraction(1)
-    parent, slot = leaves[a.leaf_order[i - 1]]
-    parent.children[slot] = nb
-    return normalize_W(_from_nest(na))
+    shifted = [p + kb - 1 if p > target else p for p in a.leaf_order]
+    leaf_order = (shifted[:i - 1] + [target + q for q in b.leaf_order]
+                  + shifted[i:])
+    return normalize_W(WTree(shape, leaf_order, lengths[1:], decos))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +189,13 @@ def psi_inverse(x):
     "Rebuild the shape as the nesting forest of the brackets."
     tree = x.base.tree
     if tree.is_eta:
-        return _from_nest(T.Nest(_N(eta_element(), None), []))
-    label_of_vertex = {v: i for i, v in enumerate(x.base.sigma)}
+        return WTree(T.corolla(0), (), (), (eta_element(),))
+    input_of = {v: i for i, v in enumerate(x.base.sigma)}
 
     def build(region, inner, weight, tau):
+        """(sort key, shape, decorations, lengths, input at each leaf) of
+        the shape vertex of a bracket (of the whole tree at the root) and
+        all above it, in DFS order, its children in canonical order."""
         # the maximal brackets strictly inside the region, by their roots
         maximal = {min(vset): (vset, wt) for vset, wt in inner
                    if not any(vset < other for other, _ in inner)}
@@ -239,14 +208,28 @@ def psi_inverse(x):
                 slots.append(build(vset, [(s, w2) for s, w2 in inner
                                           if s < vset], wt, None))
             else:
-                slots.append(T.Nest(label_of_vertex[u]))
-        deco = OElement(qt, tau=tau)
-        return T.Nest(_N(deco, weight), slots)
+                slots.append(((0, input_of[u]), T.ETA, [], [],
+                              [input_of[u]]))
+        # slot s + 1 of OElement(qt) is vertex s: the sorted order of the
+        # slots labels the vertices
+        order = sorted(range(len(slots)), key=lambda s: slots[s][0])
+        deco = OElement(qt, order, tau)
+        kids = [slots[s] for s in order]
+        # the root (weight None) has no siblings to be sorted among
+        key = None if weight is None else (
+            1, weight, (T.tree_to_json(qt), deco.sigma, deco.tau),
+            tuple(k[0] for k in kids))
+        return (key, T.PlanarTree(k[1] for k in kids),
+                [deco] + [d for k in kids for d in k[2]],
+                [weight] + [x for k in kids for x in k[3]],
+                [i for k in kids for i in k[4]])
 
-    root = build(range(len(x.base.sigma)), x.weighted.weights, None,
-                 x.base.tau)
-    _canon(root)
-    return _from_nest(root)
+    _, shape, decos, lengths, inputs = build(
+        range(len(x.base.sigma)), x.weighted.weights, None, x.base.tau)
+    leaf_order = [0] * len(inputs)
+    for pos, i in enumerate(inputs):
+        leaf_order[i] = pos
+    return WTree(shape, leaf_order, lengths[1:], decos)
 
 
 # ---------------------------------------------------------------------------

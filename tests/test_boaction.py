@@ -14,6 +14,7 @@ from brackops.bracketings import (WeightedBracketing, chain_levels,
                                   enumerate_bracketings)
 from brackops import bo_action as A
 from brackops import randomgen as R
+from nests import nest_augment
 
 F = Fraction
 
@@ -99,6 +100,22 @@ def test_augment_nests_same_root_brackets_smallest_inside():
     assert idx.parent[aug.sigma[0]] == small
     assert idx.parent[small] == big
     assert idx.parent[big] == -1
+
+
+def test_augment_matches_the_nest_reference():
+    # every bracketing of every tree with at most 4 vertices and 4
+    # leaves, under a random labelling
+    rng = R.rng_from_seed(18)
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(5):
+            for t in T.planar_trees(nv, nl):
+                for br in enumerate_bracketings(t):
+                    base = R.random_o_element(rng, tree=t)
+                    assert A.augment(base, br.brackets) \
+                        == nest_augment(base, br.brackets), (base, br)
+                    cases += 1
+    assert cases == 20266
 
 
 def test_chain_levels_interpolate_between_bracketings():

@@ -11,7 +11,7 @@ from brackops import bo_action
 from brackops import dendroidal as D
 from brackops.cli import main
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla, num_leaves
-from brackops.operads import bo_element, bo_to_obj
+from brackops.operads import OElement, bo_element, bo_to_obj
 from brackops.wconstruction import (WTree, psi, psi_inverse, w_from_obj,
                                     w_to_obj)
 from brackops.cacti import EMPTY_CACTUS, Cactus, cactus_to_obj
@@ -441,6 +441,51 @@ def test_w_psi_reads_a_tree_with_a_zero_length_edge(tmp_path, capsys):
     code, out = run(capsys, "w", "normalize", "--input", path)
     assert code == 0
     assert w_from_obj(json.loads(out)) == psi_inverse(psi(w))
+
+
+def _w_compose_inputs(tmp_path):
+    """Two trees that are not in normal form: a has a zero-length edge,
+    b a unary shape root decorated by a corolla with swapped leaves."""
+    w = psi_inverse(bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
+                               {frozenset({1, 2}): F(1)}))
+    a = WTree(w.shape, w.leaf_order, (F(0),), w.decorations)
+    b = WTree(PlanarTree((corolla(2),)), (1, 0), (F(1, 2),),
+              (OElement(corolla(2), (0,), (1, 0)),
+               OElement(PlanarTree((corolla(1), ETA)), (1, 0), (0, 1))))
+    return (write(tmp_path, "a.json", json.dumps(w_to_obj(a))),
+            write(tmp_path, "b.json", json.dumps(w_to_obj(b))))
+
+
+def test_w_compose_of_trees_not_in_normal_form(tmp_path, capsys):
+    a, b = _w_compose_inputs(tmp_path)
+    code, out = run(capsys, "w", "compose", "--lhs", a, "--slot", "2",
+                    "--rhs", b)
+    assert code == 0
+    # the zero-length edge collapses, b's unary root merges, and b's two
+    # vertices hang on an edge of length 1
+    assert json.loads(out) == {
+        "shape": {"node": ["leaf", "leaf", {"node": ["leaf", "leaf"]}]},
+        "leaf_order": [1, 3, 4, 2],
+        "lengths": ["1/1"],
+        "decorations": [
+            {"tree": {"node": [{"node": ["leaf", {"node": ["leaf", "leaf"]}]},
+                               "leaf"]},
+             "sigma": [1, 3, 2], "tau": [2, 3, 1, 4]},
+            {"tree": {"node": [{"node": ["leaf"]}, "leaf"]},
+             "sigma": [1, 2], "tau": [1, 2]}]}
+
+
+@pytest.mark.parametrize("slot, lhs, message", [
+    ("4", "a", "IndexError: input 4 out of range"),
+    ("2", "b", "ValueError: color mismatch: input 2 wants 1, argument "
+               "offers 2")], ids=["slot-out-of-range", "color-mismatch"])
+def test_w_compose_that_does_not_fit_is_a_structured_error(
+        tmp_path, capsys, slot, lhs, message):
+    a, b = _w_compose_inputs(tmp_path)
+    code, out = run(capsys, "w", "compose", "--lhs", {"a": a, "b": b}[lhs],
+                    "--slot", slot, "--rhs", b)
+    assert code == 2
+    assert json.loads(out) == {"error": message}
 
 
 def test_cacti_with_a_huge_lobe_count_is_invalid(tmp_path, capsys):

@@ -38,6 +38,20 @@ def test_fast_suites_pass():
         assert run_suite(name, cfg)["passed"]
 
 
+def test_a_check_that_ran_no_case_fails():
+    rec = suites._Recorder()
+    rec.run("empty", iter(()))
+    assert rec.checks == [{"id": "empty", "count": 0, "passed": False,
+                           "counterexample": "no case ran"}]
+    # five samples make one q-concatenation trial, and at seed 0 its
+    # chain of collapses stops short of two
+    report = run_suite("omega-tilde", RunConfig(samples=5))
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["omega-tilde/q-concatenation"]["count"] == 0
+    assert checks["omega-tilde/q-concatenation"]["passed"] is False
+    assert report["passed"] is False
+
+
 def test_euler_suite_fails_on_a_poset_that_is_not_a_sphere(monkeypatch):
     # the pentagon's bracketing poset with one maximal bracketing removed:
     # still a cone over the empty bracketing, but its proper part is a

@@ -6,8 +6,10 @@ import fractions
 import importlib.util
 from pathlib import Path
 
-from brackops import cacti, plmaps
+from brackops import bo_action, cacti, plmaps, wconstruction
 from brackops import randomgen as R
+from brackops.operads import bo_element, unit_BO
+from brackops.trees import caterpillar
 
 
 def load_tracing():
@@ -46,4 +48,27 @@ def test_the_tracer_installs_counts_and_uninstalls():
     for name in ("cacti.ms_compose.calls", "plmaps.PLMap.calls",
                  "plmaps.PLMap.__call__.calls", "plmaps.pl_compose.calls",
                  "fractions.Fraction.calls"):
+        assert metrics[name][0] > 0, name
+
+
+def test_the_tracer_counts_the_tree_surgery():
+    # psi_inverse, compose_W and augment build their trees in one walk
+    # each; their per-layer counts must not read 0
+    tracing = load_tracing()
+    bracket = frozenset({1, 2})
+    x = bo_element(caterpillar(3), (0, 1, 2), (0, 1, 2, 3),
+                   {bracket: fractions.Fraction(1, 2)})
+    tracer = tracing.Tracer()
+    undo = tracer.install()
+    try:
+        tracer.active = True
+        w = wconstruction.psi_inverse(x)
+        wconstruction.compose_W(w, 1, wconstruction.psi_inverse(unit_BO(2)))
+        bo_action.augment(x.base, [bracket])
+        tracer.active = False
+    finally:
+        tracer.uninstall(undo)
+    metrics = tracer.metrics()
+    for name in ("wconstruction.psi_inverse.calls",
+                 "wconstruction.compose_W.calls", "bo_action.augment.calls"):
         assert metrics[name][0] > 0, name

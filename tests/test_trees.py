@@ -9,6 +9,7 @@ from brackops import trees as T
 from brackops.trees import (ETA, PlanarTree, caterpillar, corolla, star,
                             num_leaves, num_vertices)
 from brackops import randomgen as R
+from nests import close_nest, open_nest
 
 
 def test_eta_is_vertexless():
@@ -136,9 +137,9 @@ def nest_substitute(t, v, t2, tau):
     hang v's children on the guest's leaves, let the guest take v's
     place and close the result.  Returns the tree, the host and guest
     vertex maps and the host's leaf positions."""
-    root, verts, _ = T.open_nest(t, lambda u: (0, u), lambda p: (0, p))
+    root, verts, _ = open_nest(t, lambda u: (0, u), lambda p: (0, p))
     node = verts[v]
-    sub, _, slots = T.open_nest(t2, lambda u: (1, u), lambda p: (1, p))
+    sub, _, slots = open_nest(t2, lambda u: (1, u), lambda p: (1, p))
     if t2.is_eta:
         sub = node.children[0]
     else:
@@ -146,7 +147,7 @@ def nest_substitute(t, v, t2, tau):
             parent, slot = slots[q]
             parent.children[slot] = node.children[j]
     node.label, node.children = sub.label, sub.children
-    tree, new_verts, leaves = T.close_nest(root)
+    tree, new_verts, leaves = close_nest(root)
     vmaps = {0: {}, 1: {}}
     for new, n in enumerate(new_verts):
         side, old = n.label

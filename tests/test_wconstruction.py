@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from brackops.trees import (ETA, Nest, PlanarTree, caterpillar, close_nest,
-                            corolla, open_nest, planar_trees)
+from brackops.trees import ETA, PlanarTree, caterpillar, corolla, planar_trees
 from brackops import trees as T
 from brackops.operads import (OElement, o_unit, bo_element, compose_BO,
                               compose_O_with_maps, eta_BO, sigma_act_O,
@@ -13,6 +12,9 @@ from brackops.wconstruction import (WTree, normalize_W, compose_W,
                                     project_with_provenance, psi,
                                     psi_inverse, w_to_obj, w_from_obj)
 from brackops import randomgen as R
+from brackops.suites import _decorate, _shapes
+from nests import (Nest, close_nest, nest_compose_W, nest_psi_inverse,
+                   open_nest)
 
 F = Fraction
 THIRDS = (1, F(2, 3), F(1, 3))
@@ -255,3 +257,46 @@ def test_the_splice_matches_the_pairwise_composite():
     assert any(d.tree.is_eta for w in denormal for d in w.decorations[1:])
     assert any(d.tree == corolla(1) for w in denormal for d in w.decorations)
     assert any(x == 0 for w in denormal for x in w.lengths)
+
+
+def test_psi_inverse_matches_the_nest_reference():
+    # the psi suite's exhaustive grid (identity labels), then seeded
+    # elements with random labellings, so the canonical sort moves both
+    # leaves and vertex children
+    pool = [x for sh in _shapes(4, 3) for x in _decorate(sh, THIRDS)]
+    rng = R.rng_from_seed(15)
+    pool += [R.random_bo_element(rng, max_vertices=4, weight_choices=THIRDS)
+             for _ in range(300)]
+    pool.append(eta_BO())
+    for x in pool:
+        assert psi_inverse(x) == nest_psi_inverse(x), x
+    assert len(pool) == 40589
+
+
+def test_compose_W_matches_the_nest_reference():
+    # every input of normal forms and of denormalized trees, with a
+    # normal and a denormalized argument of its colour (and η at colour
+    # 1, plain and denormalized)
+    rng = R.rng_from_seed(16)
+    eta = psi_inverse(eta_BO())
+    pool = [psi_inverse(R.random_bo_element(rng, max_vertices=3,
+                                            weight_choices=THIRDS))
+            for _ in range(100)]
+    pool += [w for w, _ in denormalized_trees(17, 100)]
+    pool += [eta] + [denormalize(eta, rng) for _ in range(10)]
+    cases = 0
+    for a in pool:
+        for i, color in enumerate(a.input_colors(), 1):
+            b = psi_inverse(random_bo_with_leaves(rng, color))
+            args = [b, denormalize(b, rng)]
+            if color == 1:
+                args += [eta, denormalize(eta, rng)]
+            for b in args:
+                assert compose_W(a, i, b) == nest_compose_W(a, i, b), \
+                    (a, i, b)
+                cases += 1
+    assert cases == 1058
+    # the pool has η decorations at the root and above it and zero lengths
+    assert any(w.decorations[0].tree.is_eta for w in pool)
+    assert any(d.tree.is_eta for w in pool for d in w.decorations[1:])
+    assert any(x == 0 for w in pool for x in w.lengths)
