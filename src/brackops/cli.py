@@ -60,20 +60,23 @@ def _apply(op, *args):
         raise InputError("%s: %s" % (type(exc).__name__, exc)) from exc
 
 
-# shorthand -> (builder, least N)
+# shorthand -> (builder, least N); an N above _SHORTHAND_MOST is refused
+# before anything is built, since memory grows linearly in N
 _SHORTHANDS = {"caterpillar": (caterpillar, 1), "star": (star, 0),
                "corolla": (corolla, 0)}
+_SHORTHAND_MOST = 10000
 
 
 def _tree_from_arg(arg):
     """A tree argument: a JSON file path, or one of the shorthands
-    caterpillar:N (N >= 1), star:N, corolla:N (N >= 0)."""
+    caterpillar:N (N >= 1), star:N, corolla:N (N >= 0), N <= 10000."""
     kind, sep, rest = arg.partition(":")
     if sep and kind in _SHORTHANDS:
         build, least = _SHORTHANDS[kind]
-        if not re.fullmatch("[0-9]+", rest) or int(rest) < least:
-            raise InputError("%s:N needs an integer N >= %d, got %r"
-                             % (kind, least, rest))
+        if (not re.fullmatch("[0-9]+", rest)
+                or not least <= int(rest) <= _SHORTHAND_MOST):
+            raise InputError("%s:N needs an integer %d <= N <= %d, got %r"
+                             % (kind, least, _SHORTHAND_MOST, rest))
         return build(int(rest))
     return _load(arg, T.tree_from_obj)
 
@@ -209,13 +212,16 @@ def cmd_verify(args):
 
 def cmd_figure(args):
     data = figure_data(args.name)
-    os.makedirs(args.out, exist_ok=True)
     jpath = os.path.join(args.out, args.name + ".json")
     spath = os.path.join(args.out, args.name + ".svg")
-    with open(jpath, "w") as fh:
-        fh.write(_dump(data) + "\n")
-    with open(spath, "w") as fh:
-        fh.write(figure_svg(data))
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(jpath, "w") as fh:
+            fh.write(_dump(data) + "\n")
+        with open(spath, "w") as fh:
+            fh.write(figure_svg(data))
+    except OSError as exc:
+        raise InputError("%s: %s" % (type(exc).__name__, exc)) from exc
     print(jpath)
     print(spath)
     return 0
@@ -306,7 +312,9 @@ def build_parser():
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=sorted(SUITES) + ["all"])
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--limit", type=int, default=6)
+    v.add_argument("--limit", type=int, default=6,
+                   help="largest tree the Euler suite enumerates "
+                        "(1 to 7, default 6)")
     v.add_argument("--samples", type=int, default=1000)
     v.add_argument("--json", action="store_true",
                    help="full JSON report instead of a summary")

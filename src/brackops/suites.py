@@ -1,8 +1,10 @@
 """Named verification suites behind the `verify` subcommand.
 
-Each suite runs a family of exact checks and returns a JSON-ready
-report: per-check counts, pass/fail, and the first counterexample when
-something breaks.  Reports are deterministic for a fixed RunConfig."""
+Each suite is a generator, given a RunConfig and its own seeded random
+stream, of (check id, cases) pairs.  `run_suite` exhausts every check's
+cases into a JSON-ready report: per-check counts, pass/fail, and the
+first counterexample when something breaks.  Reports are deterministic
+for a fixed RunConfig."""
 
 import itertools
 from fractions import Fraction
@@ -30,30 +32,35 @@ class RunConfig:
     def __init__(self, seed=0, limit=6, samples=1000):
         if limit < 1 or samples < 1:
             raise ValueError("bounds must be positive")
+        if limit > 7:
+            # the Euler suite enumerates every bracketing up to the limit
+            raise ValueError("limit must be at most 7, got %d" % limit)
         self.seed = seed
         self.limit = limit
         self.samples = samples
 
 
-class _Recorder:
-    def __init__(self):
-        self.checks = []
-
-    def run(self, cid, cases):
-        """Exhaust an iterable of (description, ok) pairs; keep the count
-        and the first failing description.  A check that ran no case
-        fails: it showed nothing."""
-        count = 0
-        failure = None
+def _record(cid, cases):
+    """Exhaust an iterable of (description, ok) pairs into a check
+    record: the count and the first failing description.  A case that
+    raises counts as a failing case and ends the check.  A check that
+    ran no case fails: it showed nothing."""
+    count = 0
+    failure = None
+    try:
         for desc, ok in cases:
             count += 1
             if not ok and failure is None:
                 failure = str(desc)
-        if count == 0:
-            failure = "no case ran"
-        self.checks.append({"id": cid, "count": count,
-                            "passed": failure is None,
-                            "counterexample": failure})
+    except Exception as exc:
+        count += 1
+        if failure is None:
+            failure = "case %d raised %s: %s" % (count, type(exc).__name__,
+                                                 exc)
+    if count == 0:
+        failure = "no case ran"
+    return {"id": cid, "count": count, "passed": failure is None,
+            "counterexample": failure}
 
 
 # ---------------------------------------------------------------------------
@@ -97,26 +104,22 @@ def _random_bo_with_leaves(rng, nl, weight_choices=(1, Fraction(1, 2))):
 # ---------------------------------------------------------------------------
 # Suite: bracket counts against the named polytopes.
 
-def suite_bracket_counts(cfg):
-    rec = _Recorder()
+def suite_bracket_counts(cfg, rng):
     cases = [("caterpillar-3", caterpillar(3), 2),
              ("caterpillar-4", caterpillar(4), 5),
              ("caterpillar-5", caterpillar(5), 14),
              ("star-4", star(3), 6)]
     for name, tree, want in cases:
         got = len(maximal_bracketings(tree))
-        rec.run("max-bracketings/%s" % name,
-                [("expected %d maximal bracketings, got %d" % (want, got),
-                  got == want)])
-    return rec.checks
+        yield ("max-bracketings/%s" % name,
+               [("expected %d maximal bracketings, got %d" % (want, got),
+                 got == want)])
 
 
 # ---------------------------------------------------------------------------
 # Suite: Euler characteristic of the bracketing poset's order complex.
 
-def suite_euler(cfg):
-    rec = _Recorder()
-
+def suite_euler(cfg, rng):
     # The empty bracketing is a minimum, so the whole order complex is a
     # cone (chi = 1 always).  Its proper part, the chains without it, is
     # empty for nv = 1 and else a sphere of dimension nv - 3, with
@@ -127,7 +130,7 @@ def suite_euler(cfg):
         for nv in range(1, cfg.limit + 1):
             want = 0 if nv == 1 else 1 + (-1) ** (nv - 1)
             for sh in T.planar_trees(nv, 0):
-                fvec, _ = nerve_statistics(sh, limit=max(7, cfg.limit))
+                fvec, _ = nerve_statistics(sh, limit=7)
                 chi, prev = 0, 1
                 for r, f in enumerate(fvec):
                     prev = f - prev
@@ -135,16 +138,13 @@ def suite_euler(cfg):
                 yield ("tree %r: proper part has chi=%d, want %d"
                        % (sh, chi, want), chi == want)
 
-    rec.run("euler-characteristic/leq-%d-vertices" % cfg.limit, cases())
-    return rec.checks
+    yield "euler-characteristic/leq-%d-vertices" % cfg.limit, cases()
 
 
 # ---------------------------------------------------------------------------
 # Suite: operad axioms for bracketed labelled trees.
 
-def suite_bo_axioms(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
+def suite_bo_axioms(cfg, rng):
     pool = []
     for sh in _shapes(3, 2):
         pool.extend(_decorate(sh, (1, Fraction(1, 2))))
@@ -160,7 +160,7 @@ def suite_bo_axioms(cfg):
                 yield ("right unit fails on %r slot %d" % (a, i),
                        compose_BO(a, i, unit_BO(a.slot_arity(i))) == a)
 
-    rec.run("bo-axioms/unit", unit_cases())
+    yield "bo-axioms/unit", unit_cases()
 
     def eta_cases():
         for a in pool:
@@ -173,7 +173,7 @@ def suite_bo_axioms(cfg):
                        "unbracketed composite" % (i, a),
                        got.base == want)
 
-    rec.run("bo-axioms/eta-discard", eta_cases())
+    yield "bo-axioms/eta-discard", eta_cases()
 
     shapes = _shapes(3, 2)
     plain = {}
@@ -192,7 +192,7 @@ def suite_bo_axioms(cfg):
                             yield ("(a o_%d b) o_%d c vs a o_%d (b o_%d c)"
                                    % (i, i - 1 + j, i, j), lhs == rhs)
 
-    rec.run("bo-axioms/assoc-sequential-shapes", seq_cases())
+    yield "bo-axioms/assoc-sequential-shapes", seq_cases()
 
     def par_cases():
         for a in sum(plain.values(), []):
@@ -205,7 +205,7 @@ def suite_bo_axioms(cfg):
                                              j + b.arity - 1, c)
                             yield ("parallel slots %d,%d" % (i, j), lhs == rhs)
 
-    rec.run("bo-axioms/assoc-parallel-shapes", par_cases())
+    yield "bo-axioms/assoc-parallel-shapes", par_cases()
 
     def random_assoc():
         for trial in range(cfg.samples):
@@ -236,7 +236,7 @@ def suite_bo_axioms(cfg):
                 lhs = rhs = compose_BO(a, i, b)
             yield ("trial %d: %r o_%d %r" % (trial, a, i, b), lhs == rhs)
 
-    rec.run("bo-axioms/assoc-bracketed-random", random_assoc())
+    yield "bo-axioms/assoc-bracketed-random", random_assoc()
 
     def equivariance():
         for trial in range(cfg.samples // 2):
@@ -267,16 +267,13 @@ def suite_bo_axioms(cfg):
             yield ("trial %d equivariance" % trial,
                    sigma_act_BO(tuple(q), rhs0) == lhs)
 
-    rec.run("bo-axioms/sigma-equivariance", equivariance())
-    return rec.checks
+    yield "bo-axioms/sigma-equivariance", equivariance()
 
 
 # ---------------------------------------------------------------------------
 # Suite: the bijection with normal-form edge-length trees.
 
-def suite_psi(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
+def suite_psi(cfg, rng):
     weight_choices = (1, Fraction(2, 3), Fraction(1, 3))
     pool = []
     for sh in _shapes(4, 3):
@@ -293,12 +290,12 @@ def suite_psi(cfg):
         normal = (len(w.decorations) == len(weights) + 1
                   and sorted(w.lengths) == weights)
         roundtrips.append((x, y == x, psi_inverse(y) == w and normal))
-    rec.run("psi/roundtrip-bracketed",
-            (("psi o psi_inverse moves %r" % (x,), ok)
-             for x, ok, _ in roundtrips))
-    rec.run("psi/roundtrip-normal-form",
-            (("psi_inverse o psi moves a normal form of %r" % (x,), ok)
-             for x, _, ok in roundtrips))
+    yield ("psi/roundtrip-bracketed",
+           (("psi o psi_inverse moves %r" % (x,), ok)
+            for x, ok, _ in roundtrips))
+    yield ("psi/roundtrip-normal-form",
+           (("psi_inverse o psi moves a normal form of %r" % (x,), ok)
+            for x, _, ok in roundtrips))
 
     def operad_map():
         for trial in range(cfg.samples):
@@ -313,8 +310,7 @@ def suite_psi(cfg):
             rhs = compose_BO(a, i, b)
             yield ("trial %d: %r o_%d %r" % (trial, a, i, b), lhs == rhs)
 
-    rec.run("psi/operad-map", operad_map())
-    return rec.checks
+    yield "psi/operad-map", operad_map()
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +355,7 @@ def _random_tilde_chain(rng, length, base_vertices=6):
     return [_random_tilde(g, rng) for g in plain]
 
 
-def suite_omega_tilde(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
-
+def suite_omega_tilde(cfg, rng):
     def worked_example():
         tree = caterpillar(6)
         g = D.collapse_morphism(tree, [{1, 2, 3}])
@@ -383,7 +376,7 @@ def suite_omega_tilde(cfg):
                and all(w == 1 for _, w in comp.brackets[0])
                and comp.base == D.compose_omega(g, f))
 
-    rec.run("omega-tilde/worked-example", worked_example())
+    yield "omega-tilde/worked-example", worked_example()
 
     def associativity():
         for trial in range(max(1, cfg.samples // 5)):
@@ -393,7 +386,7 @@ def suite_omega_tilde(cfg):
             rhs = D.compose_omega_tilde(H, D.compose_omega_tilde(G, F))
             yield ("trial %d" % trial, lhs == rhs)
 
-    rec.run("omega-tilde/associativity", associativity())
+    yield "omega-tilde/associativity", associativity()
 
     def q_concat():
         for trial in range(max(1, cfg.samples // 5)):
@@ -415,7 +408,7 @@ def suite_omega_tilde(cfg):
                                         D.q_morphism(chain[:cut]))
             yield ("trial %d cut %d" % (trial, cut), lhs == rhs)
 
-    rec.run("omega-tilde/q-concatenation", q_concat())
+    yield "omega-tilde/q-concatenation", q_concat()
 
     def q_refinement():
         tree = caterpillar(4)
@@ -433,16 +426,13 @@ def suite_omega_tilde(cfg):
                                            sorted(map(sorted, b3))),
                q2.base == q3.base == total and b2 <= b3)
 
-    rec.run("omega-tilde/q-refinement", q_refinement())
-    return rec.checks
+    yield "omega-tilde/q-refinement", q_refinement()
 
 
 # ---------------------------------------------------------------------------
 # Suite: the nerve of an algebra handle.
 
-def suite_nerve(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
+def suite_nerve(cfg, rng):
     terminal = TerminalAlgebra()
     cact = CactusAlgebra()
 
@@ -450,14 +440,14 @@ def suite_nerve(cfg):
         for sh in _shapes(4, 4):
             yield ("tree %r" % (sh,), D.segal_check(terminal, sh))
 
-    rec.run("nerve/segal-terminal", segal_terminal())
+    yield "nerve/segal-terminal", segal_terminal()
 
     def segal_cacti():
         for sh in _shapes(4, 4, min_arity=1):
             vals = tuple(cact.sample(a, rng) for a in T.arities(sh))
             yield ("tree %r" % (sh,), D.segal_check(cact, sh, values=vals))
 
-    rec.run("nerve/segal-cacti", segal_cacti())
+    yield "nerve/segal-cacti", segal_cacti()
 
     def functorial():
         for trial in range(max(1, cfg.samples // 5)):
@@ -474,7 +464,7 @@ def suite_nerve(cfg):
                 rhs = D.phi_morphism(P, F, D.phi_morphism(P, G, vals))
                 yield ("trial %d handle %s" % (trial, name), lhs == rhs)
 
-    rec.run("nerve/functorial", functorial())
+    yield "nerve/functorial", functorial()
 
     def identity_fixed():
         for sh in _shapes(3, 3, min_arity=1):
@@ -483,24 +473,20 @@ def suite_nerve(cfg):
             yield ("tree %r" % (sh,),
                    D.phi_morphism(cact, idm, vals) == vals)
 
-    rec.run("nerve/identity", identity_fixed())
-    return rec.checks
+    yield "nerve/identity", identity_fixed()
 
 
 # ---------------------------------------------------------------------------
 # Suite: step maps and their composition calculus.
 
-def suite_coend(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
-
+def suite_coend(cfg, rng):
     def average():
         for trial in range(cfg.samples):
             x = R.random_cactus(rng.randint(1, 5), rng)
             yield ("trial %d: %r" % (trial, x),
                    average_of_steps(cactus_map(x)) == identity_map())
 
-    rec.run("coend/average-identity", average())
+    yield "coend/average-identity", average()
 
     def compose_pointwise():
         for trial in range(cfg.samples):
@@ -512,17 +498,13 @@ def suite_coend(cfg):
                    phi(ms_compose(a, i, b))
                    == coend_compose(phi(a), i, phi(b)))
 
-    rec.run("coend/ms-compose-pointwise", compose_pointwise())
-    return rec.checks
+    yield "coend/ms-compose-pointwise", compose_pointwise()
 
 
 # ---------------------------------------------------------------------------
 # Suite: the rescaling identity.
 
-def suite_rescaling(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
-
+def suite_rescaling(cfg, rng):
     def cases():
         for trial in range(cfg.samples):
             k = rng.randint(1, 4)
@@ -531,8 +513,7 @@ def suite_rescaling(cfg):
             yield ("trial %d: x=%r" % (trial, x),
                    rescaling_identity_check(x, ys))
 
-    rec.run("rescaling/identity", cases())
-    return rec.checks
+    yield "rescaling/identity", cases()
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +534,13 @@ def nonassoc_witness():
             "distance": cactus_metric(left, right)}
 
 
-def suite_witness(cfg):
-    rec = _Recorder()
+def suite_witness(cfg, rng):
     w = nonassoc_witness()
-    rec.run("witness/nonassoc",
-            [("left %r vs right %r at distance %s"
-              % (w["left"], w["right"], w["distance"]),
-              w["left"] != w["right"]
-              and w["distance"] == Fraction(1, 4))])
-    return rec.checks
+    yield ("witness/nonassoc",
+           [("left %r vs right %r at distance %s"
+             % (w["left"], w["right"], w["distance"]),
+             w["left"] != w["right"]
+             and w["distance"] == Fraction(1, 4))])
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +589,7 @@ def _decorate_sampled(shape, weight_choices, rng):
     return out
 
 
-def suite_coherence(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
-
+def suite_coherence(cfg, rng):
     def corner_cases():
         for n in (3, 4):
             tree = caterpillar(n)
@@ -626,7 +602,7 @@ def suite_coherence(cfg):
                     yield ("corner %r" % (sorted(map(sorted, br.brackets)),),
                            bo_action.lam(e, xs) == want)
 
-    rec.run("coherence/corners", corner_cases())
+    yield "coherence/corners", corner_cases()
 
     def comp_cases(weight_choices):
         configs = _coherence_configs(weight_choices, rng)
@@ -645,9 +621,9 @@ def suite_coherence(cfg):
                                 + [bo_action.lam(b, ys)] + xs[i:])
             yield ("%r o_%d %r" % (a, i, b), lhs == rhs)
 
-    rec.run("coherence/weight-1", comp_cases((Fraction(1),)))
-    rec.run("coherence/interpolated",
-            comp_cases((Fraction(1, 3), Fraction(2, 3), Fraction(1))))
+    yield "coherence/weight-1", comp_cases((Fraction(1),))
+    yield ("coherence/interpolated",
+           comp_cases((Fraction(1, 3), Fraction(2, 3), Fraction(1))))
 
     def equivariance():
         for trial in range(max(1, cfg.samples // 20)):
@@ -661,16 +637,13 @@ def suite_coherence(cfg):
                                 [xs[p] for p in perm])
             yield ("trial %d" % trial, lhs == bo_action.lam(e, xs))
 
-    rec.run("coherence/sigma-equivariance", equivariance())
-    return rec.checks
+    yield "coherence/sigma-equivariance", equivariance()
 
 
 # ---------------------------------------------------------------------------
 # Suite: a zero-weight bracket acts like no bracket at all.
 
-def suite_weight_zero(cfg):
-    rec = _Recorder()
-    rng = R.rng_from_seed(cfg.seed)
+def suite_weight_zero(cfg, rng):
     shapes = [sh for sh in _shapes(4, 4, min_arity=1)
               if any(len(b.brackets) for b in enumerate_bracketings(sh))]
 
@@ -691,8 +664,7 @@ def suite_weight_zero(cfg):
             yield ("trial %d: zero bracket %r on %r"
                    % (trial, sorted(zero), sh), lhs == rhs)
 
-    rec.run("weight-zero/seam", cases())
-    return rec.checks
+    yield "weight-zero/seam", cases()
 
 
 # ---------------------------------------------------------------------------
@@ -716,15 +688,14 @@ SUITES = {
 def run_suite(name, cfg=None):
     if cfg is None:
         cfg = RunConfig()
-    if name == "all":
-        checks = []
-        for key in sorted(SUITES):
-            checks.extend(SUITES[key](cfg))
-    elif name in SUITES:
-        checks = SUITES[name](cfg)
-    else:
+    if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r (try: %s, all)"
                        % (name, ", ".join(sorted(SUITES))))
+    checks = []
+    for key in sorted(SUITES) if name == "all" else [name]:
+        # each suite draws from its own stream, seeded alike
+        for cid, cases in SUITES[key](cfg, R.rng_from_seed(cfg.seed)):
+            checks.append(_record(cid, cases))
     checks.sort(key=lambda c: c["id"])
     return {"suite": name, "seed": cfg.seed, "limit": cfg.limit,
             "samples": cfg.samples, "checks": checks,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from brackops import bo_action
+from brackops import bo_action, suites
 from brackops import dendroidal as D
 from brackops.cli import main
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla, num_leaves
@@ -204,7 +204,8 @@ def test_bo_action_eval_with_trace(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("tree", ["caterpillar:-1", "caterpillar:0",
-                                  "star:-2", "corolla:-1", "caterpillar:x"])
+                                  "star:-2", "corolla:-1", "caterpillar:x",
+                                  "corolla:10001", "caterpillar:10001"])
 def test_bad_tree_shorthand_is_a_structured_error(capsys, tree):
     code, out = run(capsys, "brackets", "enumerate", "--tree", tree)
     assert code == 2
@@ -231,6 +232,29 @@ def test_verify_zero_samples_is_a_structured_error(capsys):
     code, out = run(capsys, "verify", "bracket-counts", "--samples", "0")
     assert code == 2
     assert list(json.loads(out)) == ["error"]
+
+
+def test_verify_limit_above_7_is_a_structured_error(capsys):
+    # the Euler suite would enumerate every bracketing of 8-vertex trees
+    code, out = run(capsys, "verify", "bracket-counts", "--limit", "8")
+    assert code == 2
+    assert list(json.loads(out)) == ["error"]
+
+
+def test_verify_reports_a_case_that_raises(capsys, monkeypatch):
+    def broken(f):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(suites, "average_of_steps", broken)
+    code, out = run(capsys, "verify", "coend-embedding", "--samples", "7",
+                    "--json")
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == 1
+    checks = {c["id"]: c for c in json.loads(lines[0])["checks"]}
+    assert checks["coend/average-identity"]["counterexample"] == (
+        "case 1 raised ValueError: broken on purpose")
+    assert checks["coend/ms-compose-pointwise"]["passed"] is True
 
 
 @pytest.mark.parametrize("element", ["{}", "not json"])
@@ -420,6 +444,14 @@ def test_figure_export(tmp_path, capsys):
     code, _ = run(capsys, "figure", "cact-composition", "--out",
                   str(tmp_path))
     assert (tmp_path / "cact-composition.svg").exists()
+
+
+def test_figure_out_below_a_file_is_a_structured_error(tmp_path, capsys):
+    blocker = write(tmp_path, "file", "")
+    code, out = run(capsys, "figure", "pentagon", "--out",
+                    os.path.join(blocker, "figs"))
+    assert code == 2
+    assert "NotADirectoryError" in json.loads(out)["error"]
 
 
 def test_figure_unknown_name(tmp_path):

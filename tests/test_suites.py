@@ -14,6 +14,9 @@ def test_bad_config_rejected():
         RunConfig(limit=0)
     with pytest.raises(ValueError):
         RunConfig(samples=0)
+    # the Euler suite would enumerate every bracketing of 8-vertex trees
+    with pytest.raises(ValueError):
+        RunConfig(limit=8)
 
 
 def test_report_schema():
@@ -39,10 +42,9 @@ def test_fast_suites_pass():
 
 
 def test_a_check_that_ran_no_case_fails():
-    rec = suites._Recorder()
-    rec.run("empty", iter(()))
-    assert rec.checks == [{"id": "empty", "count": 0, "passed": False,
-                           "counterexample": "no case ran"}]
+    assert suites._record("empty", iter(())) == {
+        "id": "empty", "count": 0, "passed": False,
+        "counterexample": "no case ran"}
     # five samples make one q-concatenation trial, and at seed 0 its
     # chain of collapses stops short of two
     report = run_suite("omega-tilde", RunConfig(samples=5))
@@ -50,6 +52,32 @@ def test_a_check_that_ran_no_case_fails():
     assert checks["omega-tilde/q-concatenation"]["count"] == 0
     assert checks["omega-tilde/q-concatenation"]["passed"] is False
     assert report["passed"] is False
+
+
+def test_a_case_that_raises_fails_its_check_not_the_run(monkeypatch):
+    def broken(f):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(suites, "average_of_steps", broken)
+    report = run_suite("coend-embedding", RunConfig(samples=7))
+    checks = {c["id"]: c for c in report["checks"]}
+    assert checks["coend/average-identity"] == {
+        "id": "coend/average-identity", "count": 1, "passed": False,
+        "counterexample": "case 1 raised ValueError: broken on purpose"}
+    # the suite's later check still runs
+    assert checks["coend/ms-compose-pointwise"]["passed"] is True
+    assert checks["coend/ms-compose-pointwise"]["count"] == 7
+    assert report["passed"] is False
+
+
+def test_a_raising_case_after_a_failing_one_keeps_the_first_failure():
+    def cases():
+        yield "first", True
+        yield "second", False
+        raise ValueError("late")
+
+    assert suites._record("c", cases()) == {
+        "id": "c", "count": 3, "passed": False, "counterexample": "second"}
 
 
 def test_euler_suite_fails_on_a_poset_that_is_not_a_sphere(monkeypatch):
