@@ -280,15 +280,18 @@ def suite_psi(cfg, rng):
         pool.extend(_decorate(sh, weight_choices))
 
     # both round trips start from w = psi_inverse(x) and y = psi(w); w is
-    # a normal form when its shape has one vertex per bracket besides the
-    # root and its edge lengths are the bracket weights
+    # normal when it has the root and one shape vertex per bracket, edge
+    # lengths the weights, and identity labels but for the root's leaves
     roundtrips = []
     for x in pool:
         w = psi_inverse(x)
         y = psi(w)
         weights = sorted(wt for _, wt in x.weighted.weights)
-        normal = (len(w.decorations) == len(weights) + 1
-                  and sorted(w.lengths) == weights)
+        root, *above = w.decorations
+        normal = (len(above) == len(weights)
+                  and sorted(w.lengths) == weights
+                  and root == OElement(root.tree, tau=root.tau)
+                  and all(d == OElement(d.tree) for d in above))
         roundtrips.append((x, y == x, psi_inverse(y) == w and normal))
     yield ("psi/roundtrip-bracketed",
            (("psi o psi_inverse moves %r" % (x,), ok)

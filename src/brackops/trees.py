@@ -107,16 +107,14 @@ def star(arms):
 # Indexing: DFS vertex ids, planar leaf positions, parent/child tables.
 
 class TreeIndex:
-    """Tables for a tree: for each vertex (by DFS id) its subtree object,
-    parent id (-1 for the root), arity, and its input edges in slot
-    order, ("out", child_id) or ("leaf", leaf_position).
+    """Tables for a tree: for each vertex (by DFS id) its parent id (-1
+    for the root) and its input edges in slot order, ("out", child_id)
+    or ("leaf", leaf_position); and the (vertex, slot) of each leaf.
     `index` hands the same tables to every caller: they are read-only."""
 
-    __slots__ = ("tree", "subtree", "parent", "child_entries", "leaf_at")
+    __slots__ = ("parent", "child_entries", "leaf_at")
 
     def __init__(self, tree):
-        self.tree = tree
-        subtree = self.subtree = []
         parent = self.parent = []
         child_entries = self.child_entries = []
         # leaf position -> (vertex_id, slot); [] for Eta
@@ -125,8 +123,7 @@ class TreeIndex:
             return
 
         def walk(node, par):
-            vid = len(subtree)
-            subtree.append(node)
+            vid = len(parent)
             parent.append(par)
             entries = []
             child_entries.append(entries)
@@ -141,10 +138,10 @@ class TreeIndex:
         walk(tree, -1)
 
     def arity(self, vid):
-        return len(self.subtree[vid].children)
+        return len(self.child_entries[vid])
 
     def num_vertices(self):
-        return len(self.subtree)
+        return len(self.child_entries)
 
     def vertex_children(self, vid):
         "Ids of vertex children only, in planar order."
@@ -316,8 +313,11 @@ def subtree_root(tree, vset):
 
 
 def subtree_leaf_count(tree, vset):
-    "Number of edges leaving the vertex set upward (arities preserved)."
-    return len(region(tree, vset)[2])
+    """Number of edges leaving the connected vertex set upward (arities
+    preserved): its input edges less the |vset| - 1 edges inside it."""
+    subtree_root(tree, vset)  # refuses a disconnected set
+    idx = index(tree)
+    return sum(idx.arity(v) for v in vset) - len(vset) + 1
 
 
 def _region_walk(idx, vset, root, collapse=()):
@@ -492,8 +492,10 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def frac_from_obj(value):
-    """A rational field of a JSON object; 1/0, infinities and decimal
-    exponents beyond +-1000 are refused."""
+    """A rational field of a JSON object; a bool, 1/0, infinities and
+    decimal exponents beyond +-1000 are refused."""
+    if isinstance(value, bool):
+        raise ValueError("expected a rational, got %s" % json.dumps(value))
     try:
         if isinstance(value, str):
             m = _EXPONENT.search(value)
@@ -504,10 +506,6 @@ def frac_from_obj(value):
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError("expected a rational, got %s"
                          % json.dumps(value)) from exc
-
-
-def tree_to_json(tree):
-    return json.dumps(tree_to_obj(tree), sort_keys=True, separators=(",", ":"))
 
 
 def frac_to_str(q):

@@ -186,50 +186,41 @@ def psi(w):
 
 
 def psi_inverse(x):
-    "Rebuild the shape as the nesting forest of the brackets."
+    """Rebuild the shape as the nesting forest of the brackets, each
+    vertex's children in its region's DFS order: every decoration has the
+    identity sigma, and every one above the root the identity tau."""
     tree = x.base.tree
     if tree.is_eta:
         return WTree(T.corolla(0), (), (), (eta_element(),))
-    input_of = {v: i for i, v in enumerate(x.base.sigma)}
+    decos, lengths, leaf_pos = [], [], {}
 
     def build(region, inner, weight, tau):
-        """(sort key, shape, decorations, lengths, input at each leaf) of
-        the shape vertex of a bracket (of the whole tree at the root) and
-        all above it, in DFS order, its children in canonical order."""
+        """The shape at and above a bracket's vertex (the whole tree's at
+        the root); decorations and lengths go to the lists in DFS order,
+        and each base vertex at a leaf gets the leaf's planar position."""
         # the maximal brackets strictly inside the region, by their roots
         maximal = {min(vset): (vset, wt) for vset, wt in inner
                    if not any(vset < other for other, _ in inner)}
         qt, old, _ = T.region(tree, region,
                               [vset for vset, _ in maximal.values()])
-        slots = []
+        # slot s + 1 of OElement(qt) is vertex s, which child s fills
+        decos.append(OElement(qt, tau=tau))
+        lengths.append(weight)
+        children = []
         for u in old:
             if u in maximal:
                 vset, wt = maximal[u]
-                slots.append(build(vset, [(s, w2) for s, w2 in inner
-                                          if s < vset], wt, None))
+                children.append(build(vset, [(s, w2) for s, w2 in inner
+                                             if s < vset], wt, None))
             else:
-                slots.append(((0, input_of[u]), T.ETA, [], [],
-                              [input_of[u]]))
-        # slot s + 1 of OElement(qt) is vertex s: the sorted order of the
-        # slots labels the vertices
-        order = sorted(range(len(slots)), key=lambda s: slots[s][0])
-        deco = OElement(qt, order, tau)
-        kids = [slots[s] for s in order]
-        # the root (weight None) has no siblings to be sorted among
-        key = None if weight is None else (
-            1, weight, (T.tree_to_json(qt), deco.sigma, deco.tau),
-            tuple(k[0] for k in kids))
-        return (key, T.PlanarTree(k[1] for k in kids),
-                [deco] + [d for k in kids for d in k[2]],
-                [weight] + [x for k in kids for x in k[3]],
-                [i for k in kids for i in k[4]])
+                leaf_pos[u] = len(leaf_pos)
+                children.append(T.ETA)
+        return T.PlanarTree(children)
 
-    _, shape, decos, lengths, inputs = build(
-        range(len(x.base.sigma)), x.weighted.weights, None, x.base.tau)
-    leaf_order = [0] * len(inputs)
-    for pos, i in enumerate(inputs):
-        leaf_order[i] = pos
-    return WTree(shape, leaf_order, lengths[1:], decos)
+    shape = build(range(len(x.base.sigma)), x.weighted.weights, None,
+                  x.base.tau)
+    return WTree(shape, [leaf_pos[v] for v in x.base.sigma], lengths[1:],
+                 decos)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from brackops import trees as T
 from brackops.bracketings import Bracketing
-from brackops.operads import OElement, eta_element, sigma_act_O
+from brackops.operads import OElement, eta_element
 from brackops.trees import ETA, PlanarTree
 from brackops.wconstruction import WTree, psi
 
@@ -101,28 +101,9 @@ def _from_nest(root):
                  [n.label.deco for n in verts])
 
 
-def _canon(node):
-    "Sort children canonically, adjusting the decoration; returns the key."
-    keys = []
-    for c in node.children:
-        if c.children is None:
-            keys.append((0, c.label))
-        else:
-            sub = _canon(c)
-            keys.append((1, c.label.length, _deco_key(c.label.deco)) + (sub,))
-    order = sorted(range(len(keys)), key=lambda s: keys[s])
-    if order != list(range(len(keys))):
-        node.children = [node.children[s] for s in order]
-        node.label.deco = sigma_act_O(order, node.label.deco)
-    return tuple(sorted(keys))
-
-
-def _deco_key(deco):
-    return (T.tree_to_json(deco.tree), deco.sigma, deco.tau)
-
-
 def nest_psi_inverse(x):
-    "Reference for psi_inverse: build the forest as a nest, then sort it."
+    """Reference for psi_inverse: build the forest as a nest, each node's
+    children in its region's DFS order."""
     tree = x.base.tree
     if tree.is_eta:
         return _from_nest(Nest(_N(eta_element(), None), []))
@@ -145,10 +126,8 @@ def nest_psi_inverse(x):
         deco = OElement(qt, tau=tau)
         return Nest(_N(deco, weight), slots)
 
-    root = build(range(len(x.base.sigma)), x.weighted.weights, None,
-                 x.base.tau)
-    _canon(root)
-    return _from_nest(root)
+    return _from_nest(build(range(len(x.base.sigma)), x.weighted.weights,
+                            None, x.base.tau))
 
 
 def nest_compose_W(a, i, b):

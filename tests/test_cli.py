@@ -228,6 +228,15 @@ def test_enumeration_over_the_limit_is_a_structured_error(capsys, form):
         "error": "ValueError: tree exceeds the enumeration limit (7 vertices)"}
 
 
+def test_enumeration_limit_above_9_is_a_structured_error(capsys):
+    # star:9 (10 vertices) would enumerate for minutes; the limit is
+    # refused before the tree is read
+    code, out = run(capsys, "brackets", "enumerate", "--tree", "corolla:1",
+                    "--limit", "10")
+    assert code == 2
+    assert json.loads(out) == {"error": "limit must be at most 9, got 10"}
+
+
 def test_verify_zero_samples_is_a_structured_error(capsys):
     code, out = run(capsys, "verify", "bracket-counts", "--samples", "0")
     assert code == 2
@@ -400,20 +409,38 @@ def test_verify_exit_codes_and_determinism(capsys):
     assert report["passed"] is True
 
 
-@pytest.mark.parametrize("suite", ["omega-tilde", "nerve"])
-def test_verify_output_does_not_depend_on_the_hash_seed(suite):
-    # trees hash by identity and strings by the hash seed: neither may
-    # order anything a report shows
+def outputs_under_two_hash_seeds(*argv):
+    "The CLI's standard output in fresh interpreters with hash seeds 0 and 1."
     src = str(Path(__file__).resolve().parent.parent / "src")
     outs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "brackops.cli", "verify", suite,
-             "--samples", "100", "--json"],
-            env=env, capture_output=True, timeout=60, check=True)
+        proc = subprocess.run([sys.executable, "-m", "brackops.cli", *argv],
+                              env=env, capture_output=True, timeout=60,
+                              check=True)
         outs.append(proc.stdout)
+    return outs
+
+
+@pytest.mark.parametrize("suite", ["omega-tilde", "nerve"])
+def test_verify_output_does_not_depend_on_the_hash_seed(suite):
+    # trees hash by identity and strings by the hash seed: neither may
+    # order anything a report shows
+    outs = outputs_under_two_hash_seeds("verify", suite, "--samples", "100",
+                                        "--json")
     assert outs[0] == outs[1] and json.loads(outs[0])["passed"] is True
+
+
+@pytest.mark.parametrize("action", ["normalize", "compose"])
+def test_w_output_does_not_depend_on_the_hash_seed(tmp_path, action):
+    # the normal form's JSON shows the representative psi_inverse picks,
+    # which the hash seed may not move either
+    a, b = _w_compose_inputs(tmp_path)
+    argv = {"normalize": ["--input", a],
+            "compose": ["--lhs", a, "--slot", "2", "--rhs", b]}[action]
+    outs = outputs_under_two_hash_seeds("w", action, *argv)
+    assert outs[0] == outs[1]
+    assert w_from_obj(json.loads(outs[0])).decorations
 
 
 def test_verify_summary_lines(capsys):
@@ -494,15 +521,15 @@ def test_w_compose_of_trees_not_in_normal_form(tmp_path, capsys):
                     "--rhs", b)
     assert code == 0
     # the zero-length edge collapses, b's unary root merges, and b's two
-    # vertices hang on an edge of length 1
+    # vertices hang on an edge of length 1, at the slot of their root
     assert json.loads(out) == {
-        "shape": {"node": ["leaf", "leaf", {"node": ["leaf", "leaf"]}]},
-        "leaf_order": [1, 3, 4, 2],
+        "shape": {"node": ["leaf", {"node": ["leaf", "leaf"]}, "leaf"]},
+        "leaf_order": [1, 2, 3, 4],
         "lengths": ["1/1"],
         "decorations": [
             {"tree": {"node": [{"node": ["leaf", {"node": ["leaf", "leaf"]}]},
                                "leaf"]},
-             "sigma": [1, 3, 2], "tau": [2, 3, 1, 4]},
+             "sigma": [1, 2, 3], "tau": [2, 3, 1, 4]},
             {"tree": {"node": [{"node": ["leaf"]}, "leaf"]},
              "sigma": [1, 2], "tau": [1, 2]}]}
 
@@ -538,7 +565,8 @@ def test_cacti_with_a_huge_lobe_count_is_invalid(tmp_path, capsys):
 BAD_RATIONALS = [pytest.param('"1/0"', '"1/0"', id="zero-denominator"),
                  pytest.param("1e400", "Infinity", id="infinity"),
                  pytest.param('"1e-10000000"', '"1e-10000000"',
-                              id="huge-exponent")]
+                              id="huge-exponent"),
+                 pytest.param("true", "true", id="bool")]
 
 
 def with_bad_rational(obj, token):

@@ -97,6 +97,9 @@ def test_a_dropped_tree_leaves_the_table():
     t = PlanarTree((corolla(11), corolla(13), ETA))
     key, ref = t.children, weakref.ref(t)
     assert PlanarTree(key) is t
+    # free the cyclic garbage of earlier tests first, so that only t can
+    # leave the table below
+    gc.collect()
     live = len(T._LIVE)
     del t
     gc.collect()
@@ -231,6 +234,8 @@ def test_subtree_root_and_leaf_count():
     assert T.subtree_root(t, {1, 2}) == 1
     # spine edge below plus one side leaf per vertex
     assert T.subtree_leaf_count(t, {1, 2}) == 3
+    with pytest.raises(ValueError):
+        T.subtree_leaf_count(t, {0, 2})
 
 
 def test_is_connected():
@@ -270,13 +275,21 @@ def test_index_tables_match_a_fresh_index():
     trees = [t for nv in range(1, 5) for nl in range(4)
              for t in T.planar_trees(nv, nl)]
     assert len(trees) > 64
+
+    def dfs(t):
+        "The vertices of t as their subtrees, in DFS order."
+        return [t] + [u for c in t.children if not c.is_eta for u in dfs(c)]
+
     for t in trees + [T.tree_from_obj(T.tree_to_obj(t)) for t in trees]:
         idx, fresh = T.index(t), T.TreeIndex(t)
-        assert idx.tree is t
-        assert idx.subtree == fresh.subtree
         assert idx.parent == fresh.parent
         assert idx.child_entries == fresh.child_entries
         assert idx.leaf_at == fresh.leaf_at
+        # arities and the vertex count, recounted from the children
+        vertices = dfs(t)
+        assert idx.num_vertices() == len(vertices)
+        assert [idx.arity(v) for v in range(len(vertices))] \
+            == [len(u.children) for u in vertices]
 
 
 def test_malformed_json_rejected():

@@ -273,6 +273,23 @@ def test_psi_inverse_matches_the_nest_reference():
     assert len(pool) == 40589
 
 
+def test_normal_forms_carry_identity_labels():
+    # the psi suite's exhaustive grid, then seeded elements with random
+    # labellings and η: each shape vertex keeps its region's DFS order,
+    # so only the root's leaves carry a labelling
+    pool = [x for sh in _shapes(4, 3) for x in _decorate(sh, THIRDS)]
+    rng = R.rng_from_seed(21)
+    pool += [R.random_bo_element(rng, max_vertices=4, weight_choices=THIRDS)
+             for _ in range(300)]
+    pool.append(eta_BO())
+    for x in pool:
+        w = psi_inverse(x)
+        root, *above = w.decorations
+        assert root.sigma == tuple(range(root.arity)), x
+        assert all(d == OElement(d.tree) for d in above), x
+        assert normalize_W(w) == w, x
+
+
 def test_compose_W_matches_the_nest_reference():
     # every input of normal forms and of denormalized trees, with a
     # normal and a denormalized argument of its colour (and η at colour
@@ -295,7 +312,7 @@ def test_compose_W_matches_the_nest_reference():
                 assert compose_W(a, i, b) == nest_compose_W(a, i, b), \
                     (a, i, b)
                 cases += 1
-    assert cases == 1058
+    assert cases == 1140
     # the pool has η decorations at the root and above it and zero lengths
     assert any(w.decorations[0].tree.is_eta for w in pool)
     assert any(d.tree.is_eta for w in pool for d in w.decorations[1:])
