@@ -29,11 +29,9 @@ def xi_map(tree, brackets, vset):
     around = [b for b in brackets if b > vset]
     S = min(around, key=len) if around \
         else frozenset(range(idx.num_vertices()))
-    # a single vertex's leaving edges are its input edges
-    exits = idx.child_entries[next(iter(vset))] if len(vset) == 1 \
-        else T.region(tree, vset)[2]
     out = []
-    for kind, ref in exits:
+    # a connected set's root has its least DFS id
+    for kind, ref in T.exit_edges(idx, vset, min(vset)):
         if kind == "leaf" or ref not in S:
             out.append(1)
         else:

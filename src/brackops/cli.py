@@ -88,6 +88,10 @@ def cmd_brackets(args):
     # star:8 (9 vertices) takes seconds and prints 34 MB, star:9 minutes
     if args.limit > 9:
         raise InputError("limit must be at most 9, got %d" % args.limit)
+    # the f-vector compares every pair of bracketings: star:7 takes minutes
+    if args.fvector and args.limit > 7:
+        raise InputError("limit must be at most 7 with --fvector, got %d"
+                         % args.limit)
     tree = _tree_from_arg(args.tree)
     _apply(check_enumeration_limit, tree, args.limit)
     if args.fvector:
@@ -251,7 +255,7 @@ def build_parser():
                     help="f-vector and Euler characteristic instead")
     be.add_argument("--limit", type=int, default=7,
                     help="refuse trees with more vertices "
-                         "(at most 9, default 7)")
+                         "(at most 9, or 7 with --fvector; default 7)")
     be.set_defaults(func=cmd_brackets)
 
     bo = sub.add_parser("bo", help="bracketed-tree operad")

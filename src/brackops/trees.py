@@ -320,6 +320,18 @@ def subtree_leaf_count(tree, vset):
     return sum(idx.arity(v) for v in vset) - len(vset) + 1
 
 
+def exit_edges(idx, vset, v):
+    """The edges leaving the connected vertex set vset upward from its
+    vertex v, in planar order, read off the index tables."""
+    out = []
+    for e in idx.child_entries[v]:
+        if e[0] == "out" and e[1] in vset:
+            out += exit_edges(idx, vset, e[1])
+        else:
+            out.append(e)
+    return out
+
+
 def _region_walk(idx, vset, root, collapse=()):
     """region() on an indexed tree, from the root of vset.  Each of the
     pairwise disjoint connected sets in `collapse`, all inside vset,
@@ -329,20 +341,12 @@ def _region_walk(idx, vset, root, collapse=()):
     if collapse:
         entries = list(entries)
         seen = set()
-
-        def leaving(v, vs):
-            for e in idx.child_entries[v]:
-                if e[0] == "out" and e[1] in vs:
-                    yield from leaving(e[1], vs)
-                else:
-                    yield e
-
         for vs in collapse:
             if not seen.isdisjoint(vs):
                 raise ValueError("vertex sets overlap")
             seen.update(vs)
             top = min(vs)  # a connected set's root has its least DFS id
-            entries[top] = list(leaving(top, vs))
+            entries[top] = exit_edges(idx, vs, top)
     old = []
     exits = []
 

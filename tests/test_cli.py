@@ -237,6 +237,16 @@ def test_enumeration_limit_above_9_is_a_structured_error(capsys):
     assert json.loads(out) == {"error": "limit must be at most 9, got 10"}
 
 
+def test_fvector_limit_above_7_is_a_structured_error(capsys):
+    # the f-vector of star:7 (8 vertices) takes minutes; the limit is
+    # refused before the tree is read
+    code, out = run(capsys, "brackets", "enumerate", "--tree", "corolla:1",
+                    "--fvector", "--limit", "8")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "limit must be at most 7 with --fvector, got 8"}
+
+
 def test_verify_zero_samples_is_a_structured_error(capsys):
     code, out = run(capsys, "verify", "bracket-counts", "--samples", "0")
     assert code == 2
@@ -264,6 +274,30 @@ def test_verify_reports_a_case_that_raises(capsys, monkeypatch):
     assert checks["coend/average-identity"]["counterexample"] == (
         "case 1 raised ValueError: broken on purpose")
     assert checks["coend/ms-compose-pointwise"]["passed"] is True
+
+
+def test_verify_reports_a_round_trip_that_raises(capsys, monkeypatch):
+    # the round trips are cases of psi/roundtrip-bracketed, not set-up
+    # of the suite, so the later checks still run
+    calls = []
+    real = suites.psi_inverse
+
+    def broken(x):
+        calls.append(x)
+        if len(calls) == 500:
+            raise ValueError("broken on purpose")
+        return real(x)
+
+    monkeypatch.setattr(suites, "psi_inverse", broken)
+    code, out = run(capsys, "verify", "psi-roundtrip", "--samples", "20",
+                    "--json")
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert checks["psi/roundtrip-bracketed"]["counterexample"] == (
+        "case 250 raised ValueError: broken on purpose")
+    assert checks["psi/roundtrip-normal-form"]["count"] == 249
+    assert checks["psi/operad-map"]["passed"] is True
+    assert checks["psi/operad-map"]["count"] > 0
 
 
 @pytest.mark.parametrize("element", ["{}", "not json"])

@@ -10,6 +10,8 @@ from brackops.algebras import TerminalAlgebra, CactusAlgebra
 from brackops.cacti import cact1_compose
 from brackops import randomgen as R
 
+from q_reference import reference_q_morphism
+
 F = Fraction
 
 
@@ -298,6 +300,84 @@ def test_q_concatenation():
     for cut in (1, 2):
         assert D.q_morphism(chain) == D.compose_omega_tilde(
             D.q_morphism(chain[cut:]), D.q_morphism(chain[:cut]))
+
+
+def _random_factorization(rng, degeneracies):
+    """Two to four random collapses and subtree inclusions, in the order
+    they apply, followed by up to `degeneracies` degeneracies (fewer when
+    the tree runs out of unary vertices)."""
+    x0 = tree = R.random_planar_tree(rng, max_vertices=6, max_leaves=3)
+    tail = []
+    for _ in range(degeneracies):
+        unary = [v for v in range(T.num_vertices(tree))
+                 if T.index(tree).arity(v) == 1]
+        if not unary:
+            break
+        tail.append(D.degeneracy(tree, rng.choice(unary)))
+        tree = tail[-1].target
+    head = []
+    tree = x0
+    for _ in range(rng.randint(2, 4)):
+        large = T.enumerate_subtrees(tree, 2)
+        if large and rng.random() < 0.7:
+            vset = rng.choice(large).vertex_set
+            head.append(D.collapse_morphism(tree, [vset]))
+        else:
+            vset = rng.choice(T.enumerate_subtrees(tree)).vertex_set
+            head.append(D.subtree_inclusion(tree, vset))
+        tree = head[-1].source
+    return head[::-1] + tail
+
+
+def test_q_morphism_matches_the_reference():
+    """On seeded chains of collapses and inclusions, some ending in
+    degeneracies, the one-pass q_morphism gives the edge map and the
+    brackets of the earlier one, which composes every prefix."""
+    rng = R.rng_from_seed(22)
+    brackets = degenerate = 0
+    for trial in range(6000):
+        chain = _random_factorization(rng, 0 if trial < 4000 else 3)
+        q = D.q_morphism(chain)
+        # equal bases have equal edge maps
+        assert q == reference_q_morphism(chain)
+        brackets += sum(map(len, q.brackets))
+        degenerate += any(not img for img in chain[-1].vertex_images)
+    assert brackets > 1500
+    assert degenerate > 1000
+
+
+def test_a_factorization_must_compose():
+    g = D.collapse_morphism(caterpillar(3), [{1, 2}])
+    h = D.identity_omega(caterpillar(4))
+    with pytest.raises(ValueError, match="empty factorization"):
+        D.q_morphism([])
+    with pytest.raises(ValueError, match="not composable"):
+        D.q_morphism([g, h])
+    with pytest.raises(ValueError, match="morphisms are not composable"):
+        D.compose_omega(h, g)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_q_morphism_composes_each_factor_once(monkeypatch, n):
+    tree = caterpillar(5)
+    chain = []
+    for _ in range(n):
+        chain.insert(0, D.collapse_morphism(tree, [{0, 1}]))
+        tree = chain[0].source
+    calls = {"compose_omega": 0, "identity_omega": 0}
+
+    def counting(name):
+        real = getattr(D, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(D, name, counting(name))
+    D.q_morphism(chain)
+    assert calls == {"compose_omega": n - 1, "identity_omega": 0}
 
 
 def test_phi_identity_terminal():

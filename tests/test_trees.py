@@ -225,6 +225,8 @@ def test_region_is_what_collapse_replaces():
                                 else res.vmap_host[cmap[u]])
                         assert back == u
                     assert T.subtree_leaf_count(t, S) == num_leaves(sub)
+                    assert T.exit_edges(T.index(t), S, min(S)) \
+                        == T.region(t, S)[2]
                     cases += 1
     assert cases == 6976
 
