@@ -9,6 +9,13 @@ messages.  Composition is implemented twice: once on (cactus,
 reparametrization) pairs via the two-step normal form of the
 coendomorphism composite, and once directly on cacti by the
 scale-and-subdivide rule; the rescaling identity ties the two together.
+
+Units are neutral and cost nothing.  A 1-lobe normalized cactus is the
+unit, so inserting one in every lobe returns the cactus itself; equal
+multipliers scale every lobe by 1, so their scaling map is the
+identity; and an identity reparametrization resizes no arc, so
+composing with it is a plain insertion.  Each of these returns, after
+the input checks, what the general path would build.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .trees import frac_from_obj, frac_to_str, int_from_obj
-from .plmaps import PLMap, identity_map, pl_compose, pl_invert
+from .plmaps import IDENTITY, PLMap, identity_map, pl_compose, pl_invert
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -254,14 +261,19 @@ def cactus_metric(x, y):
 # ---------------------------------------------------------------------------
 # Scaling maps.
 
-def _scaled_ends(x, m):
-    """The values of scaling_map(x, m) at 0 and at the end of each arc,
-    as integers over x.den * sum(m): the cumulative sums of the arc
-    lengths, lobe j scaled by k*m[j-1]/sum(m)."""
+def _check_multipliers(x, m):
+    "Refuse m unless it has one positive multiplier per lobe of x."
     if len(m) != x.k:
         raise ValueError("need one multiplier per lobe")
     if any(v <= 0 for v in m):
         raise ValueError("multipliers must be >= 1 (zero breaks monotonicity)")
+
+
+def _scaled_ends(x, m):
+    """The values of scaling_map(x, m) at 0 and at the end of each arc,
+    as integers over x.den * sum(m): the cumulative sums of the arc
+    lengths, lobe j scaled by k*m[j-1]/sum(m).  m has passed
+    _check_multipliers."""
     k, cuts = x.k, x.cuts
     ends = [0]
     for r, lab in enumerate(x.labels):
@@ -272,6 +284,9 @@ def _scaled_ends(x, m):
 def scaling_map(x, m):
     """The reparametrization that scales lobe j by k*m[j-1]/sum(m);
     strictly monotone only when every multiplier is positive."""
+    _check_multipliers(x, m)
+    if len(set(m)) == 1:
+        return IDENTITY  # lobe j is scaled by k*c/(k*c) = 1
     return PLMap(x.cuts, x.den, _scaled_ends(x, m), x.den * sum(m))
 
 
@@ -319,6 +334,10 @@ def ms_compose(a, i, b):
     k = x.k
     if not 1 <= i <= k:
         raise IndexError("slot %d out of range" % i)
+    if g == IDENTITY:
+        # step one resizes nothing: xt is x and gtilde the identity
+        z, h = _insert(x, i, y)
+        return MSElement(z, pl_compose(h, f))
     # step one: new arc lengths for lobe i, the rest untouched
     d, cuts, labels = x.den, x.cuts, x.labels
     ends = [0]  # k times the length of lobe i before each of its arcs, over d
@@ -372,6 +391,9 @@ def gamma_cact1(x, ys):
     if len(ys) != k:
         raise ValueError("need one cactus per lobe")
     m = [y.k for y in ys]
+    _check_multipliers(x, m)
+    if set(m) == {1}:
+        return x  # a 1-lobe normalized cactus is the unit
     ends = _scaled_ends(x, m)  # over x.den * n
     n = sum(m)
     offset = [sum(m[:r]) for r in range(k)]

@@ -6,7 +6,13 @@ points dropped), so two maps are equal iff these fields are equal.
 Composition, inversion and convex combination run on these integers;
 a Fraction is made only for a reader.  Strictly increasing maps fixing
 the endpoints form the reparametrization space used by the cactus
-modules."""
+modules.
+
+The identity is neutral and costs nothing: composing with a map equal
+to IDENTITY returns the other map, and a convex combination of equal
+maps returns that map, each after its input checks.  Most maps on the
+cactus action path are identities, and these are the objects the
+general path would build, so no output changes."""
 
 from __future__ import annotations
 
@@ -122,12 +128,19 @@ def monotone_reparam(breakpoints, values):
     return f
 
 
+IDENTITY = PLMap((0, 1), 1, (0, 1), 1)  # a map is the identity iff == IDENTITY
+
+
 def identity_map():
-    return PLMap((0, 1), 1, (0, 1), 1)
+    return IDENTITY
 
 
 def pl_compose(a, b):
     "Exact composite a o b, in one pass over the segments of each map."
+    if a == IDENTITY:
+        return b
+    if b == IDENTITY:
+        return a
     # the composite breaks at b's breakpoints, where it is a at b's value,
     # and at the preimages under b of a's breakpoints, where it is a's
     # value there; a's breakpoint y/adx and b's value v/bdy compare as
@@ -170,8 +183,8 @@ def pl_convex_combination(coeffs, maps):
         raise ValueError("coefficient/map length mismatch")
     if min(cs) < 0 or sum(cs) != cd:
         raise ValueError("coefficients must be nonnegative and sum to 1")
-    if len(maps) == 1:
-        return maps[0]  # its coefficient is 1
+    if maps.count(maps[0]) == len(maps):
+        return maps[0]  # the coefficients sum to 1
     # every breakpoint over the lcm d of the maps' dx; at each the
     # combination is the sum of the terms c*m(t) over their lcm
     d = lcm(*[m.dx for m in maps])

@@ -283,7 +283,8 @@ def suite_psi(cfg, rng):
     # normal when it has the root and one shape vertex per bracket, edge
     # lengths the weights, and identity labels but for the root's leaves.
     # The round trips are cases of the first check, so one that raises
-    # fails it; the second check reads what the first stored before that.
+    # fails it; the second check then fails every shape whose round trip
+    # did not finish.
     normal_forms = []
 
     def roundtrip_bracketed():
@@ -296,13 +297,19 @@ def suite_psi(cfg, rng):
                       and sorted(w.lengths) == weights
                       and root == OElement(root.tree, tau=root.tau)
                       and all(d == OElement(d.tree) for d in above))
-            normal_forms.append((x, psi_inverse(y) == w and normal))
+            normal_forms.append(psi_inverse(y) == w and normal)
             yield ("psi o psi_inverse moves %r" % (x,), y == x)
 
+    def roundtrip_normal_form():
+        for n, x in enumerate(pool):
+            if n < len(normal_forms):
+                yield ("psi_inverse o psi moves a normal form of %r" % (x,),
+                       normal_forms[n])
+            else:
+                yield ("the round trip of %r did not finish" % (x,), False)
+
     yield "psi/roundtrip-bracketed", roundtrip_bracketed()
-    yield ("psi/roundtrip-normal-form",
-           (("psi_inverse o psi moves a normal form of %r" % (x,), ok)
-            for x, ok in normal_forms))
+    yield "psi/roundtrip-normal-form", roundtrip_normal_form()
 
     def operad_map():
         for trial in range(cfg.samples):

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from brackops.plmaps import identity_map, monotone_reparam, pl_compose
+from brackops.plmaps import PLMap, identity_map
 from brackops.cacti import (Cactus, CactusError, EMPTY_CACTUS, unit_cactus,
-                            ms_unit, cactus_map, cactus_from_maps,
+                            MSElement, ms_unit, cactus_map, cactus_from_maps,
                             coend_compose, phi, cactus_metric, scaling_map,
                             relabel_cactus, cact1_compose, _insert, ms_compose,
                             gamma_cact1, rescaling_identity_check,
                             cactus_to_obj, cactus_from_obj)
 from brackops import randomgen as R
+from pl_reference import RefMap, interpolate, ref_compose, same
 
 F = Fraction
 HALVES = Cactus(2, [(0, F(1, 2), 1), (F(1, 2), 1, 2)])
@@ -140,15 +141,6 @@ class RefCactus:
                 seen.add(lab)
 
 
-def ref_value(f, t):
-    "f(t) by linear interpolation on the first segment of f that holds t."
-    xs, ys = f.breakpoints, f.values
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        if x0 <= t <= x1:
-            return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-    raise AssertionError("%s outside [0,1]" % t)
-
-
 def ref_scaled_ends(x, m):
     ends = [F(0)]
     for a, b, lab in x.arcs:
@@ -157,8 +149,7 @@ def ref_scaled_ends(x, m):
 
 
 def ref_scaling_map(x, m):
-    return monotone_reparam([F(0)] + [b for _, b, _ in x.arcs],
-                            ref_scaled_ends(x, m))
+    return RefMap([F(0)] + [b for _, b, _ in x.arcs], ref_scaled_ends(x, m))
 
 
 def ref_gamma_cact1(x, ys):
@@ -187,7 +178,7 @@ def ref_ms_compose(x, f, i, y, g):
     for a0, b0, lab in x.arcs:
         if lab == i:
             ends.append(ends[-1] + (b0 - a0) * k)
-    g_ends = [ref_value(g, t) for t in ends]
+    g_ends = [interpolate(g, t) for t in ends]
     spans = zip(ends, ends[1:], g_ends, g_ends[1:])
     new_arcs = []
     gt_x, gt_y = [F(0)], [F(0)]
@@ -214,7 +205,8 @@ def ref_ms_compose(x, f, i, y, g):
     ys[i - 1] = y
     h = ref_scaling_map(xt, [c.k for c in ys])
     return (ref_gamma_cact1(xt, ys),
-            pl_compose(h, pl_compose(monotone_reparam(gt_x, gt_y), f)))
+            ref_compose(h, ref_compose(RefMap(gt_x, gt_y),
+                                       RefMap(f.breakpoints, f.values))))
 
 
 def ref_metric(x, y):
@@ -244,18 +236,27 @@ def test_integer_cacti_match_the_fraction_reference():
         k = rng.randint(1, 5)
         a = R.random_ms_element(k, rng)
         b = R.random_ms_element(rng.randint(1, 5), rng)
+        # identity reparametrizations, given as maps equal to the identity
+        if rng.random() < 0.2:
+            a = MSElement(a.cactus, PLMap.of(*[(0, F(1, 3), 1)] * 2))
+        if rng.random() < 0.4:
+            b = MSElement(b.cactus, PLMap.of(*[(0, F(2, 5), 1)] * 2))
         x = a.cactus
         assert Cactus(k, x.arcs) == x and ref(x).arcs == x.arcs
         ys = [R.random_cactus(rng.randint(1, 5), rng) for _ in range(k)]
+        if rng.random() < 0.2:
+            ys = [R.random_cactus(1, rng) for _ in range(k)]  # all units
+            with pytest.raises(ValueError, match="one cactus per lobe"):
+                gamma_cact1(x, ys + ys[:1])
         assert gamma_cact1(x, ys).arcs \
             == ref_gamma_cact1(x, [ref(y) for y in ys]).arcs
         m = [c.k for c in ys]
-        assert scaling_map(x, m) == ref_scaling_map(x, m)
+        assert same(scaling_map(x, m), ref_scaling_map(x, m))
         i = rng.randint(1, k)
         z = ms_compose(a, i, b)
         want, reparam = ref_ms_compose(ref(x), a.reparam, i,
                                        ref(b.cactus), b.reparam)
-        assert z.cactus.arcs == want.arcs and z.reparam == reparam
+        assert z.cactus.arcs == want.arcs and same(z.reparam, reparam)
 
 
 def test_metric_matches_the_per_lobe_double_loop():

@@ -9,6 +9,7 @@ from brackops.plmaps import (PLMap, monotone_reparam, identity_map,
                              average_of_steps, pl_to_obj)
 from brackops.cacti import cactus_map, scaling_map
 from brackops import randomgen as R
+from pl_reference import RefMap, interpolate, ref_compose, same
 
 F = Fraction
 
@@ -127,15 +128,6 @@ interior_points = st.builds(lambda q, p: F(p % (q - 1) + 1, q),
                             st.integers(0, 10 ** 6))
 
 
-def interpolate(f, t):
-    "f(t) from the first segment of f that holds t."
-    xs, ys = f.breakpoints, f.values
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        if x0 <= t <= x1:
-            return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
-    raise AssertionError("%s outside [0,1]" % t)
-
-
 def with_midpoints(points):
     pts = sorted(set(points))
     return pts + [(s + t) / 2 for s, t in zip(pts, pts[1:])]
@@ -177,45 +169,8 @@ def test_convex_combination_matches_interpolation(f, g, h, i, j):
 
 
 # ---------------------------------------------------------------------------
-# A Fraction reference for the integer kernels: maps held as Fraction
-# breakpoints and values, checked, canonicalized and combined with
-# Fraction arithmetic only.
-
-class RefMap:
-    def __init__(self, xs, ys):
-        xs, ys = [F(x) for x in xs], [F(y) for y in ys]
-        if len(xs) != len(ys) or len(xs) < 2:
-            raise ValueError("need matching breakpoint/value arrays of length >= 2")
-        if xs[0] != 0 or xs[-1] != 1:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(s >= t for s, t in zip(xs, xs[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if any(s > t for s, t in zip(ys, ys[1:])):
-            raise ValueError("values must be weakly increasing")
-        if ys[0] < 0 or ys[-1] > 1:
-            raise ValueError("values must lie in [0,1]")
-        slopes = [(ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
-                  for k in range(len(xs) - 1)]
-        keep = ([0] + [k for k in range(1, len(slopes))
-                       if slopes[k - 1] != slopes[k]] + [len(slopes)])
-        self.breakpoints = tuple(xs[k] for k in keep)
-        self.values = tuple(ys[k] for k in keep)
-
-    def __call__(self, t):
-        return interpolate(self, t)
-
-
-def ref_compose(a, b):
-    "b's breakpoints and the preimages of a's inside b's rising segments."
-    xs, ys = b.breakpoints, b.values
-    pts = set(xs)
-    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
-        for y in a.breakpoints:
-            if y0 < y < y1:
-                pts.add(x0 + (x1 - x0) * (y - y0) / (y1 - y0))
-    pts = sorted(pts)
-    return RefMap(pts, [a(b(t)) for t in pts])
-
+# The Fraction reference for the integer kernels: pl_reference's RefMap
+# and composite, and the inverse, convex combination and cactus maps.
 
 def ref_invert(f):
     v = f.values
@@ -255,10 +210,6 @@ def ref_scaling_map(x, m):
     for a, b, lab in x.arcs:
         ys.append(ys[-1] + (b - a) * x.k * F(m[lab - 1], sum(m)))
     return RefMap([F(0)] + [b for _, b, _ in x.arcs], ys)
-
-
-def same(f, ref):
-    return f.breakpoints == ref.breakpoints and f.values == ref.values
 
 
 def same_outcome(op, ref_op, *args):
@@ -319,6 +270,12 @@ def random_pair(rng):
     return PLMap.of(xs, ys), RefMap(xs, ys)
 
 
+# the identity, and a map equal to it given through collinear points
+IDENTITIES = [(identity_map(), RefMap((0, 1), (0, 1))),
+              (PLMap.of(*[(0, F(1, 3), F(3, 4), 1)] * 2),
+               RefMap(*[(0, F(1, 3), F(3, 4), 1)] * 2))]
+
+
 def test_integer_kernels_match_the_fraction_reference():
     for xs, ys in REFUSED_POINTS:
         same_outcome(lambda p: PLMap.of(*p), lambda p: RefMap(*p),
@@ -334,6 +291,10 @@ def test_integer_kernels_match_the_fraction_reference():
         if inverted is not None:
             same_outcome(pl_compose, ref_compose, a,
                          (pl_invert(a[0]), ref_invert(a[1])))
+        ident = rng.choice(IDENTITIES)
+        same_outcome(pl_compose, ref_compose, ident, a)
+        same_outcome(pl_compose, ref_compose, a, ident)
+        same_outcome(pl_compose, ref_compose, ident, ident)
         i, j = sorted(rng.randint(0, 12) for _ in range(2))
         coeffs = [F(i, 12), F(j - i, 12), F(12 - j, 12)]
         if rng.random() < 0.2:
@@ -342,10 +303,16 @@ def test_integer_kernels_match_the_fraction_reference():
             coeffs.pop()
         same_outcome(pl_convex_combination, ref_convex_combination,
                      (coeffs, coeffs), tuple(map(list, zip(a, b, c))))
+        # equal maps, one of them another object
+        twin = PLMap.of(a[0].breakpoints, a[0].values)
+        same_outcome(pl_convex_combination, ref_convex_combination,
+                     (coeffs, coeffs), ([a[0], twin, a[0]], [a[1]] * 3))
         k = rng.randint(1, 5)
         x = R.random_cactus(k, rng)
         same_outcome(cactus_map, ref_cactus_map, (x, x))
         m = [rng.randint(1, 4) for _ in range(k)]
+        if rng.random() < 0.3:
+            m = [m[0]] * k  # every lobe keeps its length
         if rng.random() < 0.1:
             m[rng.randint(0, k - 1)] = 0
         if rng.random() < 0.05:
