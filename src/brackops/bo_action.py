@@ -3,9 +3,9 @@
 A bracketed labelled tree acts on a tuple of cacti by composing them
 along the tree, with two kinds of reparametrizations thrown in: one
 scaling map per input (driven by the edge multiplicities xi) and one
-scaling map per bracket (computed by recursion on the bracket's own
-sub-action).  Weighted brackets enter through a convex combination of
-the per-level scaling maps."""
+scaling map per bracket (computed from the bracket's own sub-action,
+in one pass over the brackets, smallest first).  Weighted brackets
+enter through a convex combination of the per-level scaling maps."""
 
 from __future__ import annotations
 
@@ -20,15 +20,16 @@ from .plmaps import identity_map, pl_compose, pl_invert, pl_convex_combination
 # ---------------------------------------------------------------------------
 # Edge multiplicities.
 
-def xi_map(tree, brackets, vset):
+def xi_map(tree, brackets, vset, within):
     """One natural number per edge leaving the connected vertex set (a
-    vertex {v} or a bracket): 1 for an edge leaving the smallest bracket
-    strictly around the set (or a plain leaf), the leaf count of the
-    largest bracket hanging off the edge, or else the child's arity."""
+    vertex {v} or a bracket) inside the region `within`, a connected set
+    that holds it and every bracket: 1 for an edge leaving the smallest
+    bracket strictly around the set (or the region, or a plain leaf),
+    the leaf count of the largest bracket hanging off the edge, or else
+    the child's arity."""
     idx = T.index(tree)
     around = [b for b in brackets if b > vset]
-    S = min(around, key=len) if around \
-        else frozenset(range(idx.num_vertices()))
+    S = min(around, key=len) if around else within
     out = []
     # a connected set's root has its least DFS id
     for kind, ref in T.exit_edges(idx, vset, min(vset)):
@@ -61,63 +62,56 @@ def lambda_MS(elem, inputs):
 
 
 # ---------------------------------------------------------------------------
-# The weighted action, folded along the element's own tree.
+# The weighted action, in one pass over its regions.
 
-def _ms_action(base, weight_items, cacti, subs=None):
+def _ms_action(base, weight_items, cacti):
     """The MS element of a weighted action, whose cactus is the action,
     and (brackets in canonical order, per-input maps g, per-bracket maps
-    h).  g is the convex combination of the input's per-level maps; h is
-    one interpolated sub-action, rescaled level by level (identity on the
-    levels the bracket is absent from).  h precomposes the input at the
-    bracket's root vertex, smaller brackets first: a unit cactus carrying
-    h composed in front of an MS element would only precompose its
-    reparametrization with h.  subs holds the sub-action of each bracket,
-    keyed by its vertex set; when it is not given, each is computed once,
-    smaller brackets first."""
-    values, levels = chain_levels(weight_items)
-    # level l weighs t_l - t_{l+1} (t past the end 0): convex coefficients
-    coeffs = [s - t for s, t in zip(values, values[1:] + [0])]
-    gs = [pl_convex_combination(
-        coeffs, [scaling_map(cacti[i], xi_map(base.tree, lv, {base.sigma[i]}))
+    h), in one pass over the regions: the brackets, smallest first, then
+    the whole tree.  On a region the chain levels are those of the
+    brackets strictly inside it; g is the convex combination of an
+    input's per-level maps, and h is an inner bracket's sub-action,
+    interpolated and rescaled level by level (identity on the levels the
+    bracket is absent from).  h precomposes the input at the bracket's
+    root vertex, smaller brackets first: a unit cactus carrying h
+    composed in front of an MS element would only precompose its
+    reparametrization with h."""
+    tree = base.tree
+    x_at = dict(zip(base.sigma, cacti))  # the input at each vertex
+    whole = frozenset(x_at)
+    subs = {}  # the sub-action of each bracket done so far
+    # a bracket's inner brackets are smaller: their sub-actions come first
+    for S in sorted([b for b, _ in weight_items], key=len) + [whole]:
+        values, levels = chain_levels([(b, w) for b, w in weight_items
+                                       if b < S])
+        # level l weighs t_l - t_{l+1} (t past the end 0): convex
+        # coefficients
+        coeffs = [s - t for s, t in zip(values, values[1:] + [0])]
+        f = {v: pl_convex_combination(coeffs, [
+                 scaling_map(x_at[v], xi_map(tree, lv, {v}, S))
                  for lv in levels])
-        for i in range(base.arity)]
-    brackets = levels[-1]  # every bracket, in canonical order
-    if subs is None:
-        subs = {}
-        for b in brackets:
-            subs[b] = _sub_action(base, weight_items, cacti, b, subs)
-    slot_of = {v: i for i, v in enumerate(base.sigma)}
-    fs = list(gs)
-    hs = []
-    for b in brackets:
-        y = subs[b]
-        unwind = pl_invert(y.reparam)
-        # undo the sub-action's reparametrization, then rescale
-        h = pl_convex_combination(coeffs, [
-            pl_compose(unwind, scaling_map(y.cactus, xi_map(base.tree, lv, b)))
-            if b in lv else identity_map() for lv in levels])
-        hs.append(h)
-        i = slot_of[T.subtree_root(base.tree, b)]
-        fs[i] = pl_compose(fs[i], h)
-    ms = lambda_MS(base, [MSElement(x, f) for x, f in zip(cacti, fs)])
-    return ms, (brackets, gs, hs)
-
-
-def _sub_action(base, weight_items, cacti, b, subs):
-    """The (weighted) MS element of the restriction of the action to b,
-    given in subs the sub-action of every bracket inside b.  The region of
-    a bracket inside b is its region inside b's region, with the same
-    vertex order, so those sub-actions carry over renumbered."""
-    rt, old, _ = T.region(base.tree, b)
-    new = {u: j for j, u in enumerate(old)}
-    inner = [(frozenset(new[u] for u in c), w)
-             for c, w in weight_items if c < b]
-    inner_subs = {frozenset(new[u] for u in c): y
-                  for c, y in subs.items() if c < b}
-    sub_elem = OElement(rt)
-    pos_of = {base.sigma[i]: i for i in range(base.arity)}
-    sub_cacti = [cacti[pos_of[u]] for u in old]
-    return _ms_action(sub_elem, inner, sub_cacti, inner_subs)[0]
+             for v in S}
+        g = dict(f)
+        hs = []
+        for b in levels[-1]:
+            y = subs[b]
+            unwind = pl_invert(y.reparam)
+            # undo the sub-action's reparametrization, then rescale
+            h = pl_convex_combination(coeffs, [
+                pl_compose(unwind, scaling_map(y.cactus,
+                                               xi_map(tree, lv, b, S)))
+                if b in lv else identity_map() for lv in levels])
+            hs.append(h)
+            # a connected set's root has its least DFS id
+            f[min(b)] = pl_compose(f[min(b)], h)
+        if S is not whole:
+            # fold along the region's tree, each vertex read through old
+            rt, old, _ = T.region(tree, S)
+            subs[S] = T.fold(T.index(rt), lambda j: MSElement(
+                x_at[old[j]], f[old[j]]), ms_compose)
+    ms = lambda_MS(base, [MSElement(x, f[v])
+                          for x, v in zip(cacti, base.sigma)])
+    return ms, (levels[-1], [g[v] for v in base.sigma], hs)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from .operads import (OElement, BOElement, unit_BO, eta_BO,
                       eta_element, compose_O, compose_BO, sigma_act_BO)
 from .wconstruction import compose_W, psi, psi_inverse
 from . import dendroidal as D
-from .plmaps import identity_map, average_of_steps
+from .plmaps import identity_map, average_of_steps, pl_convex_combination
 from .cacti import (Cactus, cactus_map, phi, coend_compose,
                     cact1_compose, ms_compose, cactus_metric,
                     rescaling_identity_check)
@@ -145,8 +145,9 @@ def suite_euler(cfg, rng):
 # Suite: operad axioms for bracketed labelled trees.
 
 def suite_bo_axioms(cfg, rng):
+    shapes = _shapes(3, 2)
     pool = []
-    for sh in _shapes(3, 2):
+    for sh in shapes:
         pool.extend(_decorate(sh, (1, Fraction(1, 2))))
     by_leaves = {}
     for e in pool:
@@ -175,7 +176,6 @@ def suite_bo_axioms(cfg, rng):
 
     yield "bo-axioms/eta-discard", eta_cases()
 
-    shapes = _shapes(3, 2)
     plain = {}
     for sh in shapes:
         e = OElement(sh)
@@ -514,6 +514,33 @@ def suite_coend(cfg, rng):
 
     yield "coend/ms-compose-pointwise", compose_pointwise()
 
+    def convex_pointwise():
+        for trial in range(cfg.samples):
+            maps = [R.random_reparam(rng, rng.randint(1, 3))
+                    for _ in range(rng.randint(2, 3))]
+            ws = [rng.randint(1, 5) for _ in maps]
+            cs = [Fraction(w, sum(ws)) for w in ws]
+            got = pl_convex_combination(cs, maps)
+            pts = {t for m in maps for t in m.breakpoints}
+            yield ("trial %d: %s of %r" % (trial, ", ".join(map(str, cs)),
+                                           maps),
+                   pts.issuperset(got.breakpoints)
+                   and all(_interpolate(got, t)
+                           == sum(c * _interpolate(m, t)
+                                  for c, m in zip(cs, maps))
+                           for t in pts))
+
+    yield "coend/convex-combination-pointwise", convex_pointwise()
+
+
+def _interpolate(m, t):
+    "m(t) read off m's breakpoints and values, not through PLMap.at."
+    xs, ys = m.breakpoints, m.values
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if x0 <= t <= x1:
+            return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+    raise ValueError("%s lies outside [0, 1]" % t)
+
 
 # ---------------------------------------------------------------------------
 # Suite: the rescaling identity.
@@ -574,16 +601,15 @@ def _chain_eval(xs, interval, brackets):
     raise ValueError("not a maximal bracketing of a chain")
 
 
-def _coherence_configs(weight_choices, rng):
+def _coherence_configs(shapes, weight_choices, rng):
+    "Every (host, slot, guest) on the shapes, at most 5 vertices together."
     configs = []
-    host_shapes = _shapes(3, 4, min_arity=1)
-    guest_shapes = _shapes(3, 4, min_arity=1)
-    for sa in host_shapes:
+    for sa in shapes:
         nva = T.num_vertices(sa)
         for a in _decorate_sampled(sa, weight_choices, rng):
             for i in range(1, a.arity + 1):
                 m = a.slot_arity(i)
-                for sb in guest_shapes:
+                for sb in shapes:
                     # composite vertex count is nva + nvb - 1
                     if (T.num_vertices(sb) + nva > 5
                             or T.num_leaves(sb) != m):
@@ -604,6 +630,8 @@ def _decorate_sampled(shape, weight_choices, rng):
 
 
 def suite_coherence(cfg, rng):
+    shapes = _shapes(3, 4, min_arity=1)
+
     def corner_cases():
         for n in (3, 4):
             tree = caterpillar(n)
@@ -619,7 +647,7 @@ def suite_coherence(cfg, rng):
     yield "coherence/corners", corner_cases()
 
     def comp_cases(weight_choices):
-        configs = _coherence_configs(weight_choices, rng)
+        configs = _coherence_configs(shapes, weight_choices, rng)
         budget = max(len(configs), cfg.samples // 10)
         draws = 0
         ci = 0
@@ -641,8 +669,7 @@ def suite_coherence(cfg, rng):
 
     def equivariance():
         for trial in range(max(1, cfg.samples // 20)):
-            e = R.random_bo_element(
-                rng, tree=rng.choice(_shapes(3, 4, min_arity=1)))
+            e = R.random_bo_element(rng, tree=rng.choice(shapes))
             if e.arity == 0:
                 continue
             xs = R.random_labelled_cacti(e, rng)
@@ -658,13 +685,15 @@ def suite_coherence(cfg, rng):
 # Suite: a zero-weight bracket acts like no bracket at all.
 
 def suite_weight_zero(cfg, rng):
-    shapes = [sh for sh in _shapes(4, 4, min_arity=1)
-              if any(len(b.brackets) for b in enumerate_bracketings(sh))]
+    pool = []  # each shape with its nonempty bracketings, when it has any
+    for sh in _shapes(4, 4, min_arity=1):
+        brs = [b for b in enumerate_bracketings(sh) if b.brackets]
+        if brs:
+            pool.append((sh, brs))
 
     def cases():
         for trial in range(max(1, cfg.samples // 5)):
-            sh = rng.choice(shapes)
-            brs = [b for b in enumerate_bracketings(sh) if b.brackets]
+            sh, brs = rng.choice(pool)
             br = rng.choice(brs)
             sets = br.sorted_brackets()
             zero = rng.choice(sets)

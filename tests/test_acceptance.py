@@ -26,6 +26,7 @@ COUNTS = {
     },
     "coend-embedding": {
         "coend/average-identity": 1000,
+        "coend/convex-combination-pointwise": 1000,
         "coend/ms-compose-pointwise": 1000,
     },
     "bo-action-coherence": {

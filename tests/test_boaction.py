@@ -4,8 +4,8 @@ import pytest
 
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops import trees as T
-from brackops.operads import (BOElement, bo_element, eta_BO, unit_BO,
-                              compose_BO, sigma_act_BO)
+from brackops.operads import (BOElement, OElement, bo_element, eta_BO,
+                              unit_BO, compose_BO, sigma_act_BO)
 from brackops.cacti import (EMPTY_CACTUS, MSElement, unit_cactus,
                             cact1_compose, scaling_map)
 from brackops.plmaps import (identity_map, pl_compose, pl_convex_combination,
@@ -14,6 +14,7 @@ from brackops.bracketings import (WeightedBracketing, chain_levels,
                                   enumerate_bracketings)
 from brackops import bo_action as A
 from brackops import randomgen as R
+from action_reference import _ms_action as reference_ms_action
 from nests import nest_augment
 
 F = Fraction
@@ -24,21 +25,25 @@ def chain_elem(n, weights=()):
     return bo_element(t, tuple(range(n)), tuple(range(n + 1)), weights)
 
 
+def _all(tree):
+    return frozenset(range(T.num_vertices(tree)))
+
+
 def test_xi_map_no_brackets():
     t = caterpillar(3)
     # child edge carries the child's arity, a leaf edge carries 1
-    assert A.xi_map(t, [], {0}) == (2, 1)
-    assert A.xi_map(t, [], {1}) == (2, 1)
-    assert A.xi_map(t, [], {2}) == (1, 1)
+    assert A.xi_map(t, [], {0}, _all(t)) == (2, 1)
+    assert A.xi_map(t, [], {1}, _all(t)) == (2, 1)
+    assert A.xi_map(t, [], {2}, _all(t)) == (1, 1)
 
 
 def test_xi_map_sees_the_largest_bracket_below():
     t = caterpillar(3)
     b = frozenset({1, 2})
     # from outside the bracket, the edge into it carries its leaf count
-    assert A.xi_map(t, [b], {0}) == (3, 1)
+    assert A.xi_map(t, [b], {0}, _all(t)) == (3, 1)
     # inside the bracket the view is unchanged
-    assert A.xi_map(t, [b], {1}) == (2, 1)
+    assert A.xi_map(t, [b], {1}, _all(t)) == (2, 1)
 
 
 def test_xi_map_stops_at_the_enclosing_bracket():
@@ -46,8 +51,8 @@ def test_xi_map_stops_at_the_enclosing_bracket():
     bs = [frozenset({0, 1}), frozenset({2, 3})]
     # vertex 0 sits in {0,1}: the edge to vertex 1 stays, vertex 2 is
     # outside the enclosing bracket so its edge counts 1
-    assert A.xi_map(t, bs, {0}) == (2, 1)
-    assert A.xi_map(t, bs, {1}) == (1, 1)
+    assert A.xi_map(t, bs, {0}, _all(t)) == (2, 1)
+    assert A.xi_map(t, bs, {1}, _all(t)) == (1, 1)
 
 
 def _xi_by_collapse(tree, brackets, b):
@@ -55,7 +60,7 @@ def _xi_by_collapse(tree, brackets, b):
     to one vertex, which carries the brackets not inside b."""
     ct, cmap = T.collapse_with_map(tree, [b])
     outer = [frozenset(cmap[u] for u in c) for c in brackets if not c <= b]
-    return A.xi_map(ct, outer, {cmap[min(b)]})
+    return A.xi_map(ct, outer, {cmap[min(b)]}, _all(ct))
 
 
 def test_xi_map_of_a_bracket_is_the_vertex_rule_after_collapsing_it():
@@ -66,9 +71,56 @@ def test_xi_map_of_a_bracket_is_the_vertex_rule_after_collapsing_it():
                 for br in enumerate_bracketings(t):
                     bs = br.sorted_brackets()
                     for b in bs:
-                        assert A.xi_map(t, bs, b) == _xi_by_collapse(t, bs, b)
+                        assert A.xi_map(t, bs, b, _all(t)) \
+                            == _xi_by_collapse(t, bs, b)
                         cases += 1
     assert cases == 9944
+
+
+def test_xi_map_on_a_region_is_xi_map_on_the_region_tree():
+    # an edge leaving the region counts 1, as a leaf of its tree does
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                for sub in T.enumerate_subtrees(t, min_vertices=2):
+                    S = sub.vertex_set
+                    rt, old, _ = T.region(t, S)
+                    for br in enumerate_bracketings(rt):
+                        bs = br.sorted_brackets()
+                        old_bs = [frozenset(old[u] for u in b) for b in bs]
+                        for c in T.enumerate_subtrees(rt):
+                            c = c.vertex_set
+                            old_c = frozenset(old[u] for u in c)
+                            assert A.xi_map(t, old_bs, old_c, S) \
+                                == A.xi_map(rt, bs, c, _all(rt)), (t, S, c)
+                            cases += 1
+    assert cases == 107988
+
+
+def test_one_pass_matches_the_recursive_reference():
+    # every tree with at most 4 vertices and 4 leaves and no nullary
+    # vertex, every bracketing, under a random labelling, weights (0
+    # among them) and cacti
+    weights = (1, F(1, 2), F(1, 3), 0)
+    rng = R.rng_from_seed(24)
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(5):
+            for t in T.planar_trees(nv, nl):
+                if min(T.arities(t)) == 0:
+                    continue
+                for br in enumerate_bracketings(t):
+                    base = R.random_o_element(rng, tree=t)
+                    items = [(b, R.random_weight(rng, weights))
+                             for b in br.sorted_brackets()]
+                    xs = R.random_labelled_cacti(base, rng)
+                    ms, trace = A._ms_action(base, items, xs)
+                    want_ms, want_trace = reference_ms_action(base, items, xs)
+                    assert ms.cactus == want_ms.cactus, (base, items)
+                    assert ms == want_ms and trace == want_trace, (base, items)
+                    cases += 1
+    assert cases == 2939
 
 
 def test_augment_adds_one_unary_vertex_per_bracket():
@@ -196,29 +248,31 @@ def test_bracket_scaling_weight_one_chain():
     xs = [R.random_cactus(2, rng) for _ in range(3)]
     e = chain_elem(3, {frozenset({1, 2}): 1})
     brackets, _, hs = A.lam_traced(e, xs)[2]
-    y = A._sub_action(e.base, e.weighted.weights, xs, frozenset({1, 2}), {})
+    # the sub-action of {1, 2} is the unbracketed action on its region
+    y = A._ms_action(OElement(caterpillar(2)), [], xs[1:])[0]
     want = pl_compose(pl_invert(y.reparam), scaling_map(y.cactus, (1, 1, 1)))
     assert brackets == [frozenset({1, 2})]
     assert hs == [want]
 
 
 def test_each_sub_action_is_computed_once(monkeypatch):
-    # the chain {0,1} < {0,1,2} < ... nests every bracket in the next
+    # the chain {0,1} < {0,1,2} < ... nests every bracket in the next;
+    # each sub-action composes along its bracket's region, built once
     calls = []
-    ms_action = A._ms_action
+    region = T.region
 
     def counted(*args):
         calls.append(args)
-        return ms_action(*args)
+        return region(*args)
 
-    monkeypatch.setattr(A, "_ms_action", counted)
+    monkeypatch.setattr(T, "region", counted)
     rng = R.rng_from_seed(15)
     for n in range(3, 7):
         ws = {frozenset(range(j + 1)): F(1, j) for j in range(1, n - 1)}
         xs = [R.random_cactus(2, rng) for _ in range(n)]
         del calls[:]
         A.lam_traced(chain_elem(n, ws), xs)
-        assert len(calls) == 1 + len(ws)
+        assert len(calls) == len(ws)
 
 
 def test_brackets_act_like_unit_cacti_on_the_augmented_tree():
