@@ -79,7 +79,7 @@ def _ms_action(base, weight_items, cacti):
     tree = base.tree
     x_at = dict(zip(base.sigma, cacti))  # the input at each vertex
     whole = frozenset(x_at)
-    subs = {}  # the sub-action of each bracket done so far
+    subs = {}  # bracket done so far -> (its sub-action, that reparam inverted)
     # a bracket's inner brackets are smaller: their sub-actions come first
     for S in sorted([b for b, _ in weight_items], key=len) + [whole]:
         values, levels = chain_levels([(b, w) for b, w in weight_items
@@ -94,8 +94,7 @@ def _ms_action(base, weight_items, cacti):
         g = dict(f)
         hs = []
         for b in levels[-1]:
-            y = subs[b]
-            unwind = pl_invert(y.reparam)
+            y, unwind = subs[b]
             # undo the sub-action's reparametrization, then rescale
             h = pl_convex_combination(coeffs, [
                 pl_compose(unwind, scaling_map(y.cactus,
@@ -107,8 +106,9 @@ def _ms_action(base, weight_items, cacti):
         if S is not whole:
             # fold along the region's tree, each vertex read through old
             rt, old, _ = T.region(tree, S)
-            subs[S] = T.fold(T.index(rt), lambda j: MSElement(
+            y = T.fold(T.index(rt), lambda j: MSElement(
                 x_at[old[j]], f[old[j]]), ms_compose)
+            subs[S] = y, pl_invert(y.reparam)
     ms = lambda_MS(base, [MSElement(x, f[v])
                           for x, v in zip(cacti, base.sigma)])
     return ms, (levels[-1], [g[v] for v in base.sigma], hs)

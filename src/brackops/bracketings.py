@@ -144,15 +144,15 @@ def enumerate_bracketings(tree):
 
 
 def maximal_bracketings(tree):
-    """Bracketings not strictly contained in any other: those with no
-    bracket outside them that is nested with all of theirs.  The brackets
-    are the sets of the one-bracket bracketings."""
+    """Bracketings not strictly contained in any other: the top rank of
+    the enumeration, in its order.  The bracketings are the tubings of
+    the line graph of the inner edges, a connected graph, so they form
+    the face poset of a simple polytope, its graph associahedron
+    (Carr-Devadoss 2006): every maximal one has the same bracket count,
+    nv - 2 (none below 2 vertices)."""
     all_b = enumerate_bracketings(tree)
-    subs = [s for b in all_b if len(b.brackets) == 1 for s in b.brackets]
-    return [b for b in all_b
-            if not any(s not in b.brackets
-                       and all(vsets_nested(s, c) for c in b.brackets)
-                       for s in subs)]
+    top = len(all_b[-1].brackets)
+    return [b for b in all_b if len(b.brackets) == top]
 
 
 def check_enumeration_limit(tree, limit):
@@ -161,35 +161,25 @@ def check_enumeration_limit(tree, limit):
         raise ValueError("tree exceeds the enumeration limit (%d vertices)" % limit)
 
 
-def nerve_statistics(tree, limit=7):
+def nerve_statistics(tree):
     """f-vector and Euler characteristic of the order complex of the
     bracketing poset: f[r] counts chains of r+1 distinct bracketings;
-    chi = sum (-1)^r f[r].  Contractibility shows up as chi == 1."""
-    check_enumeration_limit(tree, limit)
+    chi = sum (-1)^r f[r].  Contractibility shows up as chi == 1.  A
+    tree of more than 7 vertices is refused."""
+    check_enumeration_limit(tree, 7)
     elems = enumerate_bracketings(tree)
-    n = len(elems)
-    below = [[] for _ in range(n)]
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if i != j and a.brackets < b.brackets:
-                below[j].append(i)
-    # chains_ending[j][r] = number of (r+1)-element chains with top j
-    chains_ending = [None] * n
-    order = sorted(range(n), key=lambda j: len(elems[j].brackets))
-    for j in order:
-        row = [1]
-        for i in below[j]:
-            for r, cnt in enumerate(chains_ending[i]):
-                while len(row) <= r + 1:
-                    row.append(0)
-                row[r + 1] += cnt
-        chains_ending[j] = row
-    fvec = []
-    for j in range(n):
-        for r, cnt in enumerate(chains_ending[j]):
-            while len(fvec) <= r:
-                fvec.append(0)
-            fvec[r] += cnt
+    width = len(elems[-1].brackets) + 1
+    # chains[j][r] counts the chains of r+1 bracketings with top elems[j];
+    # a strict subset has fewer brackets, so it is enumerated earlier
+    chains = []
+    for b in elems:
+        row = [1] + [0] * (width - 1)
+        for a, below in zip(elems, chains):
+            if a.brackets < b.brackets:
+                for r in range(1, width):
+                    row[r] += below[r - 1]
+        chains.append(row)
+    fvec = [sum(col) for col in zip(*chains)]
     chi = sum((-1) ** r * f for r, f in enumerate(fvec))
     return tuple(fvec), chi
 

@@ -88,14 +88,14 @@ def cmd_brackets(args):
     # star:8 (9 vertices) takes seconds and prints 34 MB, star:9 minutes
     if args.limit > 9:
         raise InputError("limit must be at most 9, got %d" % args.limit)
-    # the f-vector compares every pair of bracketings: star:7 takes minutes
+    # the f-vector compares each pair of bracketings once: star:7 takes minutes
     if args.fvector and args.limit > 7:
         raise InputError("limit must be at most 7 with --fvector, got %d"
                          % args.limit)
     tree = _tree_from_arg(args.tree)
     _apply(check_enumeration_limit, tree, args.limit)
     if args.fvector:
-        fvec, chi = nerve_statistics(tree, args.limit)
+        fvec, chi = nerve_statistics(tree)
         _emit({"tree": T.tree_to_obj(tree), "fvector": list(fvec),
                "chi": chi})
         return 0

@@ -118,17 +118,13 @@ def compose_O_with_maps(a, i, b):
         raise ValueError("arity mismatch: slot has arity %d, argument has %d leaves"
                          % (m, b.leaf_count))
     res = T.substitute_with_maps(a.tree, v, b.tree, tau=b.tau)
-    l = b.arity
-    sigma = []
-    for j in range(1, a.arity + l):
-        if j < i:
-            sigma.append(res.vmap_host[a.sigma[j - 1]])
-        elif j < i + l:
-            sigma.append(res.vmap_guest[b.sigma[j - i]])
-        else:
-            sigma.append(res.vmap_host[a.sigma[j - l]])
+    # the host's slots before i, the guest's, then the host's after i
+    host, guest = res.vmap_host, res.vmap_guest
+    sigma = ([host[u] for u in a.sigma[:i - 1]]
+             + [guest[u] for u in b.sigma]
+             + [host[u] for u in a.sigma[i:]])
     tau = tuple(res.leafmap_host[p] for p in a.tau)
-    return OElement(res.tree, sigma, tau), res.vmap_host, res.vmap_guest
+    return OElement(res.tree, sigma, tau), host, guest
 
 
 def compose_O(a, i, b):

@@ -108,7 +108,13 @@ def suite_bracket_counts(cfg, rng):
     cases = [("caterpillar-3", caterpillar(3), 2),
              ("caterpillar-4", caterpillar(4), 5),
              ("caterpillar-5", caterpillar(5), 14),
-             ("star-4", star(3), 6)]
+             ("star-4", star(3), 6),
+             # the associahedron's Catalan and the permutohedron's k!
+             # vertices
+             ("caterpillar-6", caterpillar(6), 42),
+             ("caterpillar-7", caterpillar(7), 132),
+             ("star-5", star(4), 24),
+             ("star-6", star(5), 120)]
     for name, tree, want in cases:
         got = len(maximal_bracketings(tree))
         yield ("max-bracketings/%s" % name,
@@ -130,7 +136,7 @@ def suite_euler(cfg, rng):
         for nv in range(1, cfg.limit + 1):
             want = 0 if nv == 1 else 1 + (-1) ** (nv - 1)
             for sh in T.planar_trees(nv, 0):
-                fvec, _ = nerve_statistics(sh, limit=7)
+                fvec, _ = nerve_statistics(sh)
                 chi, prev = 0, 1
                 for r, f in enumerate(fvec):
                     prev = f - prev

@@ -41,6 +41,10 @@ COUNTS = {
         "max-bracketings/caterpillar-4": 1,
         "max-bracketings/caterpillar-5": 1,
         "max-bracketings/star-4": 1,
+        "max-bracketings/caterpillar-6": 1,
+        "max-bracketings/caterpillar-7": 1,
+        "max-bracketings/star-5": 1,
+        "max-bracketings/star-6": 1,
     },
     "nerve": {
         "nerve/functorial": 400,

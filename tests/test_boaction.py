@@ -275,6 +275,35 @@ def test_each_sub_action_is_computed_once(monkeypatch):
         assert len(calls) == len(ws)
 
 
+def test_each_sub_action_is_inverted_once(monkeypatch):
+    # the grid of the reference test, every weight 1: each bracket's
+    # sub-action is inverted once, not once per region that holds it
+    calls = []
+    invert = A.pl_invert
+
+    def counted(m):
+        calls.append(m)
+        return invert(m)
+
+    monkeypatch.setattr(A, "pl_invert", counted)
+    rng = R.rng_from_seed(24)
+    brackets = 0
+    for nv in range(1, 5):
+        for nl in range(5):
+            for t in T.planar_trees(nv, nl):
+                if min(T.arities(t)) == 0:
+                    continue
+                for br in enumerate_bracketings(t):
+                    base = R.random_o_element(rng, tree=t)
+                    items = [(b, F(1)) for b in br.sorted_brackets()]
+                    del calls[:]
+                    A._ms_action(base, items,
+                                 R.random_labelled_cacti(base, rng))
+                    assert len(calls) == len(items), (base, items)
+                    brackets += len(items)
+    assert brackets == 3826
+
+
 def test_brackets_act_like_unit_cacti_on_the_augmented_tree():
     # the reference composes one unit cactus carrying h_b per bracket
     # along the augmented tree, instead of precomposing root inputs

@@ -8,6 +8,7 @@ from brackops.bracketings import (Bracketing, WeightedBracketing,
                                   nerve_statistics, bracketing_to_obj,
                                   weighted_to_obj, weighted_from_obj)
 from brackops import trees as T
+from poset_reference import nerve_statistics as reference_nerve_statistics
 
 
 def test_improper_brackets_rejected():
@@ -66,6 +67,23 @@ def test_maximal_bracketings_match_the_pairwise_definition():
     trees += [star(n) for n in range(2, 6)]
     for t in trees:
         assert maximal_bracketings(t) == _maximal_pairwise(t)
+
+
+def test_nerve_statistics_match_the_pairwise_reference():
+    # one tree per vertex shape with at most 6 vertices, as above
+    shapes = {}
+    for nv in range(1, 7):
+        for nl in range(4):
+            for t in planar_trees(nv, nl):
+                shapes.setdefault(tuple(T.index(t).parent), t)
+    trees = list(shapes.values()) + [caterpillar(7)]
+    for t in trees:
+        assert nerve_statistics(t) == reference_nerve_statistics(t), t
+
+
+def test_nerve_statistics_refuse_a_tree_over_7_vertices():
+    with pytest.raises(ValueError, match="enumeration limit"):
+        nerve_statistics(caterpillar(8))
 
 
 def test_corolla_has_only_empty_bracketing():

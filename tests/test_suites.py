@@ -85,7 +85,7 @@ def test_euler_suite_fails_on_a_poset_that_is_not_a_sphere(monkeypatch):
     # still a cone over the empty bracketing, but its proper part is a
     # path, not a circle
     monkeypatch.setattr(suites, "nerve_statistics",
-                        lambda tree, limit: ((10, 17, 8), 1))
+                        lambda tree: ((10, 17, 8), 1))
     report = run_suite("euler-characteristic", RunConfig(limit=4))
     assert report["passed"] is False
     assert "chi=1, want" in report["checks"][0]["counterexample"]
