@@ -16,12 +16,18 @@ class TerminalAlgebra:
         return "*"
 
     def act(self, elem, inputs):
+        if len(inputs) != elem.base.arity:
+            raise ValueError("need one input per slot")
         if any(x != "*" for x in inputs):
             raise ValueError("terminal values are all the point")
         return "*"
 
     def sample(self, n, rng=None):
         return "*"
+
+
+_BITS = frozenset((0, 1))
+_BIT_TYPES = frozenset((int, bool))
 
 
 class EndoValue:
@@ -31,9 +37,13 @@ class EndoValue:
     __slots__ = ("n", "table")
 
     def __init__(self, n, table):
-        table = tuple(int(b) for b in table)
-        if len(table) != 1 << n or any(b not in (0, 1) for b in table):
+        table = tuple(table)
+        kinds = set(map(type, table))
+        if (len(table) != 1 << n or not kinds <= _BIT_TYPES
+                or not _BITS.issuperset(table)):
             raise ValueError("need a 0/1 table of length 2**%d" % n)
+        if bool in kinds:
+            table = tuple(map(int, table))
         self.n = n
         self.table = table
 
@@ -61,16 +71,23 @@ def endo_identity():
 
 
 def endo_compose(a, i, b):
-    "Substitute b into argument i of a."
+    """Substitute b into argument i of a.  With lo = a.n - i, entry idx
+    of the result is entry ((idx >> (lo + b.n)) << (lo + 1)) |
+    (b.table[mid] << lo) | (idx & (2**lo - 1)) of a, mid being the b.n
+    bits of idx above its lo lowest.  So each block of a's table that
+    fixes the arguments before i is two halves, argument i = 0 and 1,
+    and each entry of b's table picks one."""
     if not 1 <= i <= a.n:
         raise IndexError("slot %d out of range" % i)
-    n = a.n + b.n - 1
+    lo = a.n - i
+    half = 1 << lo
+    at = a.table
     table = []
-    for idx in range(1 << n):
-        args = [(idx >> (n - 1 - j)) & 1 for j in range(n)]
-        mid = b(args[i - 1:i - 1 + b.n])
-        table.append(a(args[:i - 1] + [mid] + args[i - 1 + b.n:]))
-    return EndoValue(n, table)
+    for h in range(0, 1 << a.n, 1 << (lo + 1)):
+        halves = (at[h:h + half], at[h + half:h + 2 * half])
+        for bit in b.table:
+            table += halves[bit]
+    return EndoValue(a.n + b.n - 1, table)
 
 
 class EndoAlgebra:
@@ -86,14 +103,17 @@ class EndoAlgebra:
         if base.tree.is_eta:
             return endo_identity()
         acc = fold_inputs(base, inputs, endo_compose)
-        # the fold orders arguments by planar leaf position; relabel by tau
-        labels = base.leaf_labels()
-        n = len(labels)
-        table = []
-        for word in range(1 << n):
-            args = [(word >> (n - 1 - j)) & 1 for j in range(n)]
-            table.append(acc([args[j] for j in labels]))
-        return EndoValue(n, table)
+        # the fold orders arguments by planar leaf position; argument j
+        # (bit n-1-j of a word) is the one at position tau[j], so entry
+        # word of the result is entry perm[word] of acc, perm built by
+        # doubling over the word's bits, lowest first
+        n = len(base.tau)
+        perm = [0]
+        for p in reversed(base.tau):
+            step = 1 << (n - 1 - p)
+            perm += [q + step for q in perm]
+        table = acc.table
+        return EndoValue(n, [table[q] for q in perm])
 
     def sample(self, n, rng=None):
         if rng is None:

@@ -10,6 +10,7 @@ vertexless tree has the single edge ("leaf", 0)."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -26,12 +27,17 @@ from .operads import OElement, BOElement
 
 def edges(tree):
     "All edges of a tree, output edges first, in id order."
-    if tree.is_eta:
-        return [("leaf", 0)]
-    idx = T.index(tree)
-    out = [("out", v) for v in range(idx.num_vertices())]
-    out += [("leaf", p) for p in range(len(idx.leaf_at))]
-    return out
+    return ([("out", v) for v in range(tree.vertex_count)]
+            + [("leaf", p) for p in range(tree.leaf_count)])
+
+
+@functools.lru_cache(maxsize=256)
+def _edge_set(vertex_count, leaf_count):
+    """The edges of every tree with these stored counts: ("out", v) for
+    0 <= v < vertex_count and ("leaf", p) for 0 <= p < leaf_count (η
+    has only ("leaf", 0))."""
+    return frozenset([("out", v) for v in range(vertex_count)]
+                     + [("leaf", p) for p in range(leaf_count)])
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +53,10 @@ class OmegaMorphism:
 
     def __init__(self, source, target, edge_map):
         edge_map = dict(edge_map)
-        if set(edge_map) != set(edges(source)):
+        if edge_map.keys() != _edge_set(source.vertex_count,
+                                        source.leaf_count):
             raise ValueError("edge map must be defined on exactly the source edges")
-        tgt_edges = set(edges(target))
+        tgt_edges = _edge_set(target.vertex_count, target.leaf_count)
         for e in edge_map.values():
             if e not in tgt_edges:
                 raise ValueError("edge map value %r is not a target edge" % (e,))
@@ -59,7 +66,7 @@ class OmegaMorphism:
         object.__setattr__(self, "vertex_images",
                            _vertex_images(source, target, edge_map))
         object.__setattr__(self, "_hash", hash(
-            (source, target, tuple(sorted(edge_map.items())))))
+            (source, target, frozenset(edge_map.items()))))
 
     def __setattr__(self, *a):
         raise AttributeError("morphisms are immutable")

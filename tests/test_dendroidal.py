@@ -6,7 +6,7 @@ import pytest
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla, star
 from brackops import trees as T
 from brackops import dendroidal as D
-from brackops.algebras import TerminalAlgebra, CactusAlgebra
+from brackops.algebras import TerminalAlgebra, EndoAlgebra, CactusAlgebra
 from brackops.cacti import cact1_compose
 from brackops import randomgen as R
 
@@ -258,6 +258,73 @@ def test_morphism_refuses_an_edge_map_that_is_no_morphism(
         D.OmegaMorphism(source, target, edge_map)
 
 
+def _set_based_edges(tree):
+    "A tree's edges read off its index, as the earlier check built them."
+    if tree.is_eta:
+        return [("leaf", 0)]
+    idx = T.index(tree)
+    return ([("out", v) for v in range(idx.num_vertices())]
+            + [("leaf", p) for p in range(len(idx.leaf_at))])
+
+
+def _set_based_refusal(source, target, edge_map):
+    """The message of the earlier set-based check of an edge map's keys
+    and values, or None when it passes."""
+    if set(edge_map) != set(_set_based_edges(source)):
+        return "edge map must be defined on exactly the source edges"
+    tgt_edges = set(_set_based_edges(target))
+    for e in edge_map.values():
+        if e not in tgt_edges:
+            return "edge map value %r is not a target edge" % (e,)
+    return None
+
+
+def _malformed_edge_maps():
+    "(source, target, edge_map) triples the edge check must refuse."
+    out = []
+    bad = [("root", 0), ("out", -1), ("leaf", -1), ("out", "0"), "out",
+           ("out", 0, 0)]
+    for g in [D.collapse_morphism(caterpillar(3), [{1, 2}]),
+              D.subtree_inclusion(caterpillar(3), {1, 2}),
+              D.degeneracy(PlanarTree((PlanarTree((ETA,)), ETA)), 1),
+              D.isomorphisms(star(2), star(2))[1]]:
+        s, t, em = g.source, g.target, g.edge_map
+        extra = bad + [("out", T.num_vertices(s)), ("leaf", T.num_leaves(s))]
+        missing = bad + [("out", T.num_vertices(t)), ("leaf", T.num_leaves(t))]
+        for e in em:
+            out.append((s, t, {k: v for k, v in em.items() if k != e}))
+            for x in extra:
+                out.append((s, t, {**em, x: em[e]}))
+                # the same count of keys, one of them no edge
+                out.append((s, t, {**{k: v for k, v in em.items()
+                                      if k != e}, x: em[e]}))
+            for x in missing:
+                out.append((s, t, {**em, e: x}))
+    # η on either side
+    out += [(ETA, corolla(1), {}),
+            (ETA, corolla(1), {("out", 0): ("leaf", 0)}),
+            (ETA, corolla(1), {("leaf", 0): ("leaf", 0), ("out", 0): ("out", 0)}),
+            (ETA, corolla(1), {("leaf", 1): ("leaf", 0)}),
+            (ETA, corolla(1), {("leaf", 0): ("leaf", 1)}),
+            (corolla(1), ETA, {("out", 0): ("out", 0), ("leaf", 0): ("leaf", 0)}),
+            (corolla(1), ETA, {("out", 0): ("leaf", 0), ("leaf", 0): ("leaf", 1)}),
+            (ETA, ETA, {("leaf", 0): ("out", 0)}),
+            (ETA, ETA, {("leaf", 0): ("leaf", -1)}),
+            (ETA, ETA, {("out", 0): ("leaf", 0)})]
+    return out
+
+
+def test_morphism_refuses_a_malformed_edge_map_as_the_set_based_check():
+    cases = _malformed_edge_maps()
+    for source, target, edge_map in cases:
+        message = _set_based_refusal(source, target, edge_map)
+        assert message is not None, edge_map
+        with pytest.raises(ValueError) as err:
+            D.OmegaMorphism(source, target, edge_map)
+        assert str(err.value) == message, edge_map
+    assert len(cases) == 510
+
+
 def test_tilde_morphism_drops_weight_zero_brackets():
     assert _collapse_top([({0, 1}, 0)]).brackets == ((), ())
     assert _collapse_top([({0, 1}, 0), ({0, 1, 2}, 1)]).brackets \
@@ -433,3 +500,43 @@ def test_morphism_json_roundtrip():
     g = D.collapse_morphism(t, [{1, 2, 3}])
     m = D.OmegaTildeMorphism(g, [{}, {frozenset({1, 2}): F(1, 2)}])
     assert D.tilde_from_obj(D.tilde_to_obj(m)) == m
+
+
+def _brute_force_morphisms(trees):
+    "Every edge map between the trees that OmegaMorphism accepts."
+    out = []
+    for s in trees:
+        for t in trees:
+            es = D.edges(s)
+            for images in itertools.product(D.edges(t), repeat=len(es)):
+                try:
+                    out.append(D.OmegaMorphism(s, t, dict(zip(es, images))))
+                except ValueError:
+                    pass
+    return out
+
+
+def test_phi_is_functorial_on_every_small_composable_pair():
+    trees = [ETA] + [t for nv in (1, 2) for nl in (0, 1, 2)
+                     for t in T.planar_trees(nv, nl)]
+    assert len(trees) == 14
+    homs = _brute_force_morphisms(trees)
+    assert len(homs) == 298
+    into = {}
+    for f in homs:
+        into.setdefault(f.target, []).append(f)
+    rng = R.rng_from_seed(26)
+    P = EndoAlgebra()
+    pairs = 0
+    for g in homs:
+        if g.target.is_eta:
+            continue
+        G = D.OmegaTildeMorphism(g)
+        for f in into.get(g.source, []):
+            F = D.OmegaTildeMorphism(f)
+            vals = tuple(P.sample(a, rng) for a in T.arities(g.target))
+            lhs = D.phi_morphism(P, D.compose_omega_tilde(G, F), vals)
+            rhs = D.phi_morphism(P, F, D.phi_morphism(P, G, vals))
+            assert lhs == rhs, (f, g, vals)
+            pairs += 1
+    assert pairs == 5508
