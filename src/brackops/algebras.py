@@ -50,9 +50,11 @@ class EndoValue:
     def __call__(self, args):
         if len(args) != self.n:
             raise ValueError("arity mismatch")
+        if not set(map(type, args)) <= _BIT_TYPES or not _BITS.issuperset(args):
+            raise ValueError("arguments must be 0 or 1")
         idx = 0
         for a in args:
-            idx = (idx << 1) | int(a)
+            idx = (idx << 1) | a
         return self.table[idx]
 
     def __eq__(self, other):

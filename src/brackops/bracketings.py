@@ -8,12 +8,8 @@ from fractions import Fraction
 
 from .trees import (
     enumerate_subtrees, frac_from_obj, frac_to_str, int_from_obj,
-    is_connected, num_vertices, vsets_nested,
+    is_connected, num_vertices, vset_key, vsets_nested,
 )
-
-
-def _canon_key(vset):
-    return (len(vset), tuple(sorted(vset)))
 
 
 def check_brackets(tree, sets, within):
@@ -47,7 +43,7 @@ def canonical_weights(weights):
         if not 0 < w <= 1:
             raise ValueError("weight %s outside (0,1]" % w)
         items.append((frozenset(vset), w))
-    items.sort(key=lambda it: _canon_key(it[0]))
+    items.sort(key=lambda it: vset_key(it[0]))
     # the key is injective, so a repeated set sorts next to itself
     if any(a == b for (a, _), (b, _) in zip(items, items[1:])):
         raise ValueError("duplicate bracket")
@@ -63,16 +59,14 @@ class Bracketing:
 
     __slots__ = ("tree", "brackets")
 
-    def __init__(self, tree, brackets=(), validate=True):
-        brackets = frozenset(frozenset(b) for b in brackets)
-        if validate:
-            check_brackets(tree, sorted(brackets, key=_canon_key),
-                           _all_vertices(tree))
+    def __init__(self, tree, brackets=()):
+        brackets = [frozenset(b) for b in brackets]
+        check_brackets(tree, brackets, _all_vertices(tree))
         self.tree = tree
-        self.brackets = brackets
+        self.brackets = frozenset(brackets)
 
     def sorted_brackets(self):
-        return sorted(self.brackets, key=_canon_key)
+        return sorted(self.brackets, key=vset_key)
 
     def __eq__(self, other):
         return (isinstance(other, Bracketing) and self.tree == other.tree
@@ -134,7 +128,7 @@ def enumerate_bracketings(tree):
     def extend(chosen, rest):
         if len(chosen) == len(by_count):
             by_count.append([])
-        by_count[len(chosen)].append(Bracketing(tree, chosen, validate=False))
+        by_count[len(chosen)].append(Bracketing(tree, chosen))
         for pos, cand in enumerate(rest):
             nxt = [r for r in rest[pos + 1:] if vsets_nested(cand, r)]
             extend(chosen + [cand], nxt)
@@ -193,7 +187,7 @@ def chain_levels(items):
     if not values or values[0] != 1:
         values = [Fraction(1)] + values
     levels = [sorted((frozenset(b) for b, w in items if w >= val),
-                     key=_canon_key)
+                     key=vset_key)
               for val in values]
     return values, levels
 

@@ -393,14 +393,20 @@ def collapse_with_map(tree, vsets):
     return new, {u: k for k, v in enumerate(old) for u in tops.get(v, (v,))}
 
 
+def vset_key(vset):
+    """The canonical order of vertex sets: by size, then sorted ids.
+    `enumerate_bracketings` relies on `enumerate_subtrees` listing in it."""
+    return (len(vset), tuple(sorted(vset)))
+
+
 def enumerate_subtrees(tree, min_vertices=1):
-    """All connected vertex subsets of size >= min_vertices, in a
-    deterministic order (by size, then lexicographically)."""
+    """All connected vertex subsets of size >= min_vertices, in the
+    canonical order (`vset_key`)."""
     idx = index(tree)
     n = idx.num_vertices()
     found = []
 
-    # grow connected sets downward-closed from each root choice
+    # grow connected sets downward-closed from each root: each set once
     def grow(current, candidates):
         found.append(frozenset(current))
         for pos, c in enumerate(candidates):
@@ -409,8 +415,8 @@ def enumerate_subtrees(tree, min_vertices=1):
 
     for r in range(n):
         grow({r}, tuple(idx.vertex_children(r)))
-    sets = sorted(set(found), key=lambda s: (len(s), sorted(s)))
-    return [Subtree(tree, s) for s in sets if len(s) >= min_vertices]
+    found.sort(key=vset_key)
+    return [Subtree(tree, s) for s in found if len(s) >= min_vertices]
 
 
 def vsets_nested(a, b):

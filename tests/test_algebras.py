@@ -40,9 +40,17 @@ def test_endo_value_refuses_entries_that_are_not_bits(table):
         EndoValue(1, table)
 
 
+@pytest.mark.parametrize("args", [(1.7, 1), (0, 2), ("1", 1), (1.0, 1),
+                                  ([1], 0)])
+def test_endo_value_call_refuses_arguments_that_are_not_bits(args):
+    with pytest.raises(ValueError, match="arguments must be 0 or 1"):
+        AND(args)
+
+
 def test_endo_value_reads_booleans_as_bits():
     assert EndoValue(1, (False, True)) == endo_identity()
     assert repr(EndoValue(1, (True, False))) == "EndoValue(1, 10)"
+    assert AND((True, 1)) == 1 and NOT((False,)) == 1
 
 
 def test_endo_compose_matches_substitution():

@@ -7,6 +7,7 @@ from brackops.bracketings import (Bracketing, WeightedBracketing,
                                   enumerate_bracketings, maximal_bracketings,
                                   nerve_statistics, bracketing_to_obj,
                                   weighted_to_obj, weighted_from_obj)
+from brackops import bracketings as B
 from brackops import trees as T
 from poset_reference import nerve_statistics as reference_nerve_statistics
 
@@ -31,6 +32,31 @@ def test_overlapping_brackets_rejected():
     t = caterpillar(4)
     with pytest.raises(ValueError):
         Bracketing(t, [frozenset({0, 1, 2}), frozenset({1, 2, 3})])
+
+
+@pytest.mark.parametrize("family, fault", [
+    ([{0, 2}, {0}], r"bracket \[0, 2\] is not a subtree"),
+    ([{0}, {0, 2}], r"bracket \[0\] is not large"),
+], ids=["disconnected-first", "small-first"])
+def test_bracketing_names_the_first_fault_in_the_order_given(family, fault):
+    with pytest.raises(ValueError, match=fault):
+        Bracketing(caterpillar(3), family)
+
+
+@pytest.mark.parametrize("tree", [caterpillar(4), star(3)],
+                         ids=["caterpillar4", "star3"])
+def test_enumeration_checks_every_bracketing(tree, monkeypatch):
+    calls = []
+    check = B.check_brackets
+
+    def counting(tree, sets, within):
+        calls.append(list(sets))
+        return check(tree, sets, within)
+
+    monkeypatch.setattr(B, "check_brackets", counting)
+    found = enumerate_bracketings(tree)
+    assert len(calls) == len(found) > 1
+    assert {frozenset(c) for c in calls} == {b.brackets for b in found}
 
 
 def test_nested_brackets_accepted():

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import weakref
 
@@ -251,6 +252,24 @@ def test_enumerate_subtrees_connected():
     subs = T.enumerate_subtrees(t, 2)
     assert all(T.is_connected(t, s.vertex_set) for s in subs)
     assert all(0 in s.vertex_set for s in subs)  # arms only meet at the root
+
+
+def test_enumerate_subtrees_lists_each_set_once_in_canonical_order():
+    cases = 0
+    for nv in range(1, 6):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                sets = [s.vertex_set for s in T.enumerate_subtrees(t)]
+                keys = [T.vset_key(s) for s in sets]
+                # vset_key is injective, so strictly increasing keys
+                # mean no set is listed twice
+                assert all(a < b for a, b in zip(keys, keys[1:])), t
+                every = [frozenset(c) for k in range(1, nv + 1)
+                         for c in itertools.combinations(range(nv), k)]
+                assert set(sets) == {s for s in every
+                                     if T.is_connected(t, s)}, t
+                cases += 1
+    assert cases == 3816
 
 
 def roundtrip(t):
