@@ -129,7 +129,7 @@ def lam_traced(element, inputs):
     scale, so a tree with one is refused."""
     check_inputs(element.base, [x.k for x in inputs])
     idx = T.index(element.base.tree)
-    for v in range(idx.num_vertices()):
+    for v in range(element.base.tree.vertex_count):
         if idx.arity(v) == 0:
             raise ValueError("vertex %d has arity 0; the cactus action "
                              "needs an input at every vertex" % v)
@@ -148,7 +148,7 @@ def augment(base, brackets):
     the benchmark's tracer wraps it by name."""
     sets = Bracketing(base.tree, brackets).sorted_brackets()
     idx = T.index(base.tree)
-    n = idx.num_vertices()
+    n = base.tree.vertex_count
     wraps = [[] for _ in range(n)]
     for j, b in enumerate(sets):
         # a later bracket rooted at the same vertex is larger: it wraps

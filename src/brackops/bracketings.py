@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .trees import (
     enumerate_subtrees, frac_from_obj, frac_to_str, int_from_obj,
-    is_connected, num_vertices, vset_key, vsets_nested,
+    is_connected, vset_key, vsets_nested,
 )
 
 
@@ -51,7 +51,7 @@ def canonical_weights(weights):
 
 
 def _all_vertices(tree):
-    return frozenset(range(num_vertices(tree)))
+    return frozenset(range(tree.vertex_count))
 
 
 class Bracketing:
@@ -118,7 +118,7 @@ def enumerate_bracketings(tree):
     """All bracketings of the tree, sorted canonically: by bracket count,
     then by the canonical keys of their sorted brackets; the empty
     bracketing is always first."""
-    n = num_vertices(tree)
+    n = tree.vertex_count
     # enumerate_subtrees lists the candidates in canonical order, so the
     # depth-first walk meets each bracket count's bracketings in order
     subs = [s.vertex_set for s in enumerate_subtrees(tree, 2)
@@ -151,7 +151,7 @@ def maximal_bracketings(tree):
 
 def check_enumeration_limit(tree, limit):
     "Refuse a tree whose bracketings are too many to enumerate."
-    if num_vertices(tree) > limit:
+    if tree.vertex_count > limit:
         raise ValueError("tree exceeds the enumeration limit (%d vertices)" % limit)
 
 

@@ -43,10 +43,16 @@ class Cactus:
     __slots__ = ("k", "den", "cuts", "labels")
 
     def __init__(self, k, arcs):
-        "From rational (start, end, label) triples; empty arcs are dropped."
-        arcs = [(Fraction(a), Fraction(b), int(lab)) for a, b, lab in arcs]
+        """From an int lobe count and rational (start, end, label)
+        triples with int labels; empty arcs are dropped.  A bool, a float
+        or a string is refused as a count or a label."""
+        arcs = [(Fraction(a), Fraction(b), lab) for a, b, lab in arcs]
+        for n in (k, *[lab for _, _, lab in arcs]):
+            if type(n) is not int:
+                raise CactusError("lobe count and labels must be ints, got %r"
+                                  % (n,))
         den = lcm(*[z.denominator for a, b, _ in arcs for z in (a, b)])
-        self._set(int(k), den, [
+        self._set(k, den, [
             (a.numerator * (den // a.denominator),
              b.numerator * (den // b.denominator), lab) for a, b, lab in arcs])
 

@@ -10,7 +10,6 @@ vertexless tree has the single edge ("leaf", 0)."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 
@@ -20,24 +19,6 @@ from .bracketings import (
     WeightedBracketing, canonical_weights, check_brackets, merge_brackets,
 )
 from .operads import OElement, BOElement
-
-
-# ---------------------------------------------------------------------------
-# Edge bookkeeping.
-
-def edges(tree):
-    "All edges of a tree, output edges first, in id order."
-    return ([("out", v) for v in range(tree.vertex_count)]
-            + [("leaf", p) for p in range(tree.leaf_count)])
-
-
-@functools.lru_cache(maxsize=256)
-def _edge_set(vertex_count, leaf_count):
-    """The edges of every tree with these stored counts: ("out", v) for
-    0 <= v < vertex_count and ("leaf", p) for 0 <= p < leaf_count (η
-    has only ("leaf", 0))."""
-    return frozenset([("out", v) for v in range(vertex_count)]
-                     + [("leaf", p) for p in range(leaf_count)])
 
 
 # ---------------------------------------------------------------------------
@@ -53,10 +34,10 @@ class OmegaMorphism:
 
     def __init__(self, source, target, edge_map):
         edge_map = dict(edge_map)
-        if edge_map.keys() != _edge_set(source.vertex_count,
-                                        source.leaf_count):
+        if edge_map.keys() != T.edge_set(source.vertex_count,
+                                         source.leaf_count):
             raise ValueError("edge map must be defined on exactly the source edges")
-        tgt_edges = _edge_set(target.vertex_count, target.leaf_count)
+        tgt_edges = T.edge_set(target.vertex_count, target.leaf_count)
         for e in edge_map.values():
             if e not in tgt_edges:
                 raise ValueError("edge map value %r is not a target edge" % (e,))
@@ -93,7 +74,7 @@ def _vertex_images(source, target, edge_map):
     children lie above distinct edges leaving its own."""
     idxS, idxT = T.index(source), T.index(target)
     images = []
-    for v in range(idxS.num_vertices()):
+    for v in range(source.vertex_count):
         ins = [edge_map[e] for e in idxS.child_entries[v]]
         img, exits = [], []
         stack = [edge_map[("out", v)]]
@@ -115,7 +96,8 @@ def _vertex_images(source, target, edge_map):
 
 
 def identity_omega(tree):
-    return OmegaMorphism(tree, tree, {e: e for e in edges(tree)})
+    return OmegaMorphism(tree, tree, {
+        e: e for e in T.edge_set(tree.vertex_count, tree.leaf_count)})
 
 
 def compose_omega(g, f):
@@ -143,7 +125,7 @@ def collapse_morphism(tree, vsets):
     connected vertex sets to a single vertex of the source."""
     vsets = [frozenset(s) for s in vsets]
     src, vmap = T.collapse_with_map(tree, vsets)
-    em = {("leaf", p): ("leaf", p) for p in range(T.num_leaves(tree))}
+    em = {("leaf", p): ("leaf", p) for p in range(tree.leaf_count)}
     # a connected set's root has its least DFS id
     for old, new in sorted(vmap.items()):
         em.setdefault(("out", new), ("out", old))
@@ -152,10 +134,9 @@ def collapse_morphism(tree, vsets):
 
 def inner_face(tree, c):
     "The face contracting the output edge of the non-root vertex c."
-    idx = T.index(tree)
-    if c == 0 or not 0 <= c < idx.num_vertices():
+    if c == 0 or not 0 <= c < tree.vertex_count:
         raise ValueError("need a non-root vertex")
-    return collapse_morphism(tree, [{idx.parent[c], c}])
+    return collapse_morphism(tree, [{T.index(tree).parent[c], c}])
 
 
 def outer_face(tree, v):
@@ -163,7 +144,7 @@ def outer_face(tree, v):
     only leaf children, or the root when it has a single vertex child
     carrying all the leaves."""
     idx = T.index(tree)
-    n = idx.num_vertices()
+    n = tree.vertex_count
     if not 0 <= v < n:
         raise IndexError("unknown vertex %d" % v)
     keep = frozenset(range(n)) - {v}
@@ -193,16 +174,17 @@ def degeneracy(tree, v):
         kind, ref = idx.child_entries[v][0] if e == ("out", v) else e
         return kind, moved[kind][ref]
 
-    return OmegaMorphism(tree, res.tree, {e: image(e) for e in edges(tree)})
+    return OmegaMorphism(tree, res.tree, {
+        e: image(e) for e in T.edge_set(tree.vertex_count, tree.leaf_count)})
 
 
 def isomorphisms(s, t):
     "All isomorphisms s -> t (possibly none)."
     if s.is_eta or t.is_eta:
         return [identity_omega(ETA)] if s.is_eta and t.is_eta else []
-    idxS, idxT = T.index(s), T.index(t)
-    if idxS.num_vertices() != idxT.num_vertices():
+    if s.vertex_count != t.vertex_count:
         return []
+    idxS, idxT = T.index(s), T.index(t)
 
     def match(vs, vt):
         "Edge-map fragments matching vs onto vt."
@@ -331,7 +313,7 @@ def phi_morphism(P, m, values):
     degenerated vertex yields the handle's unit."""
     base = m.base
     n = len(base.vertex_images)
-    if len(values) != T.num_vertices(base.target):
+    if len(values) != base.target.vertex_count:
         raise ValueError("values must be indexed by the target's vertices")
     if n == 0:
         return ()
@@ -358,7 +340,7 @@ def segal_check(P, tree, values=None):
     inclusions and compare with plain re-indexing."""
     if tree.is_eta:
         raise ValueError("the vertexless tree has no Segal map")
-    n = T.num_vertices(tree)
+    n = tree.vertex_count
     if values is None:
         values = tuple(P.sample(a) for a in T.arities(tree))
     for v in range(n):

@@ -17,7 +17,7 @@ from . import trees as T
 from .bracketings import (
     WeightedBracketing, merge_brackets, weighted_from_obj, weighted_to_obj,
 )
-from .trees import ETA, corolla, num_leaves, num_vertices
+from .trees import ETA, corolla
 
 
 class OElement:
@@ -28,7 +28,7 @@ class OElement:
     __slots__ = ("tree", "sigma", "tau")
 
     def __init__(self, tree, sigma=None, tau=None):
-        nv, nl = num_vertices(tree), num_leaves(tree)
+        nv, nl = tree.vertex_count, tree.leaf_count
         sigma = tuple(range(nv) if sigma is None else sigma)
         tau = tuple(range(nl) if tau is None else tau)
         if sorted(sigma) != list(range(nv)):

@@ -79,9 +79,9 @@ def random_planar_tree(rng, max_vertices=3, max_leaves=5):
 def random_o_element(rng, max_vertices=3, max_leaves=5, tree=None):
     t = tree if tree is not None else random_planar_tree(rng, max_vertices,
                                                          max_leaves)
-    n = T.num_vertices(t)
+    n = t.vertex_count
     sigma = random_permutation(rng, n)
-    tau = random_permutation(rng, T.num_leaves(t))
+    tau = random_permutation(rng, t.leaf_count)
     return OElement(t, sigma, tau)
 
 

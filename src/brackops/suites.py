@@ -362,7 +362,7 @@ def _random_tilde_chain(rng, length, base_vertices=6):
     tree = caterpillar(base_vertices)
     plain = []
     for _ in range(length):
-        if T.num_vertices(tree) < 2:
+        if tree.vertex_count < 2:
             g = D.identity_omega(tree)
         elif rng.random() < 0.8:
             g = _random_collapse(tree, rng)
@@ -414,7 +414,7 @@ def suite_omega_tilde(cfg, rng):
             tree = caterpillar(rng.randint(4, 6))
             chain = []
             for _ in range(length):
-                if T.num_vertices(tree) < 2:
+                if tree.vertex_count < 2:
                     break
                 g = _random_collapse(tree, rng)
                 chain.append(g)
@@ -477,7 +477,7 @@ def suite_nerve(cfg, rng):
             target = G.base.target
             for name, P, vals in [
                     ("terminal", terminal,
-                     tuple("*" for _ in range(T.num_vertices(target)))),
+                     tuple("*" for _ in range(target.vertex_count))),
                     ("cacti", cact,
                      tuple(cact.sample(a, rng) for a in T.arities(target)))]:
                 lhs = D.phi_morphism(P, comp, vals)
@@ -611,14 +611,14 @@ def _coherence_configs(shapes, weight_choices, rng):
     "Every (host, slot, guest) on the shapes, at most 5 vertices together."
     configs = []
     for sa in shapes:
-        nva = T.num_vertices(sa)
+        nva = sa.vertex_count
         for a in _decorate_sampled(sa, weight_choices, rng):
             for i in range(1, a.arity + 1):
                 m = a.slot_arity(i)
                 for sb in shapes:
                     # composite vertex count is nva + nvb - 1
-                    if (T.num_vertices(sb) + nva > 5
-                            or T.num_leaves(sb) != m):
+                    if (sb.vertex_count + nva > 5
+                            or sb.leaf_count != m):
                         continue
                     for b in _decorate_sampled(sb, weight_choices, rng):
                         configs.append((a, i, b))

@@ -140,9 +140,6 @@ class TreeIndex:
     def arity(self, vid):
         return len(self.child_entries[vid])
 
-    def num_vertices(self):
-        return len(self.child_entries)
-
     def vertex_children(self, vid):
         "Ids of vertex children only, in planar order."
         return [c for k, c in self.child_entries[vid] if k == "out"]
@@ -156,18 +153,19 @@ def index(tree):
     return TreeIndex(tree)
 
 
-def num_vertices(tree):
-    return tree.vertex_count
-
-
-def num_leaves(tree):
-    return tree.leaf_count
+@functools.lru_cache(maxsize=256)
+def edge_set(vertex_count, leaf_count):
+    """The edges of every tree with these stored counts: ("out", v) for
+    0 <= v < vertex_count and ("leaf", p) for 0 <= p < leaf_count (η
+    has only ("leaf", 0))."""
+    return frozenset([("out", v) for v in range(vertex_count)]
+                     + [("leaf", p) for p in range(leaf_count)])
 
 
 def arities(tree):
     "Vertex arities in DFS order."
     idx = index(tree)
-    return [idx.arity(v) for v in range(idx.num_vertices())]
+    return [idx.arity(v) for v in range(tree.vertex_count)]
 
 
 def fold(idx, value, graft):
@@ -252,7 +250,7 @@ def substitute_with_maps(t, v, t2, tau=None):
     """Replace vertex v of t by the tree t2, attaching v's children to
     the leaves of t2.  `tau` (optional) is a tuple with tau[j] = planar
     leaf position of t2 that receives input j of v; identity if omitted.
-    Requires arity(v) == num_leaves(t2)."""
+    Requires arity(v) == t2.leaf_count."""
     if not 0 <= v < t.vertex_count:
         raise IndexError("no vertex %r" % (v,))
     m = index(t).arity(v)
@@ -389,7 +387,7 @@ def collapse_with_map(tree, vsets):
         return tree, {}
     tops = {subtree_root(tree, vs): vs for vs in vsets}
     idx = index(tree)
-    new, old, _ = _region_walk(idx, range(idx.num_vertices()), 0, vsets)
+    new, old, _ = _region_walk(idx, range(tree.vertex_count), 0, vsets)
     return new, {u: k for k, v in enumerate(old) for u in tops.get(v, (v,))}
 
 
@@ -403,7 +401,6 @@ def enumerate_subtrees(tree, min_vertices=1):
     """All connected vertex subsets of size >= min_vertices, in the
     canonical order (`vset_key`)."""
     idx = index(tree)
-    n = idx.num_vertices()
     found = []
 
     # grow connected sets downward-closed from each root: each set once
@@ -413,7 +410,7 @@ def enumerate_subtrees(tree, min_vertices=1):
             grow(current | {c},
                  candidates[pos + 1:] + tuple(idx.vertex_children(c)))
 
-    for r in range(n):
+    for r in range(tree.vertex_count):
         grow({r}, tuple(idx.vertex_children(r)))
     found.sort(key=vset_key)
     return [Subtree(tree, s) for s in found if len(s) >= min_vertices]

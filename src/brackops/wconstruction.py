@@ -33,7 +33,7 @@ class WTree:
         if shape.is_eta:
             raise ValueError("shape must have at least one vertex")
         idx = T.index(shape)
-        n = idx.num_vertices()
+        n = shape.vertex_count
         decorations = tuple(decorations)
         lengths = tuple(Fraction(x) for x in lengths)
         leaf_order = tuple(leaf_order)
@@ -43,7 +43,7 @@ class WTree:
             raise ValueError("need one length per non-root shape vertex")
         if any(not 0 <= x <= 1 for x in lengths):
             raise ValueError("lengths must lie in [0,1]")
-        if sorted(leaf_order) != list(range(len(idx.leaf_at))):
+        if sorted(leaf_order) != list(range(shape.leaf_count)):
             raise ValueError("leaf_order is not a bijection onto the leaves")
         for v in range(n):
             deco = decorations[v]
@@ -173,7 +173,7 @@ def psi(w):
     length.  Coinciding brackets keep the larger weight."""
     base, prov = project_with_provenance(w)
     idx = T.index(w.shape)
-    above = [[] for _ in range(idx.num_vertices())]
+    above = [[] for _ in range(w.shape.vertex_count)]
     for u, pv in enumerate(prov):
         above[pv].append(u)
     items = []

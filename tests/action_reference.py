@@ -25,7 +25,7 @@ def xi_map(tree, brackets, vset):
     idx = T.index(tree)
     around = [b for b in brackets if b > vset]
     S = min(around, key=len) if around \
-        else frozenset(range(idx.num_vertices()))
+        else frozenset(range(tree.vertex_count))
     out = []
     # a connected set's root has its least DFS id
     for kind, ref in T.exit_edges(idx, vset, min(vset)):

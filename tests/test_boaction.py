@@ -26,7 +26,7 @@ def chain_elem(n, weights=()):
 
 
 def _all(tree):
-    return frozenset(range(T.num_vertices(tree)))
+    return frozenset(range(tree.vertex_count))
 
 
 def test_xi_map_no_brackets():
@@ -128,8 +128,8 @@ def test_augment_adds_one_unary_vertex_per_bracket():
     aug, brackets = A.augment(e.base, [frozenset({1, 2})])
     assert brackets == [frozenset({1, 2})]
     t2 = aug.tree
-    assert T.num_vertices(t2) == 4
-    assert T.num_leaves(t2) == T.num_leaves(e.base.tree)
+    assert t2.vertex_count == 4
+    assert t2.leaf_count == e.base.tree.leaf_count
     idx = T.index(t2)
     # slots 1..3 hold the tree's vertices 0..2, slot 4 the bracket's
     j = aug.sigma[3]

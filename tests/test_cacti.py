@@ -43,6 +43,17 @@ def test_validation_rules():
             Cactus(k, arcs)
 
 
+def test_a_count_or_label_that_is_not_an_int_is_refused():
+    halves = [(0, F(1, 2), 1), (F(1, 2), 1, 2)]
+    for k in (2.5, "2", 2.0, True, F(2)):
+        with pytest.raises(CactusError, match="must be ints"):
+            Cactus(k, halves)
+    for label in (1.7, 1.0, "1", True):
+        with pytest.raises(CactusError, match="must be ints"):
+            Cactus(2, [(0, F(1, 2), label), (F(1, 2), 1, 2)])
+    assert Cactus(2, halves) == HALVES
+
+
 def pairwise_interleaving(labels):
     "The first pair (i, j) whose restricted word has > 2 cyclic blocks."
     for i in sorted(set(labels)):

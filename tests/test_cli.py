@@ -10,7 +10,7 @@ import pytest
 from brackops import bo_action, suites
 from brackops import dendroidal as D
 from brackops.cli import main
-from brackops.trees import ETA, PlanarTree, caterpillar, corolla, num_leaves
+from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops.operads import OElement, bo_element, bo_to_obj
 from brackops.wconstruction import (WTree, psi, psi_inverse, w_from_obj,
                                     w_to_obj)
@@ -159,7 +159,7 @@ def test_cacti_metric_of_the_zero_lobe_point(tmp_path, capsys):
 def test_bo_action_on_a_nullary_vertex_is_a_structured_error(
         tmp_path, capsys, tree, inputs, vertex):
     e = bo_element(tree, tuple(range(len(inputs))),
-                   tuple(range(num_leaves(tree))))
+                   tuple(range(tree.leaf_count)))
     ep = write(tmp_path, "e.json", json.dumps(bo_to_obj(e)))
     xp = write(tmp_path, "xs.json",
                json.dumps([cactus_to_obj(x) for x in inputs]))

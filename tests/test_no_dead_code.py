@@ -16,7 +16,11 @@ not count as uses.
 
 Every parameter default of such a function or method is overridden by
 some call of that name in src/, tests/ or bench/: one that passes the
-parameter by keyword or by position, or passes *args or **kwargs."""
+parameter by keyword or by position, or passes *args or **kwargs.
+
+No top-level function in src/brackops/ only reads an attribute of a
+parameter (its whole body, docstring aside, `return param.attr`): the
+caller reads the attribute itself, so its owner stays the one name."""
 
 import ast
 import re
@@ -287,3 +291,54 @@ def test_every_imported_name_is_used():
                     if not used[bound]:
                         unused.append("%s:%s" % (path.relative_to(ROOT), bound))
     assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def _attribute_wrappers(modules):
+    """The top-level functions whose whole body, docstring aside, is
+    `return <parameter>.<attribute>`."""
+    out = []
+    for where, _, node in _top_level_definitions(modules):
+        if isinstance(node, ast.ClassDef):
+            continue
+        body = node.body
+        if (body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            body = body[1:]
+        params = {a.arg for a in node.args.posonlyargs + node.args.args
+                  + node.args.kwonlyargs}
+        if (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Attribute)
+                and isinstance(body[0].value.value, ast.Name)
+                and body[0].value.value.id in params):
+            out.append(where)
+    return out
+
+
+def test_no_function_only_reads_an_attribute_of_a_parameter():
+    wrappers = _attribute_wrappers(_modules())
+    assert not wrappers, ("read the attribute at the call instead: "
+                          + ", ".join(wrappers))
+
+
+def test_the_attribute_wrapper_rule():
+    module = ast.parse(textwrap.dedent("""
+        def size(tree):
+            "The vertex count."
+            return tree.vertex_count
+
+        def arity(idx, v):
+            return idx.arity
+
+        def first(tree):
+            return tree.children[0]
+
+        def eta():
+            return ETA.leaf_count
+
+        def count(tree):
+            n = tree.vertex_count
+            return n
+    """))
+    assert _attribute_wrappers([("w.py", module.body)]) == [
+        "w.py:size", "w.py:arity"]

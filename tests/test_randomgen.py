@@ -51,8 +51,8 @@ def test_random_planar_tree_respects_bounds():
     rng = R.rng_from_seed(4)
     for _ in range(50):
         t = R.random_planar_tree(rng, max_vertices=3, max_leaves=4)
-        assert 1 <= T.num_vertices(t) <= 3
-        assert T.num_leaves(t) <= 4
+        assert 1 <= t.vertex_count <= 3
+        assert t.leaf_count <= 4
 
 
 def test_random_bo_element_is_well_formed():
@@ -60,10 +60,10 @@ def test_random_bo_element_is_well_formed():
     for _ in range(50):
         e = R.random_bo_element(rng, max_vertices=4,
                                 weight_choices=(1, F(2, 3), F(1, 3)))
-        assert sorted(e.base.sigma) == list(range(T.num_vertices(e.base.tree)))
+        assert sorted(e.base.sigma) == list(range(e.base.tree.vertex_count))
         for b, w in e.weighted.weights:
             assert w in (1, F(2, 3), F(1, 3))
-            assert 2 <= len(b) < T.num_vertices(e.base.tree)
+            assert 2 <= len(b) < e.base.tree.vertex_count
 
 
 def test_random_labelled_cacti_match_arities():

@@ -7,35 +7,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brackops import trees as T
-from brackops.trees import (ETA, PlanarTree, caterpillar, corolla, star,
-                            num_leaves, num_vertices)
+from brackops.trees import ETA, PlanarTree, caterpillar, corolla, star
 from brackops import randomgen as R
 from nests import close_nest, open_nest
+from test_dendroidal import _set_based_edges
 
 
 def test_eta_is_vertexless():
     assert ETA.is_eta
-    assert num_vertices(ETA) == 0
-    assert num_leaves(ETA) == 1
+    assert ETA.vertex_count == 0
+    assert ETA.leaf_count == 1
 
 
 def test_corolla_counts():
     for n in range(0, 5):
         t = corolla(n)
-        assert num_vertices(t) == 1
-        assert num_leaves(t) == n
+        assert t.vertex_count == 1
+        assert t.leaf_count == n
 
 
 def test_caterpillar_shape():
     t = caterpillar(4)
-    assert num_vertices(t) == 4
-    assert num_leaves(t) == 5
+    assert t.vertex_count == 4
+    assert t.leaf_count == 5
     assert T.arities(t) == [2, 2, 2, 2]
 
 
 def test_star_shape():
     t = star(3)
-    assert num_vertices(t) == 4
+    assert t.vertex_count == 4
     assert T.arities(t) == [3, 1, 1, 1]
 
 
@@ -72,7 +72,7 @@ def test_stored_counts_match_a_recount():
     for nv in range(6):
         for nl in range(5):
             for t in T.planar_trees(nv, nl):
-                assert (num_vertices(t), num_leaves(t)) == recount(t) \
+                assert (t.vertex_count, t.leaf_count) == recount(t) \
                     == (nv, nl)
                 cases += 1
     assert cases > 1000
@@ -86,7 +86,7 @@ def test_trees_are_immutable_and_hold_only_trees():
             setattr(t, attr, value)
         with pytest.raises(AttributeError):
             setattr(ETA, attr, value)
-    assert (t.children, num_vertices(t), num_leaves(t)) \
+    assert (t.children, t.vertex_count, t.leaf_count) \
         == ((corolla(2), ETA), 2, 3)
     for bad in ((ETA, "leaf"), (None,), ((ETA, ETA),)):
         with pytest.raises(TypeError):
@@ -108,10 +108,24 @@ def test_a_dropped_tree_leaves_the_table():
     assert key not in T._LIVE and len(T._LIVE) == live - 1
 
 
+def test_edges_and_root():
+    t = caterpillar(2)
+    es = T.edge_set(t.vertex_count, t.leaf_count)
+    assert ("out", 0) in es
+    # 1 root + 1 internal + 3 leaves
+    assert len(es) == 5
+    # the edges the index names, on η and every tree with at most 4
+    # vertices and 3 leaves
+    for t in [ETA] + [t for nv in range(1, 5) for nl in range(4)
+                      for t in T.planar_trees(nv, nl)]:
+        assert T.edge_set(t.vertex_count, t.leaf_count) \
+            == set(_set_based_edges(t))
+
+
 def test_index_parent_child_tables():
     t = caterpillar(3)
     idx = T.index(t)
-    assert idx.num_vertices() == 3
+    assert len(idx.child_entries) == 3
     assert idx.arity(0) == 2
     # vertex i+1 is the first child of vertex i along the spine
     for v in range(2):
@@ -196,13 +210,13 @@ def test_substitution_refuses_what_does_not_fit():
 def test_restrict_and_collapse_roundtrip_sizes():
     t = caterpillar(4)
     sub, old, exits = T.region(t, {1, 2})
-    assert num_vertices(sub) == 2
+    assert sub.vertex_count == 2
     assert old == [1, 2]
     # vertex 2's inputs (the spine edge and its side leaf), then vertex
     # 1's side leaf; leaves are numbered from the top of the spine
     assert exits == [("out", 3), ("leaf", 2), ("leaf", 3)]
     ct, cmap = T.collapse_with_map(t, [frozenset({1, 2})])
-    assert num_vertices(ct) == 3
+    assert ct.vertex_count == 3
     assert cmap[1] == cmap[2]
 
 
@@ -225,7 +239,7 @@ def test_region_is_what_collapse_replaces():
                         back = (res.vmap_guest[rmap[u]] if u in S
                                 else res.vmap_host[cmap[u]])
                         assert back == u
-                    assert T.subtree_leaf_count(t, S) == num_leaves(sub)
+                    assert T.subtree_leaf_count(t, S) == sub.leaf_count
                     assert T.exit_edges(T.index(t), S, min(S)) \
                         == T.region(t, S)[2]
                     cases += 1
@@ -308,7 +322,7 @@ def test_index_tables_match_a_fresh_index():
         assert idx.leaf_at == fresh.leaf_at
         # arities and the vertex count, recounted from the children
         vertices = dfs(t)
-        assert idx.num_vertices() == len(vertices)
+        assert len(idx.child_entries) == len(vertices)
         assert [idx.arity(v) for v in range(len(vertices))] \
             == [len(u.children) for u in vertices]
 
