@@ -43,14 +43,19 @@ class Cactus:
     __slots__ = ("k", "den", "cuts", "labels")
 
     def __init__(self, k, arcs):
-        """From an int lobe count and rational (start, end, label)
-        triples with int labels; empty arcs are dropped.  A bool, a float
-        or a string is refused as a count or a label."""
-        arcs = [(Fraction(a), Fraction(b), lab) for a, b, lab in arcs]
+        """From an int lobe count and (start, end, label) triples with
+        int or Fraction ends and int labels; empty arcs are dropped.  A
+        bool, a float or a string is refused as a count, a label or an
+        end."""
+        arcs = list(arcs)
         for n in (k, *[lab for _, _, lab in arcs]):
             if type(n) is not int:
                 raise CactusError("lobe count and labels must be ints, got %r"
                                   % (n,))
+        for z in [z for a, b, _ in arcs for z in (a, b)]:
+            if type(z) not in (int, Fraction):
+                raise CactusError("arc ends must be ints or Fractions, got %r"
+                                  % (z,))
         den = lcm(*[z.denominator for a, b, _ in arcs for z in (a, b)])
         self._set(k, den, [
             (a.numerator * (den // a.denominator),

@@ -140,25 +140,18 @@ def inner_face(tree, c):
 
 
 def outer_face(tree, v):
-    """The face deleting a removable vertex v: either a top vertex with
-    only leaf children, or the root when it has a single vertex child
-    carrying all the leaves."""
+    """The face deleting a vertex v with exactly one inner edge attached:
+    a vertex other than the root with no vertex child, or the root when
+    its one input is a vertex's output (it drops no leaves)."""
     idx = T.index(tree)
     n = tree.vertex_count
     if not 0 <= v < n:
         raise IndexError("unknown vertex %d" % v)
-    keep = frozenset(range(n)) - {v}
-    if not keep:
-        raise ValueError("cannot delete the only vertex")
-    if not T.is_connected(tree, keep):
+    kinds = [kind for kind, _ in idx.child_entries[v]]
+    removable = kinds == ["out"] if v == 0 else "out" not in kinds
+    if not removable:
         raise ValueError("vertex %d is not removable" % v)
-    if v != 0 and any(kind == "out" for kind, _ in idx.child_entries[v]):
-        raise ValueError("vertex %d is not removable" % v)
-    if v == 0 and len(idx.vertex_children(0)) != 1:
-        raise ValueError("the root is removable only over a single branch")
-    if v == 0 and any(kind == "leaf" for kind, _ in idx.child_entries[0]):
-        raise ValueError("deleting the root must not drop leaves")
-    return subtree_inclusion(tree, keep)
+    return subtree_inclusion(tree, frozenset(range(n)) - {v})
 
 
 def degeneracy(tree, v):
@@ -179,46 +172,33 @@ def degeneracy(tree, v):
 
 
 def isomorphisms(s, t):
-    "All isomorphisms s -> t (possibly none)."
+    "All isomorphisms s -> t (possibly none), sorted by edge map."
     if s.is_eta or t.is_eta:
         return [identity_omega(ETA)] if s.is_eta and t.is_eta else []
-    if s.vertex_count != t.vertex_count:
-        return []
     idxS, idxT = T.index(s), T.index(t)
 
     def match(vs, vt):
-        "Edge-map fragments matching vs onto vt."
+        """Edge-map fragments matching vs onto vt: for each pairing of
+        their inputs, kind to kind, the product of the paired vertex
+        children's matches.  Distinct pairings give distinct fragments."""
         es, et = idxS.child_entries[vs], idxT.child_entries[vt]
         if len(es) != len(et):
             return []
         out = []
-        for perm in itertools.permutations(range(len(et))):
-            slot_opts = []
-            ok = True
-            for s_slot, t_slot in enumerate(perm):
-                (ks, rs), (kt, rt) = es[s_slot], et[t_slot]
-                if ks != kt:
-                    ok = False
-                    break
-                if ks == "leaf":
-                    slot_opts.append([{es[s_slot]: et[t_slot]}])
-                else:
-                    sub = match(rs, rt)
-                    if not sub:
-                        ok = False
-                        break
-                    slot_opts.append(sub)
-            if not ok:
+        for perm in itertools.permutations(et):
+            if any(a[0] != b[0] for a, b in zip(es, perm)):
                 continue
-            for combo in itertools.product(*slot_opts):
+            for combo in itertools.product(*[
+                    match(a[1], b[1]) if a[0] == "out" else [{a: b}]
+                    for a, b in zip(es, perm)]):
                 em = {("out", vs): ("out", vt)}
-                for em2 in combo:
-                    em.update(em2)
+                for part in combo:
+                    em.update(part)
                 out.append(em)
         return out
 
-    result = {OmegaMorphism(s, t, em) for em in match(0, 0)}
-    return sorted(result, key=lambda m: sorted(m.edge_map.items()))
+    return [OmegaMorphism(s, t, em)
+            for em in sorted(match(0, 0), key=lambda em: sorted(em.items()))]
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,6 @@ def suite_bo_axioms(cfg, rng):
     def random_assoc():
         for trial in range(cfg.samples):
             a = rng.choice(pool)
-            if a.arity == 0:
-                continue
             i = rng.randint(1, a.arity)
             m = a.slot_arity(i)
             bs = by_leaves.get(m, [])
@@ -247,8 +245,6 @@ def suite_bo_axioms(cfg, rng):
     def equivariance():
         for trial in range(cfg.samples // 2):
             a = rng.choice(pool)
-            if a.arity == 0:
-                continue
             p = list(R.random_permutation(rng, a.arity))
             i = rng.randint(1, a.arity)
             m = a.slot_arity(p[i - 1] + 1)
@@ -321,8 +317,6 @@ def suite_psi(cfg, rng):
         for trial in range(cfg.samples):
             a = R.random_bo_element(rng, max_vertices=3,
                                     weight_choices=weight_choices)
-            if a.arity == 0:
-                continue
             i = rng.randint(1, a.arity)
             b = _random_bo_with_leaves(rng, a.slot_arity(i),
                                        weight_choices=weight_choices)
@@ -676,8 +670,6 @@ def suite_coherence(cfg, rng):
     def equivariance():
         for trial in range(max(1, cfg.samples // 20)):
             e = R.random_bo_element(rng, tree=rng.choice(shapes))
-            if e.arity == 0:
-                continue
             xs = R.random_labelled_cacti(e, rng)
             perm = R.random_permutation(rng, e.arity)
             lhs = bo_action.lam(sigma_act_BO(perm, e),

@@ -54,6 +54,17 @@ def test_a_count_or_label_that_is_not_an_int_is_refused():
     assert Cactus(2, halves) == HALVES
 
 
+def test_an_arc_end_that_is_not_an_int_or_a_fraction_is_refused():
+    for k, arcs in [(1, [(False, True, 1)]),
+                    (2, [("0", "1/2", 1), ("1/2", "1", 2)]),
+                    (2, [(0, 0.5, 1), (0.5, 1, 2)]),
+                    (10, [(i / 10, (i + 1) / 10, i + 1) for i in range(10)])]:
+        with pytest.raises(CactusError, match="ends must be ints or Fractions"):
+            Cactus(k, arcs)
+    assert Cactus(2, iter([(0, F(1, 2), 1), (F(1, 2), 1, 2)])) == HALVES
+    assert Cactus(1, [(0, 1, 1)]) == Cactus(1, [(F(0), F(1), 1)])
+
+
 def pairwise_interleaving(labels):
     "The first pair (i, j) whose restricted word has > 2 cyclic blocks."
     for i in sorted(set(labels)):

@@ -9,6 +9,7 @@ import pytest
 
 from brackops import bo_action, suites
 from brackops import dendroidal as D
+from brackops import trees as T
 from brackops.cli import main
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops.operads import OElement, bo_element, bo_to_obj
@@ -375,6 +376,40 @@ def test_cacti_compose_slot_out_of_range_is_a_structured_error(tmp_path,
                     "--slot", "9", "--rhs", x)
     assert code == 2
     assert list(json.loads(out)) == ["error"]
+
+
+def test_omega_compose_prints_the_thickened_composite(tmp_path, capsys):
+    tree = caterpillar(6)
+    g = D.collapse_morphism(tree, [{1, 2, 3}])
+    inc = D.subtree_inclusion(g.source, {0, 1, 2})
+    f = D.compose_omega(inc, D.collapse_morphism(inc.source, [{0, 1, 2}]))
+    G = D.OmegaTildeMorphism(g, [{}, {frozenset({2, 3}): F(1, 2)}, {}, {}])
+    Fm = D.OmegaTildeMorphism(f, [{frozenset({1, 2}): F(1, 3)}])
+    lhs = write(tmp_path, "g.json", json.dumps(D.tilde_to_obj(G)))
+    rhs = write(tmp_path, "f.json", json.dumps(D.tilde_to_obj(Fm)))
+    code, out = run(capsys, "omega", "compose", "--lhs", lhs, "--rhs", rhs)
+    assert code == 0
+    assert json.loads(out) == D.tilde_to_obj(D.compose_omega_tilde(G, Fm))
+
+
+@pytest.mark.parametrize("build, vertices", [
+    (lambda: D.collapse_morphism(caterpillar(4), [{1, 2}]), [[0], [1, 2], [3]]),
+    # a degeneracy of the unary vertex, then a collapse onto the root
+    (lambda: D.compose_omega(
+        D.collapse_morphism(PlanarTree((corolla(2),)), [{0, 1}]),
+        D.degeneracy(PlanarTree((PlanarTree((ETA,)), ETA)), 1)),
+     [[0, 1], []]),
+])
+def test_omega_image_prints_the_vertex_images_and_their_corollas(
+        tmp_path, capsys, build, vertices):
+    g = build()
+    path = write(tmp_path, "g.json", json.dumps(D.morphism_to_obj(g)))
+    code, out = run(capsys, "omega", "image", "--input", path)
+    assert code == 0
+    assert json.loads(out) == {
+        "vertices": vertices,
+        "corollas": [T.tree_to_obj(T.region(g.target, set(s))[0]) if s
+                     else "eta" for s in vertices]}
 
 
 @pytest.mark.parametrize("image", [[3, 9], [3, -1]])

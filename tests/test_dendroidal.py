@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from brackops.algebras import TerminalAlgebra, EndoAlgebra, CactusAlgebra
 from brackops.cacti import cact1_compose
 from brackops import randomgen as R
 
+from omega_reference import reference_isomorphisms, reference_outer_face
 from q_reference import reference_q_morphism
 
 F = Fraction
@@ -54,6 +57,17 @@ def test_outer_face_drops_a_vertex():
 def test_outer_face_rejects_a_vertex_out_of_range(v):
     with pytest.raises(IndexError, match="unknown vertex %d" % v):
         D.outer_face(caterpillar(3), v)
+
+
+@pytest.mark.parametrize("tree, v", [
+    (corolla(2), 0),                          # the only vertex
+    (caterpillar(3), 1),                      # a vertex child above it
+    (star(2), 0),                             # the root over two branches
+    (PlanarTree((corolla(1), ETA)), 0),       # the root over a leaf
+])
+def test_outer_face_refuses_a_vertex_that_is_not_removable(tree, v):
+    with pytest.raises(ValueError, match="^vertex %d is not removable$" % v):
+        D.outer_face(tree, v)
 
 
 def test_degeneracy_squashes_a_unary_vertex():
@@ -156,6 +170,116 @@ def test_isomorphisms_of_a_tree_with_itself():
     autos = D.isomorphisms(t, t)
     # the three identical arms can be permuted
     assert len(autos) == 6
+
+
+def _trees(max_vertices, max_leaves):
+    "η and every tree with at most the given vertex and leaf counts."
+    return [ETA] + [t for nv in range(1, max_vertices + 1)
+                    for nl in range(max_leaves + 1)
+                    for t in T.planar_trees(nv, nl)]
+
+
+def _equal_count_pairs(trees):
+    return [(s, t) for s in trees for t in trees
+            if (s.vertex_count, s.leaf_count) == (t.vertex_count, t.leaf_count)]
+
+
+def test_isomorphisms_match_the_reference():
+    """The one matching recursion lists the reference's isomorphisms, in
+    its order: on every equal-count pair among η and the trees with at
+    most 3 vertices and 3 leaves, and on every tree with at most 4 of
+    each paired with itself."""
+    small = _trees(3, 3)
+    pairs = _equal_count_pairs(small) + [
+        (t, t) for t in _trees(4, 4) if t.vertex_count == 4 or t.leaf_count == 4]
+    found = 0
+    for s, t in pairs:
+        got = D.isomorphisms(s, t)
+        assert got == reference_isomorphisms(s, t), (s, t)
+        found += len(got)
+    assert (len(pairs), found) == (7861, 18805)
+
+
+def _outer_face_outcome(outer_face, tree, v):
+    "The face, or the type of the exception it raises."
+    try:
+        return outer_face(tree, v)
+    except (IndexError, ValueError) as exc:
+        return type(exc)
+
+
+def test_outer_face_matches_the_reference():
+    """On η and every tree with at most 4 vertices and 4 leaves, for
+    v = -1..n, the one removability rule gives the reference's face or
+    raises its exception type."""
+    faces = refused = 0
+    for tree in _trees(4, 4):
+        for v in range(-1, tree.vertex_count + 1):
+            got = _outer_face_outcome(D.outer_face, tree, v)
+            assert got == _outer_face_outcome(reference_outer_face, tree, v)
+            faces += isinstance(got, D.OmegaMorphism)
+            refused += got is ValueError
+    assert (faces, refused) == (4005, 3426)
+
+
+def _canonical_form(tree):
+    "A leaf is '|', a vertex its inputs' forms, sorted, in parentheses."
+    if tree.is_eta:
+        return "|"
+    return "(%s)" % "".join(sorted(map(_canonical_form, tree.children)))
+
+
+def _automorphism_count(tree):
+    """|Aut(tree)|: the product over vertices of k! for each class of k
+    isomorphic inputs; the leaves are one class."""
+    if tree.is_eta:
+        return 1
+    count = math.prod(map(_automorphism_count, tree.children))
+    for k in Counter(map(_canonical_form, tree.children)).values():
+        count *= math.factorial(k)
+    return count
+
+
+def test_isomorphism_counts_match_the_automorphism_groups():
+    """On every equal-count pair among η and the trees with at most 4
+    vertices and 2 leaves, isomorphisms(s, t) has |Aut(t)| elements when
+    s and t have one canonical form, and none otherwise."""
+    pairs = _equal_count_pairs(_trees(4, 2))
+    isomorphic = found = 0
+    for s, t in pairs:
+        same = _canonical_form(s) == _canonical_form(t)
+        got = len(D.isomorphisms(s, t))
+        assert got == (_automorphism_count(t) if same else 0), (s, t)
+        isomorphic += same
+        found += got
+    assert (len(pairs), isomorphic, found) == (21904, 1218, 3151)
+
+
+def _components(edges):
+    "The connected vertex sets the (parent, child) edges span."
+    sets = []
+    for edge in edges:
+        touching = [c for c in sets if c & set(edge)]
+        sets = [c for c in sets if not c & set(edge)]
+        sets.append(frozenset(edge).union(*touching))
+    return sets
+
+
+def test_inner_faces_at_different_edges_commute():
+    """For distinct non-root vertices c1, c2 of every tree with at most 4
+    vertices and 4 leaves, contracting c1's output edge and then c2's
+    is the collapse of the components of both edges, in either order."""
+    checked = 0
+    for tree in _trees(4, 4):
+        parent = T.index(tree).parent
+        for c1, c2 in itertools.permutations(range(1, tree.vertex_count), 2):
+            first = D.inner_face(tree, c1)
+            _, vmap = T.collapse_with_map(tree, [{parent[c1], c1}])
+            both = D.compose_omega(first, D.inner_face(first.source, vmap[c2]))
+            assert both == D.collapse_morphism(tree, _components(
+                [(parent[c1], c1), (parent[c2], c2)])), (tree, c1, c2)
+            checked += 1
+    assert checked == 10404
 
 
 def test_tilde_worked_example():
