@@ -41,13 +41,8 @@ class OmegaMorphism:
         for e in edge_map.values():
             if e not in tgt_edges:
                 raise ValueError("edge map value %r is not a target edge" % (e,))
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "edge_map", edge_map)
-        object.__setattr__(self, "vertex_images",
-                           _vertex_images(source, target, edge_map))
-        object.__setattr__(self, "_hash", hash(
-            (source, target, frozenset(edge_map.items()))))
+        _set_fields(self, source, target, edge_map,
+                    _vertex_images(source, target, edge_map))
 
     def __setattr__(self, *a):
         raise AttributeError("morphisms are immutable")
@@ -63,6 +58,16 @@ class OmegaMorphism:
     def __repr__(self):
         return "OmegaMorphism(images=%s)" % (
             [sorted(s) for s in self.vertex_images],)
+
+
+def _set_fields(m, source, target, edge_map, vertex_images):
+    """Fill a morphism's slots, in order, from an edge map already known
+    to be one and its vertex images."""
+    key = hash((source, target, frozenset(edge_map.items())))
+    for name, value in zip(OmegaMorphism.__slots__, (
+            source, target, edge_map, vertex_images, key)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def _vertex_images(source, target, edge_map):
@@ -101,11 +106,17 @@ def identity_omega(tree):
 
 
 def compose_omega(g, f):
-    "The composite g o f; boundaries must match."
+    """The composite g o f; boundaries must match.  A composite of
+    morphisms is one, so it is not checked again: the image of a vertex
+    is the union of g's images over its image under f."""
     if f.target != g.source:
         raise ValueError("morphisms are not composable")
-    em = {e: g.edge_map[fe] for e, fe in f.edge_map.items()}
-    return OmegaMorphism(f.source, g.target, em)
+    gm, gi = g.edge_map, g.vertex_images
+    return _set_fields(
+        object.__new__(OmegaMorphism), f.source, g.target,
+        {e: gm[fe] for e, fe in f.edge_map.items()},
+        tuple(frozenset().union(*[gi[v] for v in img])
+              for img in f.vertex_images))
 
 
 # ---------------------------------------------------------------------------
@@ -179,19 +190,25 @@ def isomorphisms(s, t):
 
     def match(vs, vt):
         """Edge-map fragments matching vs onto vt: for each pairing of
-        their inputs, kind to kind, the product of the paired vertex
-        children's matches.  Distinct pairings give distinct fragments."""
+        their vertex children, and of their leaves, the product of the
+        paired children's matches.  Distinct pairings give distinct
+        fragments."""
         es, et = idxS.child_entries[vs], idxT.child_entries[vt]
-        if len(es) != len(et):
+        ks, kt = ([e for e in x if e[0] == "out"] for x in (es, et))
+        ls, lt = ([e for e in x if e[0] == "leaf"] for x in (es, et))
+        if len(ks) != len(kt) or len(ls) != len(lt):
             return []
         out = []
-        for perm in itertools.permutations(et):
-            if any(a[0] != b[0] for a, b in zip(es, perm)):
-                continue
-            for combo in itertools.product(*[
-                    match(a[1], b[1]) if a[0] == "out" else [{a: b}]
-                    for a, b in zip(es, perm)]):
-                em = {("out", vs): ("out", vt)}
+        for perm in itertools.permutations(kt):
+            parts = []
+            for a, b in zip(ks, perm):
+                parts.append(match(a[1], b[1]))
+                if not parts[-1]:
+                    break  # the product below is empty
+            for leaves, *combo in itertools.product(
+                    itertools.permutations(lt), *parts):
+                em = dict(zip(ls, leaves))
+                em[("out", vs)] = ("out", vt)
                 for part in combo:
                     em.update(part)
                 out.append(em)

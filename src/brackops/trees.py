@@ -29,9 +29,11 @@ class PlanarTree:
     the singleton ETA stands for both the vertexless tree and a leaf.
     Trees are hash-consed: PlanarTree(children) returns the one live tree
     with those children, so equal trees are one object, `==` and `hash`
-    go by identity, and each tree carries its vertex and leaf counts."""
+    go by identity, and each tree carries its vertex and leaf counts (and
+    its TreeIndex, once `index` has built it)."""
 
-    __slots__ = ("children", "vertex_count", "leaf_count", "__weakref__")
+    __slots__ = ("children", "vertex_count", "leaf_count", "_index",
+                 "__weakref__")
     is_eta = False
 
     def __new__(cls, children=()):
@@ -61,6 +63,7 @@ def _init(tree, children, nv, nl):
     object.__setattr__(tree, "children", children)
     object.__setattr__(tree, "vertex_count", nv)
     object.__setattr__(tree, "leaf_count", nl)
+    object.__setattr__(tree, "_index", None)
 
 
 # children tuple -> the live tree with those children; a tree leaves the
@@ -110,7 +113,8 @@ class TreeIndex:
     """Tables for a tree: for each vertex (by DFS id) its parent id (-1
     for the root) and its input edges in slot order, ("out", child_id)
     or ("leaf", leaf_position); and the (vertex, slot) of each leaf.
-    `index` hands the same tables to every caller: they are read-only."""
+    `index` hands the same tables to every caller: they are read-only.
+    They hold no reference to the tree, so a dropped tree is freed."""
 
     __slots__ = ("parent", "child_entries", "leaf_at")
 
@@ -145,12 +149,14 @@ class TreeIndex:
         return [c for k, c in self.child_entries[vid] if k == "out"]
 
 
-@functools.lru_cache(maxsize=32)
 def index(tree):
-    """The TreeIndex of a tree.  Surgery and validation index the same
-    few small trees over and over, so the last 32 distinct trees keep
-    theirs."""
-    return TreeIndex(tree)
+    """The TreeIndex of a tree, built on first use and kept on the tree
+    (surgery and validation index the same trees over and over)."""
+    idx = tree._index
+    if idx is None:
+        idx = TreeIndex(tree)
+        object.__setattr__(tree, "_index", idx)
+    return idx
 
 
 @functools.lru_cache(maxsize=256)
@@ -163,9 +169,9 @@ def edge_set(vertex_count, leaf_count):
 
 
 def arities(tree):
-    "Vertex arities in DFS order."
-    idx = index(tree)
-    return [idx.arity(v) for v in range(tree.vertex_count)]
+    "Vertex arities in DFS order, read off the children (builds no index)."
+    return [] if tree.is_eta else [len(tree.children)] + [
+        a for c in tree.children for a in arities(c)]
 
 
 def fold(idx, value, graft):

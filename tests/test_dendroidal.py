@@ -184,20 +184,25 @@ def _equal_count_pairs(trees):
             if (s.vertex_count, s.leaf_count) == (t.vertex_count, t.leaf_count)]
 
 
+# a root with 5 leaves and the corollas of arity 0-3 as inputs: 9!
+# orderings of the root's inputs, 1440 = 5!·3!·2! of them automorphisms
+WIDE = PlanarTree((ETA,) * 5 + tuple(corolla(k) for k in range(4)))
+
+
 def test_isomorphisms_match_the_reference():
     """The one matching recursion lists the reference's isomorphisms, in
     its order: on every equal-count pair among η and the trees with at
-    most 3 vertices and 3 leaves, and on every tree with at most 4 of
-    each paired with itself."""
+    most 3 vertices and 3 leaves, on every tree with at most 4 of each
+    paired with itself, and on WIDE paired with itself."""
     small = _trees(3, 3)
     pairs = _equal_count_pairs(small) + [
         (t, t) for t in _trees(4, 4) if t.vertex_count == 4 or t.leaf_count == 4]
     found = 0
-    for s, t in pairs:
+    for s, t in pairs + [(WIDE, WIDE)]:
         got = D.isomorphisms(s, t)
         assert got == reference_isomorphisms(s, t), (s, t)
         found += len(got)
-    assert (len(pairs), found) == (7861, 18805)
+    assert (len(pairs), found) == (7861, 18805 + 1440)
 
 
 def _outer_face_outcome(outer_face, tree, v):
@@ -242,17 +247,18 @@ def _automorphism_count(tree):
 
 def test_isomorphism_counts_match_the_automorphism_groups():
     """On every equal-count pair among η and the trees with at most 4
-    vertices and 2 leaves, isomorphisms(s, t) has |Aut(t)| elements when
-    s and t have one canonical form, and none otherwise."""
+    vertices and 2 leaves, and on WIDE paired with itself,
+    isomorphisms(s, t) has |Aut(t)| elements when s and t have one
+    canonical form, and none otherwise."""
     pairs = _equal_count_pairs(_trees(4, 2))
     isomorphic = found = 0
-    for s, t in pairs:
+    for s, t in pairs + [(WIDE, WIDE)]:
         same = _canonical_form(s) == _canonical_form(t)
         got = len(D.isomorphisms(s, t))
         assert got == (_automorphism_count(t) if same else 0), (s, t)
         isomorphic += same
         found += got
-    assert (len(pairs), isomorphic, found) == (21904, 1218, 3151)
+    assert (len(pairs), isomorphic, found) == (21904, 1218 + 1, 3151 + 1440)
 
 
 def _components(edges):
@@ -634,7 +640,9 @@ def _brute_force_morphisms(trees):
     return out
 
 
-def test_phi_is_functorial_on_every_small_composable_pair():
+def _small_composable_pairs():
+    """Every composable pair (g, f) of morphisms among η and the trees
+    with 1 or 2 vertices and at most 2 leaves."""
     trees = [ETA] + [t for nv in (1, 2) for nl in (0, 1, 2)
                      for t in T.planar_trees(nv, nl)]
     assert len(trees) == 14
@@ -643,18 +651,36 @@ def test_phi_is_functorial_on_every_small_composable_pair():
     into = {}
     for f in homs:
         into.setdefault(f.target, []).append(f)
+    return [(g, f) for g in homs for f in into.get(g.source, [])]
+
+
+def test_phi_is_functorial_on_every_small_composable_pair():
     rng = R.rng_from_seed(26)
     P = EndoAlgebra()
     pairs = 0
-    for g in homs:
+    for g, f in _small_composable_pairs():
         if g.target.is_eta:
             continue
-        G = D.OmegaTildeMorphism(g)
-        for f in into.get(g.source, []):
-            F = D.OmegaTildeMorphism(f)
-            vals = tuple(P.sample(a, rng) for a in T.arities(g.target))
-            lhs = D.phi_morphism(P, D.compose_omega_tilde(G, F), vals)
-            rhs = D.phi_morphism(P, F, D.phi_morphism(P, G, vals))
-            assert lhs == rhs, (f, g, vals)
-            pairs += 1
+        G, F = D.OmegaTildeMorphism(g), D.OmegaTildeMorphism(f)
+        vals = tuple(P.sample(a, rng) for a in T.arities(g.target))
+        lhs = D.phi_morphism(P, D.compose_omega_tilde(G, F), vals)
+        rhs = D.phi_morphism(P, F, D.phi_morphism(P, G, vals))
+        assert lhs == rhs, (f, g, vals)
+        pairs += 1
     assert pairs == 5508
+
+
+def test_compose_omega_matches_the_checking_constructor():
+    """compose_omega takes its images from its factors; on every small
+    composable pair the constructor, which reads them off the composed
+    edge map, gives the same morphism, images and hash."""
+    pairs = 0
+    for g, f in _small_composable_pairs():
+        got = D.compose_omega(g, f)
+        want = D.OmegaMorphism(f.source, g.target, {
+            e: g.edge_map[fe] for e, fe in f.edge_map.items()})
+        assert got == want, (g, f)
+        assert got.vertex_images == want.vertex_images, (g, f)
+        assert hash(got) == hash(want)
+        pairs += 1
+    assert pairs == 5508 + 31  # the 31 pairs into η too

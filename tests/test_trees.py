@@ -81,7 +81,7 @@ def test_stored_counts_match_a_recount():
 def test_trees_are_immutable_and_hold_only_trees():
     t = caterpillar(2)
     for attr, value in (("children", ()), ("vertex_count", 5),
-                        ("leaf_count", 0)):
+                        ("leaf_count", 0), ("_index", None)):
         with pytest.raises(AttributeError):
             setattr(t, attr, value)
         with pytest.raises(AttributeError):
@@ -106,6 +106,28 @@ def test_a_dropped_tree_leaves_the_table():
     gc.collect()
     assert ref() is None
     assert key not in T._LIVE and len(T._LIVE) == live - 1
+
+
+def test_a_tree_keeps_its_index():
+    # built once, and still the same object after 40 other distinct
+    # trees have been indexed
+    t = caterpillar(5)
+    idx = T.index(t)
+    others = T.planar_trees(4, 3)[:40]
+    assert len(others) == 40
+    for u in others:
+        T.index(u)
+    assert T.index(t) is idx
+
+
+def test_an_indexed_tree_is_not_pinned():
+    # a shape no other test builds; its index must not keep it alive
+    t = PlanarTree((corolla(17), ETA, corolla(19)))
+    ref = weakref.ref(t)
+    T.index(t)
+    del t
+    gc.collect()
+    assert ref() is None
 
 
 def test_edges_and_root():
@@ -305,7 +327,7 @@ def test_json_roundtrip_random(seed):
 
 
 def test_index_tables_match_a_fresh_index():
-    # more distinct trees than the index cache holds, each indexed twice,
+    # every tree with 1-4 vertices and 0-3 leaves, each indexed twice,
     # the second time as read back from its JSON object (the same tree)
     trees = [t for nv in range(1, 5) for nl in range(4)
              for t in T.planar_trees(nv, nl)]
@@ -324,7 +346,7 @@ def test_index_tables_match_a_fresh_index():
         vertices = dfs(t)
         assert len(idx.child_entries) == len(vertices)
         assert [idx.arity(v) for v in range(len(vertices))] \
-            == [len(u.children) for u in vertices]
+            == T.arities(t) == [len(u.children) for u in vertices]
 
 
 def test_malformed_json_rejected():
