@@ -155,18 +155,21 @@ def augment(base, brackets):
         # the earlier ones
         wraps[T.subtree_root(base.tree, b)].insert(0, n + j)
     order = []  # in DFS order, each new vertex: v, or n + j for bracket j
-
-    def walk(v):
-        order.extend(wraps[v] + [v])
-        node = T.PlanarTree(T.ETA if kind == "leaf" else walk(ref)
-                            for kind, ref in idx.child_entries[v])
-        for _ in wraps[v]:
-            node = T.PlanarTree((node,))
-        return node
-
-    tree = walk(0)
+    tree = _wrap(idx.child_entries, wraps, order, 0)
     new = [0] * len(order)
     for u, label in enumerate(order):
         new[label] = u
     sigma2 = [new[v] for v in base.sigma] + new[n:]
     return OElement(tree, sigma2, base.tau), sets
+
+
+def _wrap(entries, wraps, order, v):
+    """The augmented tree above vertex v, each of its wrapping vertices
+    below it; order grows by the label of each new vertex in DFS order."""
+    order.extend(wraps[v] + [v])
+    node = T.PlanarTree(T.ETA if kind == "leaf" else
+                        _wrap(entries, wraps, order, ref)
+                        for kind, ref in entries[v])
+    for _ in wraps[v]:
+        node = T.PlanarTree((node,))
+    return node

@@ -5,11 +5,14 @@ bracketings with their chain form (`chain_levels`)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .trees import (
-    enumerate_subtrees, frac_from_obj, frac_to_str, int_from_obj,
-    is_connected, vset_key, vsets_nested,
+    as_fraction, enumerate_subtrees, frac_from_obj, frac_to_str, index,
+    int_from_obj, set_roots, vset_key, vsets_nested,
 )
+
+ONE = Fraction(1)  # the full weight
 
 
 def check_brackets(tree, sets, within):
@@ -17,12 +20,15 @@ def check_brackets(tree, sets, within):
     be a proper subset of `within` (a connected vertex set of the tree)
     and be connected, and every two sets must be nested.  Sets are
     checked in the order given."""
+    if not sets:
+        return
+    parent = index(tree).parent
     for b in sets:
         if len(b) < 2:
             raise ValueError("bracket %s is not large" % sorted(b))
         if not b < within:
             raise ValueError("bracket %s is not proper" % sorted(b))
-        if not is_connected(tree, b):
+        if len(set_roots(parent, b)) != 1:
             raise ValueError("bracket %s is not a subtree" % sorted(b))
     for i, a in enumerate(sets):
         for b in sets[i + 1:]:
@@ -34,20 +40,23 @@ def check_brackets(tree, sets, within):
 def canonical_weights(weights):
     """The (frozenset, Fraction) items of a dict or of (set, weight)
     pairs in canonical order of their sets, with weight 0 dropped;
-    refuses a weight outside [0,1] and a set given twice."""
-    items = []
+    refuses a weight that is not an int or a Fraction, one outside [0,1]
+    and a set given twice."""
+    keyed = []
     for vset, w in (weights.items() if isinstance(weights, dict) else weights):
-        w = Fraction(w)
-        if w == 0:
+        w = as_fraction(w, "weights")
+        p, q = w.as_integer_ratio()
+        if p == 0:
             continue
-        if not 0 < w <= 1:
+        if not 0 < p <= q:
             raise ValueError("weight %s outside (0,1]" % w)
-        items.append((frozenset(vset), w))
-    items.sort(key=lambda it: vset_key(it[0]))
+        vset = frozenset(vset)
+        keyed.append((vset_key(vset), vset, w))
+    keyed.sort(key=itemgetter(0))
     # the key is injective, so a repeated set sorts next to itself
-    if any(a == b for (a, _), (b, _) in zip(items, items[1:])):
+    if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
         raise ValueError("duplicate bracket")
-    return tuple(items)
+    return tuple([(vset, w) for _, vset, w in keyed])
 
 
 def _all_vertices(tree):
@@ -124,17 +133,18 @@ def enumerate_bracketings(tree):
     subs = [s.vertex_set for s in enumerate_subtrees(tree, 2)
             if len(s.vertex_set) < n]
     by_count = []
-
-    def extend(chosen, rest):
-        if len(chosen) == len(by_count):
-            by_count.append([])
-        by_count[len(chosen)].append(Bracketing(tree, chosen))
-        for pos, cand in enumerate(rest):
-            nxt = [r for r in rest[pos + 1:] if vsets_nested(cand, r)]
-            extend(chosen + [cand], nxt)
-
-    extend([], subs)
+    _extend(tree, by_count, [], subs)
     return [b for level in by_count for b in level]
+
+
+def _extend(tree, by_count, chosen, rest):
+    "File `chosen` by its bracket count, then its extensions from `rest`."
+    if len(chosen) == len(by_count):
+        by_count.append([])
+    by_count[len(chosen)].append(Bracketing(tree, chosen))
+    for pos, cand in enumerate(rest):
+        nxt = [r for r in rest[pos + 1:] if vsets_nested(cand, r)]
+        _extend(tree, by_count, chosen + [cand], nxt)
 
 
 def maximal_bracketings(tree):
@@ -185,7 +195,7 @@ def chain_levels(items):
     kept; they fall into the last level, of value 0."""
     values = sorted({w for _, w in items}, reverse=True)
     if not values or values[0] != 1:
-        values = [Fraction(1)] + values
+        values = [ONE] + values
     levels = [sorted((frozenset(b) for b, w in items if w >= val),
                      key=vset_key)
               for val in values]

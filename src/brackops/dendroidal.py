@@ -11,12 +11,12 @@ vertexless tree has the single edge ("leaf", 0)."""
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import trees as T
 from .trees import ETA
 from .bracketings import (
-    WeightedBracketing, canonical_weights, check_brackets, merge_brackets,
+    ONE, WeightedBracketing, canonical_weights, check_brackets,
+    merge_brackets,
 )
 from .operads import OElement, BOElement
 
@@ -186,36 +186,36 @@ def isomorphisms(s, t):
     "All isomorphisms s -> t (possibly none), sorted by edge map."
     if s.is_eta or t.is_eta:
         return [identity_omega(ETA)] if s.is_eta and t.is_eta else []
-    idxS, idxT = T.index(s), T.index(t)
-
-    def match(vs, vt):
-        """Edge-map fragments matching vs onto vt: for each pairing of
-        their vertex children, and of their leaves, the product of the
-        paired children's matches.  Distinct pairings give distinct
-        fragments."""
-        es, et = idxS.child_entries[vs], idxT.child_entries[vt]
-        ks, kt = ([e for e in x if e[0] == "out"] for x in (es, et))
-        ls, lt = ([e for e in x if e[0] == "leaf"] for x in (es, et))
-        if len(ks) != len(kt) or len(ls) != len(lt):
-            return []
-        out = []
-        for perm in itertools.permutations(kt):
-            parts = []
-            for a, b in zip(ks, perm):
-                parts.append(match(a[1], b[1]))
-                if not parts[-1]:
-                    break  # the product below is empty
-            for leaves, *combo in itertools.product(
-                    itertools.permutations(lt), *parts):
-                em = dict(zip(ls, leaves))
-                em[("out", vs)] = ("out", vt)
-                for part in combo:
-                    em.update(part)
-                out.append(em)
-        return out
-
+    ems = _match(T.index(s).child_entries, T.index(t).child_entries, 0, 0)
     return [OmegaMorphism(s, t, em)
-            for em in sorted(match(0, 0), key=lambda em: sorted(em.items()))]
+            for em in sorted(ems, key=lambda em: sorted(em.items()))]
+
+
+def _match(es_of, et_of, vs, vt):
+    """Edge-map fragments matching vs onto vt, given the child entries
+    of both trees: for each pairing of their vertex children, and of
+    their leaves, the product of the paired children's matches.
+    Distinct pairings give distinct fragments."""
+    es, et = es_of[vs], et_of[vt]
+    ks, kt = ([e for e in x if e[0] == "out"] for x in (es, et))
+    ls, lt = ([e for e in x if e[0] == "leaf"] for x in (es, et))
+    if len(ks) != len(kt) or len(ls) != len(lt):
+        return []
+    out = []
+    for perm in itertools.permutations(kt):
+        parts = []
+        for a, b in zip(ks, perm):
+            parts.append(_match(es_of, et_of, a[1], b[1]))
+            if not parts[-1]:
+                break  # the product below is empty
+        for leaves, *combo in itertools.product(
+                itertools.permutations(lt), *parts):
+            em = dict(zip(ls, leaves))
+            em[("out", vs)] = ("out", vt)
+            for part in combo:
+                em.update(part)
+            out.append(em)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,13 +264,12 @@ def compose_omega_tilde(G, F):
     of F's brackets (weights carried, when large and proper); set
     collisions keep the larger weight."""
     base = compose_omega(G.base, F.base)
-    one = Fraction(1)
     fams = []
     for w in range(len(F.base.vertex_images)):
         items = []
         for v in F.base.vertex_images[w]:
             items += G.brackets[v]
-            items.append((G.base.vertex_images[v], one))
+            items.append((G.base.vertex_images[v], ONE))
         for B, t in F.brackets[w]:
             items.append((frozenset(u2 for u in B
                                     for u2 in G.base.vertex_images[u]), t))
@@ -297,7 +296,7 @@ def q_morphism(gs):
         corollas += total.vertex_images
         total = compose_omega(total, g)
     return OmegaTildeMorphism(total, [
-        {S: 1 for S in corollas if len(S) >= 2 and S < img}
+        {S: ONE for S in corollas if len(S) >= 2 and S < img}
         for img in total.vertex_images])
 
 

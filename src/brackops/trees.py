@@ -119,27 +119,10 @@ class TreeIndex:
     __slots__ = ("parent", "child_entries", "leaf_at")
 
     def __init__(self, tree):
-        parent = self.parent = []
-        child_entries = self.child_entries = []
-        # leaf position -> (vertex_id, slot); [] for Eta
-        leaf_at = self.leaf_at = []
-        if tree.is_eta:
-            return
-
-        def walk(node, par):
-            vid = len(parent)
-            parent.append(par)
-            entries = []
-            child_entries.append(entries)
-            for s, ch in enumerate(node.children):
-                if ch.is_eta:
-                    entries.append(("leaf", len(leaf_at)))
-                    leaf_at.append((vid, s))
-                else:
-                    entries.append(("out", walk(ch, vid)))
-            return vid
-
-        walk(tree, -1)
+        # leaf_at: leaf position -> (vertex_id, slot); [] for Eta
+        self.parent, self.child_entries, self.leaf_at = tables = [], [], []
+        if not tree.is_eta:
+            _index_walk(tree, -1, *tables)
 
     def arity(self, vid):
         return len(self.child_entries[vid])
@@ -147,6 +130,25 @@ class TreeIndex:
     def vertex_children(self, vid):
         "Ids of vertex children only, in planar order."
         return [c for k, c in self.child_entries[vid] if k == "out"]
+
+
+# Each recursion, here and elsewhere, is a module-level function given its
+# tables: a nested function that calls itself is a cycle through its closure.
+
+def _index_walk(node, par, parent, child_entries, leaf_at):
+    "Append node's vertex and those above it to the tables; its DFS id."
+    vid = len(parent)
+    parent.append(par)
+    entries = []
+    child_entries.append(entries)
+    for s, ch in enumerate(node.children):
+        if ch.is_eta:
+            entries.append(("leaf", len(leaf_at)))
+            leaf_at.append((vid, s))
+        else:
+            entries.append(
+                ("out", _index_walk(ch, vid, parent, child_entries, leaf_at)))
+    return vid
 
 
 def index(tree):
@@ -179,17 +181,17 @@ def fold(idx, value, graft):
     each vertex, then acc = graft(acc, s, child's result) for the vertex
     children at slot s (1-based), last slot first.  Returns the value at
     the root."""
+    return _fold(idx.child_entries, 0, value, graft)
 
-    def rec(v):
-        acc = value(v)
-        entries = idx.child_entries[v]
-        for s in range(len(entries) - 1, -1, -1):
-            kind, ref = entries[s]
-            if kind == "out":
-                acc = graft(acc, s + 1, rec(ref))
-        return acc
 
-    return rec(0)
+def _fold(child_entries, v, value, graft):
+    acc = value(v)
+    entries = child_entries[v]
+    for s in range(len(entries) - 1, -1, -1):
+        kind, ref = entries[s]
+        if kind == "out":
+            acc = graft(acc, s + 1, _fold(child_entries, ref, value, graft))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -203,40 +205,42 @@ def splice(pieces):
     count.  Piece 0 is the outermost.  Returns the new tree, the (piece,
     vertex) label of each new vertex in DFS order, and the new planar
     position of each leaf of piece 0."""
-    idxs = [index(tree) for tree, _ in pieces]
-    labels = []
-    outer = []  # leaves of piece 0, in their new planar order
-
-    def edge(k, kind, ref, ctx):
-        # the edge (kind, ref) of piece k, which sits where ctx says:
-        # None for piece 0, else (k', v, tau, ctx') when piece k replaces
-        # vertex v of piece k'
-        while True:
-            if kind == "leaf":
-                if ctx is None:
-                    outer.append(ref)
-                    return ETA
-                k, v, tau, ctx = ctx
-                kind, ref = idxs[k].child_entries[v][tau.index(ref)]
-                continue
-            sub = pieces[k][1].get(ref)
-            if sub is None:
-                break
-            j, tau = sub
-            ctx = (k, ref, tau, ctx)
-            k = j
-            kind, ref = ("leaf", 0) if pieces[j][0].is_eta else ("out", 0)
-        labels.append((k, ref))
-        children = []
-        for e in idxs[k].child_entries[ref]:
-            children.append(edge(k, e[0], e[1], ctx))
-        return PlanarTree(children)
-
-    tree = edge(0, "leaf" if pieces[0][0].is_eta else "out", 0, None)
+    labels, outer = [], []  # outer: piece 0's leaves, in their new order
+    walk = pieces, [index(t).child_entries for t, _ in pieces], labels, outer
+    tree = _splice_edge(walk, 0, "leaf" if pieces[0][0].is_eta else "out",
+                        0, None)
     positions = [0] * len(outer)
     for new, old in enumerate(outer):
         positions[old] = new
     return tree, labels, positions
+
+
+def _splice_edge(walk, k, kind, ref, ctx):
+    """The tree above the edge (kind, ref) of piece k, which sits where
+    ctx says: None for piece 0, else (k', v, tau, ctx') when piece k
+    replaces vertex v of piece k'.  walk is (pieces, their child_entries,
+    labels, outer): splice's lists, which grow as the walk goes."""
+    pieces, entries, labels, outer = walk
+    while True:
+        if kind == "leaf":
+            if ctx is None:
+                outer.append(ref)
+                return ETA
+            k, v, tau, ctx = ctx
+            kind, ref = entries[k][v][tau.index(ref)]
+            continue
+        sub = pieces[k][1].get(ref)
+        if sub is None:
+            break
+        j, tau = sub
+        ctx = (k, ref, tau, ctx)
+        k = j
+        kind, ref = ("leaf", 0) if pieces[j][0].is_eta else ("out", 0)
+    labels.append((k, ref))
+    children = []
+    for e in entries[k][ref]:
+        children.append(_splice_edge(walk, k, e[0], e[1], ctx))
+    return PlanarTree(children)
 
 
 class SurgeryResult:
@@ -298,19 +302,19 @@ class Subtree:
         return "Subtree(%s)" % sorted(self.vertex_set)
 
 
+def set_roots(parent, vset):
+    "The vertices of vset whose parent lies outside it (one if connected)."
+    return [v for v in vset if parent[v] not in vset]
+
+
 def is_connected(tree, vset):
     "True iff vset induces a connected subgraph of the tree."
-    if not vset:
-        return True
-    idx = index(tree)
-    root_count = sum(1 for v in vset if idx.parent[v] not in vset)
-    return root_count == 1
+    return not vset or len(set_roots(index(tree).parent, vset)) == 1
 
 
 def subtree_root(tree, vset):
     "The vertex of vset whose parent lies outside it."
-    idx = index(tree)
-    roots = [v for v in vset if idx.parent[v] not in vset]
+    roots = set_roots(index(tree).parent, vset)
     if len(roots) != 1:
         raise ValueError("not a connected subtree")
     return roots[0]
@@ -351,22 +355,22 @@ def _region_walk(idx, vset, root, collapse=()):
             seen.update(vs)
             top = min(vs)  # a connected set's root has its least DFS id
             entries[top] = exit_edges(idx, vs, top)
-    old = []
-    exits = []
+    old, exits = [], []
+    return _region_rec(entries, vset, root, old, exits), old, exits
 
-    def rec(v):
-        old.append(v)
-        ch = []
-        for e in entries[v]:
-            kind, ref = e
-            if kind == "leaf" or ref not in vset:
-                exits.append(e)
-                ch.append(ETA)
-            else:
-                ch.append(rec(ref))
-        return PlanarTree(ch)
 
-    return rec(root), old, exits
+def _region_rec(entries, vset, v, old, exits):
+    "The region's tree above its vertex v; old and exits grow in DFS order."
+    old.append(v)
+    ch = []
+    for e in entries[v]:
+        kind, ref = e
+        if kind == "leaf" or ref not in vset:
+            exits.append(e)
+            ch.append(ETA)
+        else:
+            ch.append(_region_rec(entries, vset, ref, old, exits))
+    return PlanarTree(ch)
 
 
 def region(tree, vset, collapse=()):
@@ -408,23 +412,22 @@ def enumerate_subtrees(tree, min_vertices=1):
     canonical order (`vset_key`)."""
     idx = index(tree)
     found = []
-
-    # grow connected sets downward-closed from each root: each set once
-    def grow(current, candidates):
-        found.append(frozenset(current))
-        for pos, c in enumerate(candidates):
-            grow(current | {c},
-                 candidates[pos + 1:] + tuple(idx.vertex_children(c)))
-
     for r in range(tree.vertex_count):
-        grow({r}, tuple(idx.vertex_children(r)))
+        _grow(idx, found, {r}, tuple(idx.vertex_children(r)))
     found.sort(key=vset_key)
     return [Subtree(tree, s) for s in found if len(s) >= min_vertices]
 
 
+def _grow(idx, found, current, candidates):
+    "Grow connected sets downward from current's root: each set once."
+    found.append(frozenset(current))
+    for pos, c in enumerate(candidates):
+        _grow(idx, found, current | {c},
+              candidates[pos + 1:] + tuple(idx.vertex_children(c)))
+
+
 def vsets_nested(a, b):
-    inter = a & b
-    return not inter or inter == a or inter == b
+    return a.isdisjoint(b) or a <= b or b <= a
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +522,16 @@ def frac_from_obj(value):
     except (ZeroDivisionError, OverflowError) as exc:
         raise ValueError("expected a rational, got %s"
                          % json.dumps(value)) from exc
+
+
+def as_fraction(x, name):
+    """An int or a Fraction given in code, as a Fraction; a bool, a float
+    or a string is refused, as cacti.Cactus refuses them."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is not int:
+        raise ValueError("%s must be ints or Fractions, got %r" % (name, x))
+    return Fraction(x)
 
 
 def frac_to_str(q):

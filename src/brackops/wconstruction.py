@@ -14,10 +14,8 @@ representative per bracketed tree."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import trees as T
-from .bracketings import WeightedBracketing, merge_brackets
+from .bracketings import ONE, WeightedBracketing, merge_brackets
 from .operads import BOElement, OElement, eta_element, o_from_obj, o_to_obj
 
 
@@ -35,14 +33,16 @@ class WTree:
         idx = T.index(shape)
         n = shape.vertex_count
         decorations = tuple(decorations)
-        lengths = tuple(Fraction(x) for x in lengths)
+        lengths = tuple([T.as_fraction(x, "lengths") for x in lengths])
         leaf_order = tuple(leaf_order)
         if len(decorations) != n:
             raise ValueError("need one decoration per shape vertex")
         if len(lengths) != n - 1:
             raise ValueError("need one length per non-root shape vertex")
-        if any(not 0 <= x <= 1 for x in lengths):
-            raise ValueError("lengths must lie in [0,1]")
+        for x in lengths:
+            p, q = x.as_integer_ratio()
+            if not 0 <= p <= q:
+                raise ValueError("lengths must lie in [0,1]")
         if sorted(leaf_order) != list(range(shape.leaf_count)):
             raise ValueError("leaf_order is not a bijection onto the leaves")
         for v in range(n):
@@ -107,29 +107,10 @@ def compose_W(a, i, b):
     if a.input_colors()[i - 1] != b.out_color:
         raise ValueError("color mismatch: input %d wants %d, argument offers %d"
                          % (i, a.input_colors()[i - 1], b.out_color))
-    idx = T.index(a.shape)
     target = a.leaf_order[i - 1]
-    a_lengths = (None,) + a.lengths
     decos, lengths = [], []
-
-    def walk(v):
-        # a's vertex v and everything above it, in DFS order
-        decos.append(a.decorations[v])
-        lengths.append(a_lengths[v])
-        children = []
-        for kind, ref in idx.child_entries[v]:
-            if kind == "out":
-                children.append(walk(ref))
-            elif ref == target:
-                decos.extend(b.decorations)
-                lengths.append(1)
-                lengths.extend(b.lengths)
-                children.append(b.shape)
-            else:
-                children.append(T.ETA)
-        return T.PlanarTree(children)
-
-    shape = walk(0)
+    shape = _graft(a, T.index(a.shape).child_entries, target, b, 0, decos,
+                   lengths)
     # b's inputs take i..i+kb-1 and its leaves replace a's leaf at
     # target; a's later inputs and leaves move up by kb-1
     kb = len(b.leaf_order)
@@ -137,6 +118,27 @@ def compose_W(a, i, b):
     leaf_order = (shifted[:i - 1] + [target + q for q in b.leaf_order]
                   + shifted[i:])
     return normalize_W(WTree(shape, leaf_order, lengths[1:], decos))
+
+
+def _graft(a, entries, target, b, v, decos, lengths):
+    """a's shape vertex v and everything above it, with b's shape on a's
+    leaf `target`; decorations and lengths go to the lists in DFS order
+    (None for a's root)."""
+    decos.append(a.decorations[v])
+    lengths.append(a.lengths[v - 1] if v else None)
+    children = []
+    for kind, ref in entries[v]:
+        if kind == "out":
+            children.append(_graft(a, entries, target, b, ref, decos,
+                                   lengths))
+        elif ref == target:
+            decos.extend(b.decorations)
+            lengths.append(ONE)
+            lengths.extend(b.lengths)
+            children.append(b.shape)
+        else:
+            children.append(T.ETA)
+    return T.PlanarTree(children)
 
 
 # ---------------------------------------------------------------------------
@@ -192,35 +194,36 @@ def psi_inverse(x):
     tree = x.base.tree
     if tree.is_eta:
         return WTree(T.corolla(0), (), (), (eta_element(),))
-    decos, lengths, leaf_pos = [], [], {}
-
-    def build(region, inner, weight, tau):
-        """The shape at and above a bracket's vertex (the whole tree's at
-        the root); decorations and lengths go to the lists in DFS order,
-        and each base vertex at a leaf gets the leaf's planar position."""
-        # the maximal brackets strictly inside the region, by their roots
-        maximal = {min(vset): (vset, wt) for vset, wt in inner
-                   if not any(vset < other for other, _ in inner)}
-        qt, old, _ = T.region(tree, region,
-                              [vset for vset, _ in maximal.values()])
-        # slot s + 1 of OElement(qt) is vertex s, which child s fills
-        decos.append(OElement(qt, tau=tau))
-        lengths.append(weight)
-        children = []
-        for u in old:
-            if u in maximal:
-                vset, wt = maximal[u]
-                children.append(build(vset, [(s, w2) for s, w2 in inner
-                                             if s < vset], wt, None))
-            else:
-                leaf_pos[u] = len(leaf_pos)
-                children.append(T.ETA)
-        return T.PlanarTree(children)
-
-    shape = build(range(len(x.base.sigma)), x.weighted.weights, None,
-                  x.base.tau)
+    out = decos, lengths, leaf_pos = [], [], {}
+    shape = _build(tree, out, range(len(x.base.sigma)), x.weighted.weights,
+                   None, x.base.tau)
     return WTree(shape, [leaf_pos[v] for v in x.base.sigma], lengths[1:],
                  decos)
+
+
+def _build(tree, out, region, inner, weight, tau):
+    """The shape at and above a bracket's vertex (the whole tree's at the
+    root); out is psi_inverse's decorations and lengths, which grow in DFS
+    order, and the planar position of the leaf at each base vertex."""
+    decos, lengths, leaf_pos = out
+    # the maximal brackets strictly inside the region, by their roots
+    maximal = {min(vset): (vset, wt) for vset, wt in inner
+               if not any(vset < other for other, _ in inner)}
+    qt, old, _ = T.region(tree, region,
+                          [vset for vset, _ in maximal.values()])
+    # slot s + 1 of OElement(qt) is vertex s, which child s fills
+    decos.append(OElement(qt, tau=tau))
+    lengths.append(weight)
+    children = []
+    for u in old:
+        if u in maximal:
+            vset, wt = maximal[u]
+            children.append(_build(tree, out, vset, [
+                (s, w2) for s, w2 in inner if s < vset], wt, None))
+        else:
+            leaf_pos[u] = len(leaf_pos)
+            children.append(T.ETA)
+    return T.PlanarTree(children)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,21 @@ def test_weights_outside_unit_interval_rejected():
         WeightedBracketing(t, {frozenset({0, 1}): Fraction(3, 2)})
 
 
+@pytest.mark.parametrize("weight", [0.1, "1/2", True, False])
+def test_a_weight_that_is_not_an_int_or_a_fraction_is_refused(weight):
+    with pytest.raises(ValueError,
+                       match="weights must be ints or Fractions, got %r"
+                       % (weight,)):
+        WeightedBracketing(caterpillar(3), {frozenset({0, 1}): weight})
+
+
+def test_int_weights_are_kept_as_fractions():
+    w = WeightedBracketing(caterpillar(3), {frozenset({0, 1}): 1,
+                                            frozenset({1, 2}): 0})
+    assert w.weights == ((frozenset({0, 1}), Fraction(1)),)
+    assert type(w.weights[0][1]) is Fraction
+
+
 def test_serialization_roundtrip():
     t = caterpillar(4)
     b = Bracketing(t, [frozenset({1, 2}), frozenset({1, 2, 3})])

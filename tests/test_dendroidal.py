@@ -322,6 +322,9 @@ def _collapse_top(fam):
     ([({0, 1, 2, 3}, 1)], "not proper"),
     ([({0, 2}, 1)], "not a subtree"),
     ([({0, 1}, 1), ({1, 2}, 1)], "not nested"),
+    ([({0, 1}, 0.1)], "weights must be ints or Fractions, got 0.1"),
+    ([({0, 1}, "1/2")], "weights must be ints or Fractions, got '1/2'"),
+    ([({0, 1}, True)], "weights must be ints or Fractions, got True"),
 ])
 def test_tilde_morphism_rejects_bad_brackets(fam, match):
     with pytest.raises(ValueError, match=match):

@@ -39,6 +39,25 @@ def test_color_mismatch_rejected():
                o_unit(3)))  # slot wants arity 2, child has 3 leaves
 
 
+@pytest.mark.parametrize("length", [F(3, 2), F(-1, 2)])
+def test_a_length_outside_the_unit_interval_is_refused(length):
+    with pytest.raises(ValueError, match=r"lengths must lie in \[0,1\]"):
+        two_vertex_w(length)
+
+
+@pytest.mark.parametrize("length", [0.1, "1/2", True])
+def test_a_length_that_is_not_an_int_or_a_fraction_is_refused(length):
+    with pytest.raises(ValueError,
+                       match="lengths must be ints or Fractions, got %r"
+                       % (length,)):
+        two_vertex_w(length)
+
+
+def test_int_lengths_are_kept_as_fractions():
+    w = two_vertex_w(1)
+    assert w.lengths == (F(1),) and type(w.lengths[0]) is F
+
+
 def test_zero_length_edge_collapses():
     w = two_vertex_w(F(0))
     n = normalize_W(w)
