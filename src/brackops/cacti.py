@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .trees import frac_from_obj, frac_to_str, int_from_obj
+from .trees import as_labelling, frac_from_obj, frac_to_str, int_from_obj
 from .plmaps import IDENTITY, PLMap, identity_map, pl_compose, pl_invert
 
 ZERO = Fraction(0)
@@ -303,8 +303,7 @@ def scaling_map(x, m):
 
 def relabel_cactus(x, perm):
     "perm[old-1] = new label (1-based); a bijection on 1..k."
-    if sorted(perm) != list(range(1, x.k + 1)):
-        raise ValueError("not a permutation of 1..%d" % x.k)
+    perm = as_labelling(perm, x.k, "not a permutation of 1..%d" % x.k, 1)
     c = x.cuts
     return _from_arcs(x.k, x.den, [(c[r], c[r + 1], perm[lab - 1])
                                    for r, lab in enumerate(x.labels)])

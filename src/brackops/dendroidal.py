@@ -122,9 +122,12 @@ def compose_omega(g, f):
 # ---------------------------------------------------------------------------
 # Generating morphisms.
 
-def subtree_inclusion(tree, vset):
-    "The outer-face composite embedding the subtree on vset."
-    src, old, exits = T.region(tree, vset)
+def subtree_inclusion(tree, vset, collapse=()):
+    """The face composite embedding the subtree on vset, with each of
+    the pairwise disjoint connected sets in `collapse` contracted to one
+    vertex: each source vertex goes to its old id, each leaf to its exit
+    edge."""
+    src, old, exits = T.region(tree, vset, collapse)
     em = {("out", nw): ("out", u) for nw, u in enumerate(old)}
     for p, e in enumerate(exits):
         em[("leaf", p)] = e
@@ -134,13 +137,10 @@ def subtree_inclusion(tree, vset):
 def collapse_morphism(tree, vsets):
     """The inner-face composite collapsing each of the pairwise disjoint
     connected vertex sets to a single vertex of the source."""
-    vsets = [frozenset(s) for s in vsets]
-    src, vmap = T.collapse_with_map(tree, vsets)
-    em = {("leaf", p): ("leaf", p) for p in range(tree.leaf_count)}
-    # a connected set's root has its least DFS id
-    for old, new in sorted(vmap.items()):
-        em.setdefault(("out", new), ("out", old))
-    return OmegaMorphism(src, tree, em)
+    if tree.is_eta:
+        return identity_omega(ETA)
+    return subtree_inclusion(tree, range(tree.vertex_count),
+                             [frozenset(s) for s in vsets])
 
 
 def inner_face(tree, c):

@@ -29,12 +29,10 @@ class OElement:
 
     def __init__(self, tree, sigma=None, tau=None):
         nv, nl = tree.vertex_count, tree.leaf_count
-        sigma = tuple(range(nv) if sigma is None else sigma)
-        tau = tuple(range(nl) if tau is None else tau)
-        if sorted(sigma) != list(range(nv)):
-            raise ValueError("sigma is not a vertex labelling")
-        if sorted(tau) != list(range(nl)):
-            raise ValueError("tau is not a leaf labelling")
+        sigma = tuple(range(nv)) if sigma is None else T.as_labelling(
+            sigma, nv, "sigma is not a vertex labelling")
+        tau = tuple(range(nl)) if tau is None else T.as_labelling(
+            tau, nl, "tau is not a leaf labelling")
         self.tree = tree
         self.sigma = sigma
         self.tau = tau
@@ -134,9 +132,7 @@ def compose_O(a, i, b):
 def sigma_act_O(perm, a):
     """Precompose the slot labelling: new slot i draws on old slot
     perm[i]+1 (perm is 0-based)."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(a.arity)):
-        raise ValueError("not a permutation of the slots")
+    perm = T.as_labelling(perm, a.arity, "not a permutation of the slots")
     return OElement(a.tree, tuple(a.sigma[p] for p in perm), a.tau)
 
 

@@ -267,11 +267,9 @@ def substitute_with_maps(t, v, t2, tau=None):
     if t2.leaf_count != m:
         raise ValueError("arity mismatch: vertex has %d inputs, tree has %d leaves"
                          % (m, t2.leaf_count))
-    if tau is None:
-        tau = tuple(range(m))
-    if sorted(tau) != list(range(m)):
-        raise ValueError("tau is not a permutation of 0..%d" % (m - 1))
-    return SurgeryResult(*splice([(t, {v: (1, tuple(tau))}), (t2, {})]))
+    tau = tuple(range(m)) if tau is None else as_labelling(
+        tau, m, "tau is not a permutation of 0..%d" % (m - 1))
+    return SurgeryResult(*splice([(t, {v: (1, tau)}), (t2, {})]))
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +338,24 @@ def exit_edges(idx, vset, v):
     return out
 
 
-def _region_walk(idx, vset, root, collapse=()):
-    """region() on an indexed tree, from the root of vset.  Each of the
-    pairwise disjoint connected sets in `collapse`, all inside vset,
-    becomes one vertex, named by its root, whose inputs are the edges
-    leaving the set."""
+def region(tree, vset, collapse=()):
+    """The part of the tree on the connected vertex set vset: (the
+    standalone subtree, the old id of each of its vertices in DFS order,
+    the old edge at each of its leaves in planar order).  Those edges are
+    the ones leaving vset upward.  Each of the pairwise disjoint
+    connected sets in `collapse`, inside vset, becomes one vertex, named
+    by its root, whose inputs are the edges leaving the set."""
+    idx = index(tree)
+    root = subtree_root(tree, vset)
     entries = idx.child_entries
     if collapse:
         entries = list(entries)
+        tops = [subtree_root(tree, vs) for vs in collapse]
         seen = set()
-        for vs in collapse:
+        for top, vs in zip(tops, collapse):
             if not seen.isdisjoint(vs):
                 raise ValueError("vertex sets overlap")
             seen.update(vs)
-            top = min(vs)  # a connected set's root has its least DFS id
             entries[top] = exit_edges(idx, vs, top)
     old, exits = [], []
     return _region_rec(entries, vset, root, old, exits), old, exits
@@ -373,15 +375,6 @@ def _region_rec(entries, vset, v, old, exits):
     return PlanarTree(ch)
 
 
-def region(tree, vset, collapse=()):
-    """The part of the tree on the connected vertex set vset: (the
-    standalone subtree, the old id of each of its vertices in DFS order,
-    the old edge at each of its leaves in planar order).  Those edges are
-    the ones leaving vset upward.  The disjoint connected sets in
-    `collapse`, inside vset, each become one vertex, named by its root."""
-    return _region_walk(index(tree), vset, subtree_root(tree, vset), collapse)
-
-
 def restrict_with_map(tree, vset):
     "The region's tree together with {old vertex id: new vertex id}."
     sub, old, _ = region(tree, vset)
@@ -396,8 +389,7 @@ def collapse_with_map(tree, vsets):
     if tree.is_eta:
         return tree, {}
     tops = {subtree_root(tree, vs): vs for vs in vsets}
-    idx = index(tree)
-    new, old, _ = _region_walk(idx, range(tree.vertex_count), 0, vsets)
+    new, old, _ = region(tree, range(tree.vertex_count), vsets)
     return new, {u: k for k, v in enumerate(old) for u in tops.get(v, (v,))}
 
 
@@ -532,6 +524,16 @@ def as_fraction(x, name):
     if type(x) is not int:
         raise ValueError("%s must be ints or Fractions, got %r" % (name, x))
     return Fraction(x)
+
+
+def as_labelling(p, n, message, start=0):
+    """A labelling given in code, as a tuple: it must list the ints
+    start..start+n-1 in some order, else ValueError(message).  A float
+    or a bool is refused, as int_from_obj refuses them in JSON."""
+    p = tuple(p)
+    if sorted(p) != list(range(start, start + n)) or {*map(type, p)} - {int}:
+        raise ValueError(message)
+    return p
 
 
 def frac_to_str(q):

@@ -34,7 +34,6 @@ class WTree:
         n = shape.vertex_count
         decorations = tuple(decorations)
         lengths = tuple([T.as_fraction(x, "lengths") for x in lengths])
-        leaf_order = tuple(leaf_order)
         if len(decorations) != n:
             raise ValueError("need one decoration per shape vertex")
         if len(lengths) != n - 1:
@@ -43,8 +42,9 @@ class WTree:
             p, q = x.as_integer_ratio()
             if not 0 <= p <= q:
                 raise ValueError("lengths must lie in [0,1]")
-        if sorted(leaf_order) != list(range(shape.leaf_count)):
-            raise ValueError("leaf_order is not a bijection onto the leaves")
+        leaf_order = T.as_labelling(
+            leaf_order, shape.leaf_count,
+            "leaf_order is not a bijection onto the leaves")
         for v in range(n):
             deco = decorations[v]
             if deco.arity != idx.arity(v):

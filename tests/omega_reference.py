@@ -1,10 +1,13 @@
-"""The earlier outer_face and isomorphisms, kept as independent
+"""The earlier outer_face, isomorphisms and collapse_morphism, and an
+inclusion assembled from restrict_with_map, kept as independent
 references for the tests.  outer_face refuses through five separate
 checks (the only vertex, a disconnected remainder, a vertex child, and
 the root over several branches or over leaves); isomorphisms tries
-every pairing of each vertex's inputs with a flag and a dedup set.
-brackops.dendroidal applies one removability rule and one matching
-recursion."""
+every pairing of each vertex's inputs with a flag and a dedup set;
+collapse_morphism reads collapse_with_map's vertex map, sending each
+source vertex to the least old id that maps to it.  brackops.dendroidal
+applies one removability rule and one matching recursion, and builds
+every face composite through subtree_inclusion."""
 
 import itertools
 
@@ -76,3 +79,26 @@ def reference_isomorphisms(s, t):
 
     result = {OmegaMorphism(s, t, em) for em in match(0, 0)}
     return sorted(result, key=lambda m: sorted(m.edge_map.items()))
+
+
+def reference_collapse_morphism(tree, vsets):
+    """The inner-face composite collapsing each of the pairwise disjoint
+    connected vertex sets to a single vertex of the source."""
+    vsets = [frozenset(s) for s in vsets]
+    src, vmap = T.collapse_with_map(tree, vsets)
+    em = {("leaf", p): ("leaf", p) for p in range(tree.leaf_count)}
+    # a connected set's root has its least DFS id
+    for old, new in sorted(vmap.items()):
+        em.setdefault(("out", new), ("out", old))
+    return OmegaMorphism(src, tree, em)
+
+
+def reference_subtree_inclusion(tree, vset):
+    """The outer-face composite embedding the subtree on vset: its
+    vertices through restrict_with_map's map, its leaves onto the edges
+    leaving vset, in the planar order of exit_edges."""
+    src, vmap = T.restrict_with_map(tree, vset)
+    em = {("out", new): ("out", old) for old, new in vmap.items()}
+    exits = T.exit_edges(T.index(tree), vset, T.subtree_root(tree, vset))
+    em.update((("leaf", p), e) for p, e in enumerate(exits))
+    return OmegaMorphism(src, tree, em)

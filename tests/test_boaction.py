@@ -98,6 +98,60 @@ def test_xi_map_on_a_region_is_xi_map_on_the_region_tree():
     assert cases == 107988
 
 
+def _exits_restated(entries, vset, v):
+    "(parent, kind, ref) of each edge leaving vset above v, in planar order."
+    for kind, ref in entries[v]:
+        if kind == "out" and ref in vset:
+            yield from _exits_restated(entries, vset, ref)
+        else:
+            yield v, kind, ref
+
+
+def _xi_restated(tree, brackets, vset, within):
+    """xi_map from its definition, sharing none of its steps: the
+    smallest bracket around vset and the largest one hanging off an edge
+    are found by inclusion, the edges leaving vset by a walk of the
+    child entries, and a bracket's leaves are its region tree's."""
+    entries = T.index(tree).child_entries
+    around = [b for b in brackets if vset < b]
+    S = next((b for b in around if all(b <= c for c in around)), within)
+    inner = {ref for v in vset for kind, ref in entries[v] if kind == "out"}
+    (root,) = vset - inner
+    out = []
+    for v, kind, ref in _exits_restated(entries, vset, root):
+        if kind == "leaf" or ref not in S:
+            out.append(1)
+            continue
+        hanging = [b for b in brackets if ref in b and v not in b]
+        largest = [b for b in hanging if all(c <= b for c in hanging)]
+        out.append(T.region(tree, largest[0])[0].leaf_count if largest
+                   else len(entries[ref]))
+    return tuple(out)
+
+
+def test_xi_map_matches_its_definition():
+    """On every tree with 2-5 vertices, 1-4 leaves and no nullary
+    vertex, every bracketing, every region (the whole tree or a bracket)
+    and every vertex set inside it (a vertex, or a bracket strictly
+    inside), given the brackets strictly inside the region."""
+    cases = 0
+    for nv in range(2, 6):
+        for nl in range(1, 5):
+            for t in T.planar_trees(nv, nl):
+                if min(T.arities(t)) == 0:
+                    continue
+                for br in enumerate_bracketings(t):
+                    bs = br.sorted_brackets()
+                    for S in [_all(t)] + bs:
+                        inside = [b for b in bs if b < S]
+                        for vset in [frozenset([v]) for v in S] + inside:
+                            assert A.xi_map(t, inside, vset, S) \
+                                == _xi_restated(t, inside, vset, S), \
+                                (t, inside, vset, S)
+                            cases += 1
+    assert cases == 453947
+
+
 def test_one_pass_matches_the_recursive_reference():
     # every tree with at most 4 vertices and 4 leaves and no nullary
     # vertex, every bracketing, under a random labelling, weights (0

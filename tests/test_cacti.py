@@ -349,6 +349,14 @@ def test_relabel():
     assert y == Cactus(2, [(0, F(1, 2), 2), (F(1, 2), 1, 1)])
 
 
+def test_relabel_refuses_what_is_not_a_permutation_of_ints():
+    # a float or a bool would become a label through _from_arcs, which
+    # skips Cactus's int check
+    for perm in [(1, 1), (0, 1), (2.0, 1.0), (True, 2)]:
+        with pytest.raises(ValueError, match=r"not a permutation of 1\.\.2"):
+            relabel_cactus(HALVES, perm)
+
+
 def test_cact1_compose_worked_example():
     y = Cactus(3, [(0, F(1, 3), 1), (F(1, 3), F(2, 3), 2), (F(2, 3), 1, 3)])
     z = cact1_compose(HALVES, 1, y)

@@ -12,7 +12,9 @@ from brackops.algebras import TerminalAlgebra, EndoAlgebra, CactusAlgebra
 from brackops.cacti import cact1_compose
 from brackops import randomgen as R
 
-from omega_reference import reference_isomorphisms, reference_outer_face
+from omega_reference import (reference_collapse_morphism,
+                             reference_isomorphisms, reference_outer_face,
+                             reference_subtree_inclusion)
 from q_reference import reference_q_morphism
 
 F = Fraction
@@ -139,6 +141,69 @@ def test_vertex_images_read_off_the_edges(nv):
                 f = D.subtree_inclusion(src, wset)
                 assert D.compose_omega(g, f).vertex_images == _union(
                     collapsed, _singletons(T.region(src, wset)[1]))
+
+
+def _same_morphism(f, g):
+    "Equal edge maps, vertex images and hashes."
+    return (f == g and f.vertex_images == g.vertex_images
+            and hash(f) == hash(g))
+
+
+def _collapse_families(tree):
+    """The families of one or two disjoint connected sets of at least
+    two vertices."""
+    big = [s.vertex_set for s in T.enumerate_subtrees(tree, min_vertices=2)]
+    return [[b] for b in big] + [
+        [a, b] for a, b in itertools.combinations(big, 2) if a.isdisjoint(b)]
+
+
+def test_face_composites_match_the_references():
+    """On every tree with at most 4 vertices and 4 leaves, the inclusion
+    of each connected vertex set and the collapse of each family of one
+    or two disjoint connected sets, all built through subtree_inclusion,
+    are the references' morphisms."""
+    inclusions = collapses = 0
+    for tree in SMALL_TREES:
+        for vset in (s.vertex_set for s in T.enumerate_subtrees(tree)):
+            assert _same_morphism(D.subtree_inclusion(tree, vset),
+                                  reference_subtree_inclusion(tree, vset))
+            inclusions += 1
+        for fam in _collapse_families(tree):
+            assert _same_morphism(D.collapse_morphism(tree, fam),
+                                  reference_collapse_morphism(tree, fam))
+            collapses += 1
+    assert (inclusions, collapses) == (18782, 12341)
+
+
+def test_a_face_composite_is_an_inclusion_after_a_collapse():
+    """subtree_inclusion(tree, vset, collapse) is the inclusion of vset
+    composed with the collapse of its region tree, on every tree with at
+    most 4 vertices and 4 leaves, every connected vertex set and every
+    family of one or two disjoint connected sets inside it."""
+    cases = 0
+    for tree in SMALL_TREES:
+        for vset in (s.vertex_set for s in T.enumerate_subtrees(tree)):
+            inc = D.subtree_inclusion(tree, vset)
+            sub, old, _ = T.region(tree, vset)
+            for fam in _collapse_families(sub):
+                got = D.subtree_inclusion(
+                    tree, vset, [{old[u] for u in s} for s in fam])
+                assert _same_morphism(got, D.compose_omega(
+                    inc, reference_collapse_morphism(sub, fam)))
+                cases += 1
+    assert cases == 29675
+
+
+def test_collapse_morphism_refusals_and_eta():
+    t = caterpillar(4)
+    for collapse in (D.collapse_morphism, reference_collapse_morphism):
+        with pytest.raises(ValueError, match="not a connected subtree"):
+            collapse(t, [{0, 2}])
+        with pytest.raises(ValueError, match="not a connected subtree"):
+            collapse(t, [{0, 1}, {1, 2}, {1, 3}])
+        with pytest.raises(ValueError, match="vertex sets overlap"):
+            collapse(t, [{0, 1}, {1, 2}])
+        assert collapse(ETA, [{0}]) == D.identity_omega(ETA)
 
 
 def test_images_read_off_an_edge_map_never_overlap():

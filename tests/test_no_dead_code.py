@@ -1,6 +1,7 @@
 """Every top-level definition in src/brackops/ is used by the program:
 named somewhere outside its own body in src/ or bench/, not only by a
-test, except the few in TESTED_ONLY, kept on purpose.  Every method,
+test, except the few in TESTED_ONLY, kept on purpose.  Of the rest,
+the ones that only bench/ uses are exactly those in BENCH_ONLY.  Every method,
 property and module constant is named in src/, tests/ or bench/, and
 every imported name in src/ and tests/ is used by the file that
 imports it.
@@ -119,6 +120,16 @@ TESTED_ONLY = {
     "dendroidal.py:isomorphisms",
 }
 
+# Top-level definitions only the benchmark and the tests use: bench/
+# pins their names, so they go when the benchmark changes
+BENCH_ONLY = {
+    "algebras.py:EndoAlgebra",
+    "bo_action.py:augment",
+    "operads.py:bo_element",
+    "trees.py:collapse_with_map",
+    "trees.py:restrict_with_map",
+}
+
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -177,6 +188,12 @@ def test_every_top_level_definition_is_referenced():
     assert not TESTED_ONLY - dead, (
         "used by the program, not only by tests: "
         + ", ".join(sorted(TESTED_ONLY - dead)))
+
+
+def test_the_bench_only_definitions_are_the_listed_ones():
+    dead = set(_unreferenced(_top_level_definitions(_modules()),
+                             _searched([ROOT / "src"])))
+    assert dead - TESTED_ONLY == BENCH_ONLY
 
 
 def test_every_method_and_module_constant_is_referenced():

@@ -23,6 +23,15 @@ def test_bad_labellings_rejected():
         OElement(t, (0, 0), (0, 1, 2))
     with pytest.raises(ValueError):
         OElement(t, (0, 1), (0, 1))
+    # a float or a bool sorts like an int but is no label
+    for sigma in [(1.0, 0.0), (True, False)]:
+        with pytest.raises(ValueError, match="sigma is not a vertex labelling"):
+            OElement(t, sigma)
+        with pytest.raises(ValueError, match="not a permutation of the slots"):
+            sigma_act_O(sigma, OElement(t))
+    for tau in [(0.0, 1, 2), (False, True, 2)]:
+        with pytest.raises(ValueError, match="tau is not a leaf labelling"):
+            OElement(t, tau=tau)
 
 
 def test_unit_laws_O():

@@ -227,6 +227,9 @@ def test_substitution_refuses_what_does_not_fit():
         T.substitute_with_maps(t, 1, corolla(3))
     with pytest.raises(ValueError, match="not a permutation"):
         T.substitute_with_maps(t, 1, corolla(2), (0, 0))
+    for tau in [(0.0, 1), (False, True)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            T.substitute_with_maps(t, 1, corolla(2), tau)
 
 
 def test_restrict_and_collapse_roundtrip_sizes():

@@ -53,6 +53,15 @@ def test_a_length_that_is_not_an_int_or_a_fraction_is_refused(length):
         two_vertex_w(length)
 
 
+@pytest.mark.parametrize("leaf_order", [(0, 0, 1), (1.0, 0, 2),
+                                        (True, False, 2)])
+def test_a_leaf_order_that_is_not_a_bijection_of_ints_is_refused(leaf_order):
+    w = two_vertex_w(F(1, 2))
+    with pytest.raises(ValueError,
+                       match="leaf_order is not a bijection onto the leaves"):
+        WTree(w.shape, leaf_order, w.lengths, w.decorations)
+
+
 def test_int_lengths_are_kept_as_fractions():
     w = two_vertex_w(1)
     assert w.lengths == (F(1),) and type(w.lengths[0]) is F
