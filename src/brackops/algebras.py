@@ -22,7 +22,7 @@ class TerminalAlgebra:
             raise ValueError("terminal values are all the point")
         return "*"
 
-    def sample(self, n, rng=None):
+    def sample(self, n, rng):
         return "*"
 
 
@@ -117,9 +117,7 @@ class EndoAlgebra:
         table = acc.table
         return EndoValue(n, [table[q] for q in perm])
 
-    def sample(self, n, rng=None):
-        if rng is None:
-            return EndoValue(n, [0] * (1 << n))
+    def sample(self, n, rng):
         return EndoValue(n, [rng.randint(0, 1) for _ in range(1 << n)])
 
 
@@ -132,7 +130,5 @@ class CactusAlgebra:
     def act(self, elem, inputs):
         return bo_action.lam(elem, inputs)
 
-    def sample(self, n, rng=None):
-        if rng is None:
-            raise ValueError("sampling cacti needs a random source")
+    def sample(self, n, rng):
         return randomgen.random_cactus(n, rng)

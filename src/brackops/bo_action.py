@@ -40,7 +40,7 @@ def xi_map(tree, brackets, vset, within):
             rooted = [b for b in brackets if b < S and ref in b
                       and idx.parent[ref] not in b]
             if rooted:
-                out.append(T.subtree_leaf_count(tree, max(rooted, key=len)))
+                out.append(len(T.exit_edges(idx, max(rooted, key=len), ref)))
             else:
                 out.append(idx.arity(ref))
     return tuple(out)
@@ -153,7 +153,7 @@ def augment(base, brackets):
     for j, b in enumerate(sets):
         # a later bracket rooted at the same vertex is larger: it wraps
         # the earlier ones
-        wraps[T.subtree_root(base.tree, b)].insert(0, n + j)
+        wraps[min(b)].insert(0, n + j)
     order = []  # in DFS order, each new vertex: v, or n + j for bracket j
     tree = _wrap(idx.child_entries, wraps, order, 0)
     new = [0] * len(order)

@@ -139,7 +139,8 @@ def cmd_omega(args):
                             else "eta" for s in images]})
         return 0
     tree = _tree_from_arg(args.tree)
-    ok = _apply(D.segal_check, TerminalAlgebra(), tree)
+    ok = _apply(D.segal_check, TerminalAlgebra(), tree,
+                ("*",) * tree.vertex_count)
     _emit({"tree": T.tree_to_obj(tree), "segal": bool(ok)})
     return 0 if ok else 1
 

@@ -139,8 +139,7 @@ def collapse_morphism(tree, vsets):
     connected vertex sets to a single vertex of the source."""
     if tree.is_eta:
         return identity_omega(ETA)
-    return subtree_inclusion(tree, range(tree.vertex_count),
-                             [frozenset(s) for s in vsets])
+    return subtree_inclusion(tree, range(tree.vertex_count), vsets)
 
 
 def inner_face(tree, c):
@@ -331,15 +330,12 @@ def phi_morphism(P, m, values):
     return tuple(out)
 
 
-def segal_check(P, tree, values=None):
+def segal_check(P, tree, values):
     """Recompute the corolla factors of a value tuple through the vertex
     inclusions and compare with plain re-indexing."""
     if tree.is_eta:
         raise ValueError("the vertexless tree has no Segal map")
-    n = tree.vertex_count
-    if values is None:
-        values = tuple(P.sample(a) for a in T.arities(tree))
-    for v in range(n):
+    for v in range(tree.vertex_count):
         inc = OmegaTildeMorphism(subtree_inclusion(tree, {v}))
         if phi_morphism(P, inc, values) != (values[v],):
             return False
@@ -365,8 +361,12 @@ def morphism_from_obj(obj):
     "The morphism of an object; its vertices must be those of its edges."
     src = T.tree_from_obj(obj["source"])
     tgt = T.tree_from_obj(obj["target"])
-    em = {(a[0], T.int_from_obj(a[1])): (b[0], T.int_from_obj(b[1]))
-          for a, b in obj["edges"]}
+    em = {}
+    for a, b in obj["edges"]:
+        a = (a[0], T.int_from_obj(a[1]))
+        if a in em:
+            raise ValueError("edge %r is listed twice" % (a,))
+        em[a] = (b[0], T.int_from_obj(b[1]))
     g = OmegaMorphism(src, tgt, em)
     if [frozenset(map(T.int_from_obj, s))
             for s in obj["vertices"]] != list(g.vertex_images):

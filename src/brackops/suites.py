@@ -452,7 +452,8 @@ def suite_nerve(cfg, rng):
 
     def segal_terminal():
         for sh in _shapes(4, 4):
-            yield ("tree %r" % (sh,), D.segal_check(terminal, sh))
+            yield ("tree %r" % (sh,), D.segal_check(
+                terminal, sh, ("*",) * sh.vertex_count))
 
     yield "nerve/segal-terminal", segal_terminal()
 

@@ -16,6 +16,7 @@ at planar position p.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -275,29 +276,8 @@ def substitute_with_maps(t, v, t2, tau=None):
 # ---------------------------------------------------------------------------
 # Subtrees.
 
-class Subtree:
-    "A connected set of vertices of a parent tree, with arities preserved."
-
-    __slots__ = ("parent", "vertex_set")
-
-    def __init__(self, parent, vertex_set):
-        vertex_set = frozenset(vertex_set)
-        if not vertex_set:
-            raise ValueError("subtree must be nonempty")
-        if not is_connected(parent, vertex_set):
-            raise ValueError("vertex set is not connected")
-        self.parent = parent
-        self.vertex_set = vertex_set
-
-    def __eq__(self, other):
-        return (isinstance(other, Subtree) and self.parent == other.parent
-                and self.vertex_set == other.vertex_set)
-
-    def __hash__(self):
-        return hash((self.parent, self.vertex_set))
-
-    def __repr__(self):
-        return "Subtree(%s)" % sorted(self.vertex_set)
+# A connected set of vertices of a tree (enumerate_subtrees lists them).
+Subtree = collections.namedtuple("Subtree", "vertex_set")
 
 
 def set_roots(parent, vset):
@@ -305,25 +285,15 @@ def set_roots(parent, vset):
     return [v for v in vset if parent[v] not in vset]
 
 
-def is_connected(tree, vset):
-    "True iff vset induces a connected subgraph of the tree."
-    return not vset or len(set_roots(index(tree).parent, vset)) == 1
-
-
 def subtree_root(tree, vset):
-    "The vertex of vset whose parent lies outside it."
+    """The vertex of vset whose parent lies outside it; refuses a set
+    that is not connected.  Vertices are numbered in DFS order, so a
+    connected set's root is its least id: callers holding a set known to
+    be connected take min(vset)."""
     roots = set_roots(index(tree).parent, vset)
     if len(roots) != 1:
         raise ValueError("not a connected subtree")
     return roots[0]
-
-
-def subtree_leaf_count(tree, vset):
-    """Number of edges leaving the connected vertex set upward (arities
-    preserved): its input edges less the |vset| - 1 edges inside it."""
-    subtree_root(tree, vset)  # refuses a disconnected set
-    idx = index(tree)
-    return sum(idx.arity(v) for v in vset) - len(vset) + 1
 
 
 def exit_edges(idx, vset, v):
@@ -343,8 +313,11 @@ def region(tree, vset, collapse=()):
     standalone subtree, the old id of each of its vertices in DFS order,
     the old edge at each of its leaves in planar order).  Those edges are
     the ones leaving vset upward.  Each of the pairwise disjoint
-    connected sets in `collapse`, inside vset, becomes one vertex, named
-    by its root, whose inputs are the edges leaving the set."""
+    connected sets in `collapse`, inside vset (else refused), becomes one
+    vertex, named by its root, whose inputs are the edges leaving the
+    set.  Each set is read once: any iterable will do."""
+    vset = frozenset(vset)
+    collapse = [frozenset(vs) for vs in collapse]
     idx = index(tree)
     root = subtree_root(tree, vset)
     entries = idx.child_entries
@@ -353,6 +326,9 @@ def region(tree, vset, collapse=()):
         tops = [subtree_root(tree, vs) for vs in collapse]
         seen = set()
         for top, vs in zip(tops, collapse):
+            if not vs <= vset:
+                raise ValueError("collapse set %s is not inside the vertex "
+                                 "set" % sorted(vs))
             if not seen.isdisjoint(vs):
                 raise ValueError("vertex sets overlap")
             seen.update(vs)
@@ -388,8 +364,9 @@ def collapse_with_map(tree, vsets):
     the id of its replacement vertex."""
     if tree.is_eta:
         return tree, {}
-    tops = {subtree_root(tree, vs): vs for vs in vsets}
+    vsets = [frozenset(vs) for vs in vsets]
     new, old, _ = region(tree, range(tree.vertex_count), vsets)
+    tops = {min(vs): vs for vs in vsets}  # region checked them
     return new, {u: k for k, v in enumerate(old) for u in tops.get(v, (v,))}
 
 
@@ -407,7 +384,7 @@ def enumerate_subtrees(tree, min_vertices=1):
     for r in range(tree.vertex_count):
         _grow(idx, found, {r}, tuple(idx.vertex_children(r)))
     found.sort(key=vset_key)
-    return [Subtree(tree, s) for s in found if len(s) >= min_vertices]
+    return [Subtree(s) for s in found if len(s) >= min_vertices]
 
 
 def _grow(idx, found, current, candidates):
@@ -482,7 +459,8 @@ def tree_from_obj(obj, top=True):
         if top:
             raise ValueError('"leaf" is not a tree; use "eta"')
         return ETA
-    if isinstance(obj, dict) and set(obj) == {"node"}:
+    if isinstance(obj, dict) and set(obj) == {"node"} \
+            and isinstance(obj["node"], list):
         return PlanarTree(tuple(tree_from_obj(c, top=False) for c in obj["node"]))
     raise ValueError("malformed tree object: %r" % (obj,))
 

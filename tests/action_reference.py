@@ -36,7 +36,9 @@ def xi_map(tree, brackets, vset):
             rooted = [b for b in brackets if b < S and ref in b
                       and idx.parent[ref] not in b]
             if rooted:
-                out.append(T.subtree_leaf_count(tree, max(rooted, key=len)))
+                # a bracket's leaves: its input edges less those inside it
+                b = max(rooted, key=len)
+                out.append(sum(map(idx.arity, b)) - len(b) + 1)
             else:
                 out.append(idx.arity(ref))
     return tuple(out)

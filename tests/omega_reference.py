@@ -27,7 +27,7 @@ def reference_outer_face(tree, v):
     keep = frozenset(range(n)) - {v}
     if not keep:
         raise ValueError("cannot delete the only vertex")
-    if not T.is_connected(tree, keep):
+    if len(T.set_roots(idx.parent, keep)) != 1:
         raise ValueError("vertex %d is not removable" % v)
     if v != 0 and any(kind == "out" for kind, _ in idx.child_entries[v]):
         raise ValueError("vertex %d is not removable" % v)

@@ -185,9 +185,3 @@ def test_cactus_algebra_is_the_bracketed_action():
         e = chain_elem(3, {frozenset({0, 1}): rng.choice((F(1), F(1, 2)))})
         xs = [P.sample(2, rng) for _ in range(3)]
         assert P.act(e, xs) == bo_action.lam(e, xs)
-
-
-def test_cactus_sampling_needs_rng():
-    P = CactusAlgebra()
-    with pytest.raises(ValueError):
-        P.sample(2)

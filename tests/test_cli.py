@@ -435,6 +435,25 @@ def test_omega_image_of_a_too_short_edge_name_is_a_structured_error(
     assert "IndexError" in json.loads(out)["error"]
 
 
+def test_omega_image_of_an_edge_listed_twice_is_a_structured_error(
+        tmp_path, capsys):
+    obj = D.morphism_to_obj(D.identity_omega(caterpillar(2)))
+    obj["edges"].insert(0, [["out", 0], ["out", 1]])
+    g = write(tmp_path, "g.json", json.dumps(obj))
+    code, out = run(capsys, "omega", "image", "--input", g)
+    assert code == 2
+    assert "('out', 0) is listed twice" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("node", ['{"leaf": 0}', '""', "{}"])
+def test_a_tree_whose_node_is_not_a_list_is_a_structured_error(
+        tmp_path, capsys, node):
+    tree = write(tmp_path, "t.json", '{"node": %s}' % node)
+    code, out = run(capsys, "omega", "segal", "--tree", tree)
+    assert code == 2
+    assert "malformed tree object" in json.loads(out)["error"]
+
+
 @pytest.mark.parametrize("command", ["bo", "bo-action"])
 def test_a_float_vertex_label_is_a_structured_error(tmp_path, capsys,
                                                     command):

@@ -206,6 +206,14 @@ def test_collapse_morphism_refusals_and_eta():
         assert collapse(ETA, [{0}]) == D.identity_omega(ETA)
 
 
+def test_face_composites_read_each_set_once():
+    t = caterpillar(4)
+    assert D.subtree_inclusion(t, iter([0, 1, 2]), iter([iter([1, 2])])) \
+        == D.subtree_inclusion(t, [0, 1, 2], [[1, 2]])
+    assert D.collapse_morphism(t, (s for s in [{1, 2}])) \
+        == D.collapse_morphism(t, [{1, 2}])
+
+
 def test_images_read_off_an_edge_map_never_overlap():
     """Every edge map the walk accepts, from a tree with at most 2
     vertices to one with at most 3, both with at most 2 leaves, has
@@ -407,6 +415,13 @@ def test_morphism_rejects_an_image_outside_the_target(image):
     obj = D.morphism_to_obj(D.collapse_morphism(caterpillar(5), [{3, 4}]))
     obj["vertices"][-1] = image
     with pytest.raises(ValueError, match="do not match the edge map"):
+        D.morphism_from_obj(obj)
+
+
+def test_morphism_from_obj_rejects_an_edge_listed_twice():
+    obj = D.morphism_to_obj(D.identity_omega(caterpillar(2)))
+    obj["edges"].insert(0, [["out", 0], ["out", 1]])
+    with pytest.raises(ValueError, match=r"edge \('out', 0\) is listed twice"):
         D.morphism_from_obj(obj)
 
 
@@ -668,7 +683,7 @@ def test_segal_check_terminal_small():
     for nv in (1, 2, 3):
         for nl in range(0, 4):
             for t in T.planar_trees(nv, nl):
-                assert D.segal_check(P, t)
+                assert D.segal_check(P, t, ("*",) * nv)
 
 
 def test_segal_check_cacti_small():

@@ -264,32 +264,81 @@ def test_region_is_what_collapse_replaces():
                         back = (res.vmap_guest[rmap[u]] if u in S
                                 else res.vmap_host[cmap[u]])
                         assert back == u
-                    assert T.subtree_leaf_count(t, S) == sub.leaf_count
+                    # its leaves: its input edges less those inside it
+                    assert sum(map(T.index(t).arity, S)) - len(S) + 1 \
+                        == sub.leaf_count
                     assert T.exit_edges(T.index(t), S, min(S)) \
                         == T.region(t, S)[2]
                     cases += 1
     assert cases == 6976
 
 
-def test_subtree_root_and_leaf_count():
+def connected(t, vset):
+    "vset is nonempty and a walk along tree edges inside it reaches all of it."
+    parent = T.index(t).parent
+    vset = set(vset)
+    reached, todo = set(), list(vset)[:1]
+    while todo:
+        v = todo.pop()
+        reached.add(v)
+        todo += [u for u in vset - reached if v == parent[u]
+                 or u == parent[v]]
+    return bool(vset) and reached == vset
+
+
+def test_subtree_root():
     t = caterpillar(4)
     assert T.subtree_root(t, {1, 2}) == 1
-    # spine edge below plus one side leaf per vertex
-    assert T.subtree_leaf_count(t, {1, 2}) == 3
-    with pytest.raises(ValueError):
-        T.subtree_leaf_count(t, {0, 2})
+    for bad in ({0, 2}, set()):
+        with pytest.raises(ValueError, match="not a connected subtree"):
+            T.subtree_root(t, bad)
+    # on every vertex set of the small trees: a connected set's root is
+    # its least DFS id, and any other set is refused
+    cases = 0
+    for nv in range(1, 5):
+        for nl in range(4):
+            for t in T.planar_trees(nv, nl):
+                for k in range(nv + 1):
+                    for vset in itertools.combinations(range(nv), k):
+                        if connected(t, vset):
+                            assert T.subtree_root(t, set(vset)) == vset[0]
+                        else:
+                            with pytest.raises(ValueError):
+                                T.subtree_root(t, set(vset))
+                        cases += 1
+    assert cases == 10584
 
 
-def test_is_connected():
+def test_region_refuses_a_collapse_set_outside_vset():
     t = caterpillar(4)
-    assert T.is_connected(t, {1, 2})
-    assert not T.is_connected(t, {0, 2})
+    for stray in ({1, 2}, {2, 3}):
+        with pytest.raises(ValueError, match=r"collapse set \[%d, %d\] is "
+                           "not inside" % tuple(sorted(stray))):
+            T.region(t, {0, 1}, [stray])
+    # a set inside vset is still collapsed
+    sub, old, _ = T.region(t, {0, 1, 2}, [{1, 2}])
+    assert (sub.vertex_count, old) == (2, [0, 1])
+
+
+def test_region_reads_each_set_once():
+    t = caterpillar(4)
+    for vset, collapse in [([0, 1], []), ([0, 1, 2], [[1, 2]]),
+                           ([0, 1, 2, 3], [[0, 1], [2, 3]])]:
+        assert T.region(t, iter(vset), (iter(c) for c in collapse)) \
+            == T.region(t, vset, collapse)
+
+
+def test_collapse_with_map_takes_a_generator():
+    t = caterpillar(4)
+    ct, cmap = T.collapse_with_map(t, (s for s in [frozenset({1, 2})]))
+    assert (ct, cmap) == T.collapse_with_map(t, [{1, 2}])
+    assert ct.vertex_count == 3 and cmap[1] == cmap[2]
 
 
 def test_enumerate_subtrees_connected():
     t = star(3)
     subs = T.enumerate_subtrees(t, 2)
-    assert all(T.is_connected(t, s.vertex_set) for s in subs)
+    assert all(connected(t, s.vertex_set) for s in subs)
     assert all(0 in s.vertex_set for s in subs)  # arms only meet at the root
 
 
@@ -305,8 +354,7 @@ def test_enumerate_subtrees_lists_each_set_once_in_canonical_order():
                 assert all(a < b for a, b in zip(keys, keys[1:])), t
                 every = [frozenset(c) for k in range(1, nv + 1)
                          for c in itertools.combinations(range(nv), k)]
-                assert set(sets) == {s for s in every
-                                     if T.is_connected(t, s)}, t
+                assert set(sets) == {s for s in every if connected(t, s)}, t
                 cases += 1
     assert cases == 3816
 
@@ -357,6 +405,12 @@ def test_malformed_json_rejected():
         T.tree_from_obj("leaf")
     with pytest.raises(ValueError):
         T.tree_from_obj({"tree": []})
+
+
+@pytest.mark.parametrize("node", [{"leaf": 0}, "", {}])
+def test_a_node_that_is_not_a_list_is_refused(node):
+    with pytest.raises(ValueError, match="malformed tree object"):
+        T.tree_from_obj({"node": node})
 
 
 def test_frac_str_roundtrip():
