@@ -309,6 +309,25 @@ def test_subtree_root():
     assert cases == 10584
 
 
+def test_subtree_root_and_leaf_count():
+    t = caterpillar(4)
+    assert T.subtree_root(t, {1, 2}) == 1
+    # spine edge below plus one side leaf per vertex
+    assert T.restrict_with_map(t, {1, 2})[0].leaf_count == 3
+    with pytest.raises(ValueError, match="not a connected subtree"):
+        T.restrict_with_map(t, {0, 2})
+
+
+def test_is_connected():
+    # subtree_root is the connectivity check: it accepts a connected set
+    # and refuses any other
+    t = caterpillar(4)
+    assert connected(t, {1, 2}) and T.subtree_root(t, {1, 2}) == 1
+    assert not connected(t, {0, 2})
+    with pytest.raises(ValueError, match="not a connected subtree"):
+        T.subtree_root(t, {0, 2})
+
+
 def test_region_refuses_a_collapse_set_outside_vset():
     t = caterpillar(4)
     for stray in ({1, 2}, {2, 3}):
