@@ -11,7 +11,7 @@ import re
 import sys
 
 from . import trees as T
-from .trees import caterpillar, corolla, star
+from .trees import caterpillar, corolla, frac_to_str, star
 from .bracketings import (check_enumeration_limit, enumerate_bracketings,
                           maximal_bracketings, nerve_statistics,
                           bracketing_to_obj)
@@ -26,7 +26,6 @@ from . import bo_action
 from .algebras import TerminalAlgebra
 from .figures import FIGURES, figure_data, figure_svg
 from .suites import SUITES, RunConfig, run_suite, nonassoc_witness
-from .trees import frac_to_str
 
 
 def _dump(obj):
@@ -60,10 +59,9 @@ def _apply(op, *args):
         raise InputError("%s: %s" % (type(exc).__name__, exc)) from exc
 
 
-# shorthand -> (builder, least N); an N above _SHORTHAND_MOST is refused
-# before anything is built, since memory grows linearly in N
-_SHORTHANDS = {"caterpillar": (caterpillar, 1), "star": (star, 0),
-               "corolla": (corolla, 0)}
+# an N above _SHORTHAND_MOST is refused before anything is built, since
+# memory grows linearly in N; each builder refuses an N below its least
+_SHORTHANDS = {"caterpillar": caterpillar, "star": star, "corolla": corolla}
 _SHORTHAND_MOST = 10000
 
 
@@ -72,13 +70,31 @@ def _tree_from_arg(arg):
     caterpillar:N (N >= 1), star:N, corolla:N (N >= 0), N <= 10000."""
     kind, sep, rest = arg.partition(":")
     if sep and kind in _SHORTHANDS:
-        build, least = _SHORTHANDS[kind]
-        if (not re.fullmatch("[0-9]+", rest)
-                or not least <= int(rest) <= _SHORTHAND_MOST):
+        if not re.fullmatch("[0-9]+", rest) or int(rest) > _SHORTHAND_MOST:
             raise InputError("%s:N needs an integer %d <= N <= %d, got %r"
-                             % (kind, least, _SHORTHAND_MOST, rest))
-        return build(int(rest))
+                             % (kind, T.LEAST_COUNT[kind], _SHORTHAND_MOST,
+                                rest))
+        return _apply(_SHORTHANDS[kind], int(rest))
     return _load(arg, T.tree_from_obj)
+
+
+# The file operations: (command, action) -> (reader, operation, writer,
+# operands, help).  Each operand but --slot is a JSON file read by the
+# reader, left to right; the operation takes them in that order.
+_INPUT, _PAIR, _SLOT = ("input",), ("lhs", "rhs"), ("lhs", "slot", "rhs")
+OPERATIONS = {
+    ("bo", "compose"): (bo_from_obj, compose_BO, bo_to_obj, _SLOT, None),
+    ("w", "normalize"): (w_from_obj, normalize_W, w_to_obj, _INPUT, None),
+    ("w", "compose"): (w_from_obj, compose_W, w_to_obj, _SLOT, None),
+    ("w", "psi"): (w_from_obj, psi, bo_to_obj, _INPUT, None),
+    ("omega", "compose"): (D.tilde_from_obj, D.compose_omega_tilde,
+                           D.tilde_to_obj, _PAIR,
+                           "g o f: --lhs is the outer g, --rhs the inner f"),
+    ("cacti", "compose"): (cactus_from_obj, cact1_compose, cactus_to_obj,
+                           _SLOT, None),
+    ("cacti", "metric"): (cactus_from_obj, cactus_metric,
+                          lambda d: {"distance": frac_to_str(d)}, _PAIR, None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -106,31 +122,15 @@ def cmd_brackets(args):
     return 0
 
 
-def cmd_bo(args):
-    a = _load(args.lhs, bo_from_obj)
-    b = _load(args.rhs, bo_from_obj)
-    _emit(bo_to_obj(_apply(compose_BO, a, args.slot, b)))
-    return 0
-
-
-def cmd_w(args):
-    if args.action == "normalize":
-        _emit(w_to_obj(_apply(normalize_W, _load(args.input, w_from_obj))))
-    elif args.action == "psi":
-        _emit(bo_to_obj(_apply(psi, _load(args.input, w_from_obj))))
-    else:
-        a = _load(args.lhs, w_from_obj)
-        b = _load(args.rhs, w_from_obj)
-        _emit(w_to_obj(_apply(compose_W, a, args.slot, b)))
+def cmd_operation(args):
+    read, op, write, operands, _ = OPERATIONS[args.command, args.action]
+    _emit(write(_apply(op, *[args.slot if name == "slot"
+                             else _load(getattr(args, name), read)
+                             for name in operands])))
     return 0
 
 
 def cmd_omega(args):
-    if args.action == "compose":
-        g = _load(args.lhs, D.tilde_from_obj)
-        f = _load(args.rhs, D.tilde_from_obj)
-        _emit(D.tilde_to_obj(_apply(D.compose_omega_tilde, g, f)))
-        return 0
     if args.action == "image":
         g = _load(args.input, D.morphism_from_obj)
         images = g.vertex_images
@@ -145,24 +145,14 @@ def cmd_omega(args):
     return 0 if ok else 1
 
 
-def cmd_cacti(args):
-    if args.action == "compose":
-        x = _load(args.lhs, cactus_from_obj)
-        y = _load(args.rhs, cactus_from_obj)
-        _emit(cactus_to_obj(_apply(cact1_compose, x, args.slot, y)))
-        return 0
-    if args.action == "validate":
-        obj = _load(args.input)
-        try:
-            cactus_from_obj(obj)
-        except (ValueError, KeyError, TypeError) as exc:
-            _emit({"valid": False, "error": str(exc)})
-            return 1
-        _emit({"valid": True})
-        return 0
-    x = _load(args.lhs, cactus_from_obj)
-    y = _load(args.rhs, cactus_from_obj)
-    _emit({"distance": frac_to_str(_apply(cactus_metric, x, y))})
+def cmd_cacti_validate(args):
+    obj = _load(args.input)
+    try:
+        cactus_from_obj(obj)
+    except (ValueError, KeyError, TypeError) as exc:
+        _emit({"valid": False, "error": str(exc)})
+        return 1
+    _emit({"valid": True})
     return 0
 
 
@@ -238,6 +228,22 @@ def cmd_figure(args):
 # ---------------------------------------------------------------------------
 # Argument parsing.
 
+def _actions(sub, command, text):
+    "The action subparsers of a command."
+    return sub.add_parser(command, help=text).add_subparsers(
+        dest="action", required=True)
+
+
+def _add_operation(actions, command, action):
+    "The subparser of one row of OPERATIONS."
+    *_, operands, text = OPERATIONS[command, action]
+    p = actions.add_parser(action, description=text)
+    for name in operands:
+        p.add_argument("--" + name, required=True,
+                       type=int if name == "slot" else None)
+    p.set_defaults(func=cmd_operation)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="brackops",
@@ -245,9 +251,8 @@ def build_parser():
                     "normalized cacti.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("brackets", help="bracketing enumeration")
-    bs = b.add_subparsers(dest="action", required=True)
-    be = bs.add_parser("enumerate")
+    be = _actions(sub, "brackets", "bracketing enumeration").add_parser(
+        "enumerate")
     be.add_argument("--tree", required=True,
                     help="tree JSON file or caterpillar:N / star:N / corolla:N")
     be.add_argument("--max", action="store_true",
@@ -259,34 +264,15 @@ def build_parser():
                          "(at most 9, or 7 with --fvector; default 7)")
     be.set_defaults(func=cmd_brackets)
 
-    bo = sub.add_parser("bo", help="bracketed-tree operad")
-    bos = bo.add_subparsers(dest="action", required=True)
-    boc = bos.add_parser("compose")
-    boc.add_argument("--lhs", required=True)
-    boc.add_argument("--slot", type=int, required=True)
-    boc.add_argument("--rhs", required=True)
-    boc.set_defaults(func=cmd_bo)
+    _add_operation(_actions(sub, "bo", "bracketed-tree operad"), "bo",
+                   "compose")
 
-    w = sub.add_parser("w", help="edge-length trees")
-    ws = w.add_subparsers(dest="action", required=True)
-    wn = ws.add_parser("normalize")
-    wn.add_argument("--input", required=True)
-    wn.set_defaults(func=cmd_w)
-    wc = ws.add_parser("compose")
-    wc.add_argument("--lhs", required=True)
-    wc.add_argument("--slot", type=int, required=True)
-    wc.add_argument("--rhs", required=True)
-    wc.set_defaults(func=cmd_w)
-    wp = ws.add_parser("psi")
-    wp.add_argument("--input", required=True)
-    wp.set_defaults(func=cmd_w)
+    ws = _actions(sub, "w", "edge-length trees")
+    for action in ("normalize", "compose", "psi"):
+        _add_operation(ws, "w", action)
 
-    om = sub.add_parser("omega", help="tree-category morphisms")
-    oms = om.add_subparsers(dest="action", required=True)
-    omc = oms.add_parser("compose")
-    omc.add_argument("--lhs", required=True, help="outer morphism JSON")
-    omc.add_argument("--rhs", required=True, help="inner morphism JSON")
-    omc.set_defaults(func=cmd_omega)
+    oms = _actions(sub, "omega", "tree-category morphisms")
+    _add_operation(oms, "omega", "compose")
     omi = oms.add_parser("image")
     omi.add_argument("--input", required=True)
     omi.set_defaults(func=cmd_omega)
@@ -294,24 +280,14 @@ def build_parser():
     omg.add_argument("--tree", required=True)
     omg.set_defaults(func=cmd_omega)
 
-    c = sub.add_parser("cacti", help="normalized cacti")
-    cs = c.add_subparsers(dest="action", required=True)
-    cc = cs.add_parser("compose")
-    cc.add_argument("--lhs", required=True)
-    cc.add_argument("--slot", type=int, required=True)
-    cc.add_argument("--rhs", required=True)
-    cc.set_defaults(func=cmd_cacti)
+    cs = _actions(sub, "cacti", "normalized cacti")
+    _add_operation(cs, "cacti", "compose")
     cv = cs.add_parser("validate")
     cv.add_argument("--input", required=True)
-    cv.set_defaults(func=cmd_cacti)
-    cm = cs.add_parser("metric")
-    cm.add_argument("--lhs", required=True)
-    cm.add_argument("--rhs", required=True)
-    cm.set_defaults(func=cmd_cacti)
+    cv.set_defaults(func=cmd_cacti_validate)
+    _add_operation(cs, "cacti", "metric")
 
-    ba = sub.add_parser("bo-action", help="the action on cacti")
-    bas = ba.add_subparsers(dest="action", required=True)
-    bae = bas.add_parser("eval")
+    bae = _actions(sub, "bo-action", "the action on cacti").add_parser("eval")
     bae.add_argument("--element", required=True)
     bae.add_argument("--inputs", required=True)
     bae.add_argument("--trace", action="store_true",

@@ -48,6 +48,8 @@ class OElement:
 
     def slot_arity(self, i):
         "Arity of the vertex at slot i (1-based)."
+        if not 1 <= i <= len(self.sigma):
+            raise IndexError("slot %d out of range" % i)
         return T.index(self.tree).arity(self.sigma[i - 1])
 
     def leaf_labels(self):
@@ -108,14 +110,11 @@ def fold_inputs(base, inputs, compose):
 def compose_O_with_maps(a, i, b):
     """compose_O together with the vertex translation maps
     (result, map a-vertex -> new id, map b-vertex -> new id)."""
-    if not 1 <= i <= a.arity:
-        raise IndexError("slot %d out of range" % i)
-    v = a.sigma[i - 1]
-    m = T.index(a.tree).arity(v)
+    m = a.slot_arity(i)
     if m != b.leaf_count:
         raise ValueError("arity mismatch: slot has arity %d, argument has %d leaves"
                          % (m, b.leaf_count))
-    res = T.substitute_with_maps(a.tree, v, b.tree, tau=b.tau)
+    res = T.substitute_with_maps(a.tree, a.sigma[i - 1], b.tree, tau=b.tau)
     # the host's slots before i, the guest's, then the host's after i
     host, guest = res.vmap_host, res.vmap_guest
     sigma = ([host[u] for u in a.sigma[:i - 1]]

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
-from .trees import frac_to_str
+from .trees import as_fraction, frac_to_str
 
 
 class PLMap:
@@ -28,7 +28,7 @@ class PLMap:
     breakpoint k is nx[k]/dx and value k is ny[k]/dy, no interior point
     lies on the line through its neighbours, and gcd(dx, *nx) =
     gcd(dy, *ny) = 1.  PLMap(nx, dx, ny, dy) checks and canonicalizes
-    any integer points; PLMap.of reads rational ones."""
+    any integer points; PLMap.of reads ints and Fractions."""
 
     __slots__ = ("nx", "dx", "ny", "dy")
 
@@ -60,9 +60,11 @@ class PLMap:
 
     @classmethod
     def of(cls, xs, ys):
-        "The map through the rational points (xs[k], ys[k])."
-        return cls(*_over([Fraction(x).as_integer_ratio() for x in xs]),
-                   *_over([Fraction(y).as_integer_ratio() for y in ys]))
+        "The map through the points (xs[k], ys[k]): ints or Fractions."
+        return cls(*_over([as_fraction(x, "breakpoints").as_integer_ratio()
+                           for x in xs]),
+                   *_over([as_fraction(y, "values").as_integer_ratio()
+                           for y in ys]))
 
     @property
     def breakpoints(self):
@@ -88,7 +90,7 @@ class PLMap:
 
     def __call__(self, t):
         if type(t) is not Fraction:
-            t = Fraction(t)
+            t = as_fraction(t, "arguments")
         return Fraction(*self.at(t.numerator, t.denominator))
 
     def is_strictly_monotone(self):
@@ -178,7 +180,8 @@ def pl_invert(f):
 
 
 def pl_convex_combination(coeffs, maps):
-    cs, cd = _over([Fraction(c).as_integer_ratio() for c in coeffs])
+    cs, cd = _over([as_fraction(c, "coefficients").as_integer_ratio()
+                    for c in coeffs])
     if len(cs) != len(maps) or not maps:
         raise ValueError("coefficient/map length mismatch")
     if min(cs) < 0 or sum(cs) != cd:

@@ -88,23 +88,35 @@ class _Eta(PlanarTree):
 ETA = _Eta()
 
 
+# the least count each builder below takes; the CLI's shorthands read it
+LEAST_COUNT = {"corolla": 0, "caterpillar": 1, "star": 0}
+
+
+def _count(n, name):
+    "A builder's count: an int, not a bool, of at least LEAST_COUNT[name]."
+    if type(n) is not int or n < LEAST_COUNT[name]:
+        raise ValueError("%s needs an int count >= %d, got %r"
+                         % (name, LEAST_COUNT[name], n))
+    return n
+
+
 def corolla(n):
-    "The one-vertex tree with n leaves."
-    return PlanarTree((ETA,) * n)
+    "The one-vertex tree with n >= 0 leaves."
+    return PlanarTree((ETA,) * _count(n, "corolla"))
 
 
 def caterpillar(n):
-    """A chain of n binary vertices: the first input of each carries the
-    next vertex (the last vertex has only leaves)."""
+    """A chain of n >= 1 binary vertices: the first input of each carries
+    the next vertex (the last vertex has only leaves)."""
     t = corolla(2)
-    for _ in range(n - 1):
+    for _ in range(_count(n, "caterpillar") - 1):
         t = PlanarTree((t, ETA))
     return t
 
 
 def star(arms):
-    "A root vertex with `arms` unary vertex children."
-    return PlanarTree(tuple(corolla(1) for _ in range(arms)))
+    "A root vertex with `arms` >= 0 unary vertex children."
+    return PlanarTree(tuple(corolla(1) for _ in range(_count(arms, "star"))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from brackops import bo_action, suites
 from brackops import dendroidal as D
 from brackops import trees as T
-from brackops.cli import main
+from brackops import cli
+from brackops.cli import build_parser, main
 from brackops.trees import ETA, PlanarTree, caterpillar, corolla
 from brackops.operads import OElement, bo_element, bo_to_obj
 from brackops.wconstruction import (WTree, psi, psi_inverse, w_from_obj,
@@ -724,3 +726,69 @@ def test_a_bad_rational_thickened_weight_is_a_structured_error(
     assert code == 2
     assert json.loads(out) == {
         "error": "%s: ValueError: expected a rational, got %s" % (path, shown)}
+
+
+def leaf_parsers(parser, path=()):
+    "(subcommand path, parser) for every parser with no subcommands below."
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for a in subs:
+        for name, sub in a.choices.items():
+            yield from leaf_parsers(sub, path + (name,))
+
+
+def test_every_leaf_subcommand_has_a_handler():
+    leaves = dict(leaf_parsers(build_parser()))
+    assert len(leaves) == 15
+    for path, parser in leaves.items():
+        assert callable(parser.get_default("func")), path
+    # every row of the operations table, and nothing else, runs through
+    # the one handler of the table
+    assert {path for path, parser in leaves.items()
+            if parser.get_default("func") is cli.cmd_operation} == set(
+                cli.OPERATIONS)
+
+
+def operation_argv(row, lhs, rhs=None):
+    """The argv of a row of the operations table: every file operand is
+    lhs, but --rhs is rhs if that is given."""
+    argv = list(row)
+    for name in cli.OPERATIONS[row][3]:
+        argv += ["--" + name, {"slot": "1", "rhs": rhs or lhs}.get(name, lhs)]
+    return argv
+
+
+@pytest.mark.parametrize("contents, kind", [(None, "FileNotFoundError"),
+                                            ("not json", "JSONDecodeError")],
+                         ids=["unreadable", "not-json"])
+@pytest.mark.parametrize("row", sorted(cli.OPERATIONS), ids="-".join)
+def test_a_bad_operand_of_each_operation_is_a_structured_error(
+        tmp_path, capsys, row, contents, kind):
+    path = tmp_path / "operand.json"
+    if contents is not None:
+        path.write_text(contents)
+    code, out = run(capsys, *operation_argv(row, str(path)))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+    assert json.loads(lines[0])["error"].startswith("%s: %s: " % (path, kind))
+
+
+@pytest.mark.parametrize("row", [row for row in sorted(cli.OPERATIONS)
+                                 if "lhs" in cli.OPERATIONS[row][3]],
+                         ids="-".join)
+def test_each_operation_reads_its_lhs_first(tmp_path, capsys, row):
+    lhs = str(tmp_path / "missing.json")
+    rhs = write(tmp_path, "rhs.json", "not json")
+    code, out = run(capsys, *operation_argv(row, lhs, rhs))
+    assert code == 2
+    assert json.loads(out)["error"].startswith(lhs + ": FileNotFoundError: ")
+
+
+def test_caterpillar_0_is_refused_by_the_builder(capsys):
+    code, out = run(capsys, "brackets", "enumerate", "--tree", "caterpillar:0")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ValueError: caterpillar needs an int count >= 1, got 0"}

@@ -34,6 +34,17 @@ def test_bad_labellings_rejected():
             OElement(t, tau=tau)
 
 
+def test_slot_arity_refuses_a_slot_outside_the_slots():
+    a = OElement(PlanarTree((corolla(3), ETA)))
+    assert [a.slot_arity(1), a.slot_arity(2)] == [2, 3]
+    # slot 0 and -1 would read sigma[-1] and sigma[-2]
+    for i in (0, -1, 3):
+        with pytest.raises(IndexError, match="^slot %d out of range$" % i):
+            a.slot_arity(i)
+        with pytest.raises(IndexError, match="^slot %d out of range$" % i):
+            compose_O(a, i, o_unit(2))
+
+
 def test_unit_laws_O():
     a = OElement(caterpillar(2), (0, 1), (2, 0, 1))
     for i in (1, 2):

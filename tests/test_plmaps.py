@@ -25,6 +25,21 @@ def test_validation():
         monotone_reparam((0, F(1, 2), 1), (0, F(1, 2), F(3, 4)))  # endpoint
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", True, None])
+def test_a_rational_that_is_not_an_int_or_fraction_is_refused(bad):
+    # the rule of trees.as_fraction: a float, a string or a bool is no
+    # rational given in code
+    f = PLMap.of((0, F(1, 2), 1), (0, F(1, 4), 1))
+    with pytest.raises(ValueError, match="^arguments must be ints or Fr"):
+        f(bad)
+    with pytest.raises(ValueError, match="^breakpoints must be ints or Fr"):
+        PLMap.of((0, bad, 1), (0, F(1, 4), 1))
+    with pytest.raises(ValueError, match="^values must be ints or Fr"):
+        PLMap.of((0, F(1, 2), 1), (0, bad, 1))
+    with pytest.raises(ValueError, match="^coefficients must be ints or Fr"):
+        pl_convex_combination([bad, F(1, 2)], [f, identity_map()])
+
+
 def test_canonical_form_merges_collinear():
     f = PLMap.of((0, F(1, 4), F(1, 2), 1), (0, F(1, 4), F(1, 2), 1))
     assert f == identity_map()

@@ -39,6 +39,19 @@ def test_star_shape():
     assert T.arities(t) == [3, 1, 1, 1]
 
 
+@pytest.mark.parametrize("build, least", [(corolla, 0), (caterpillar, 1),
+                                          (star, 0)])
+def test_builders_refuse_a_count_below_their_least(build, least):
+    assert build(least).vertex_count == max(least, 1)
+    # caterpillar(0) read as corolla(2) and corolla(-1) as a nullary
+    # vertex; a float, a bool or a string is no count
+    for n in (least - 1, -5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="^%s needs an int count >= %d, "
+                                             "got " % (build.__name__, least)):
+            build(n)
+    assert T.LEAST_COUNT[build.__name__] == least
+
+
 def test_structural_equality_and_hash():
     a = PlanarTree((ETA, PlanarTree((ETA, ETA))))
     b = PlanarTree((ETA, PlanarTree((ETA, ETA))))
