@@ -70,11 +70,13 @@ def _tree_from_arg(arg):
     caterpillar:N (N >= 1), star:N, corolla:N (N >= 0), N <= 10000."""
     kind, sep, rest = arg.partition(":")
     if sep and kind in _SHORTHANDS:
-        if not re.fullmatch("[0-9]+", rest) or int(rest) > _SHORTHAND_MOST:
+        # int() refuses over 4300 digits: read 5 past the leading zeros
+        m = re.fullmatch("0*([0-9]{1,5})", rest)
+        if not m or int(m[1]) > _SHORTHAND_MOST:
             raise InputError("%s:N needs an integer %d <= N <= %d, got %r"
                              % (kind, T.LEAST_COUNT[kind], _SHORTHAND_MOST,
                                 rest))
-        return _apply(_SHORTHANDS[kind], int(rest))
+        return _apply(_SHORTHANDS[kind], int(m[1]))
     return _load(arg, T.tree_from_obj)
 
 

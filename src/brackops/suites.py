@@ -649,13 +649,8 @@ def suite_coherence(cfg, rng):
 
     def comp_cases(weight_choices):
         configs = _coherence_configs(shapes, weight_choices, rng)
-        budget = max(len(configs), cfg.samples // 10)
-        draws = 0
-        ci = 0
-        while draws < budget:
-            a, i, b = configs[ci % len(configs)]
-            ci += 1
-            draws += 1
+        for n in range(max(len(configs), cfg.samples // 10)):
+            a, i, b = configs[n % len(configs)]
             xs = R.random_labelled_cacti(a, rng)
             ys = R.random_labelled_cacti(b, rng)
             comp = compose_BO(a, i, b)

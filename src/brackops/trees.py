@@ -256,17 +256,10 @@ def _splice_edge(walk, k, kind, ref, ctx):
     return PlanarTree(children)
 
 
-class SurgeryResult:
-    """A substitution's tree with its translation maps: `vmap_host` and
-    `vmap_guest` take old vertex ids of the host and of the substituted
-    tree to new ones, `leafmap_host` the host's planar leaf positions."""
-
-    def __init__(self, tree, labels, leafmap_host):
-        self.tree = tree
-        self.vmap_host, self.vmap_guest = vmaps = {}, {}
-        for new, (side, old) in enumerate(labels):
-            vmaps[side][old] = new
-        self.leafmap_host = leafmap_host
+# A substitution's tree and its translation maps, old to new: vertex
+# ids of the host and of the guest, and the host's leaf positions.
+Substitution = collections.namedtuple(
+    "Substitution", "tree vmap_host vmap_guest leafmap_host")
 
 
 def substitute_with_maps(t, v, t2, tau=None):
@@ -282,7 +275,11 @@ def substitute_with_maps(t, v, t2, tau=None):
                          % (m, t2.leaf_count))
     tau = tuple(range(m)) if tau is None else as_labelling(
         tau, m, "tau is not a permutation of 0..%d" % (m - 1))
-    return SurgeryResult(*splice([(t, {v: (1, tau)}), (t2, {})]))
+    tree, labels, leafmap_host = splice([(t, {v: (1, tau)}), (t2, {})])
+    vmaps = {}, {}
+    for new, (side, old) in enumerate(labels):
+        vmaps[side][old] = new
+    return Substitution(tree, *vmaps, leafmap_host)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +391,14 @@ def enumerate_subtrees(tree, min_vertices=1):
     idx = index(tree)
     found = []
     for r in range(tree.vertex_count):
-        _grow(idx, found, {r}, tuple(idx.vertex_children(r)))
+        _grow(idx, found, frozenset((r,)), tuple(idx.vertex_children(r)))
     found.sort(key=vset_key)
     return [Subtree(s) for s in found if len(s) >= min_vertices]
 
 
 def _grow(idx, found, current, candidates):
     "Grow connected sets downward from current's root: each set once."
-    found.append(frozenset(current))
+    found.append(current)
     for pos, c in enumerate(candidates):
         _grow(idx, found, current | {c},
               candidates[pos + 1:] + tuple(idx.vertex_children(c)))
@@ -423,33 +420,28 @@ def planar_trees(num_verts, num_lvs):
     for child_count in range(0, num_verts + num_lvs):
         for kinds in itertools.product(("out", "leaf"), repeat=child_count):
             nv = kinds.count("out")
-            if nv > num_verts - 1 or child_count - nv > num_lvs:
-                continue
-            out.extend(_fill(kinds, num_verts - 1, num_lvs))
+            if nv < num_verts and child_count - nv <= num_lvs:
+                out += map(PlanarTree, _fill(kinds, num_verts - 1, num_lvs))
     return out
 
 
-def _fill(kinds, verts_left, leaves_left):
+def _fill(kinds, verts, leaves):
+    "The children tuples of these kinds with exactly verts and leaves above."
     if not kinds:
-        if verts_left == 0 and leaves_left == 0:
-            return [PlanarTree(())]
-        return []
+        return [()] if verts == 0 and leaves == 0 else []
     out = []
     head, rest = kinds[0], kinds[1:]
     if head == "leaf":
-        if leaves_left > 0:
-            for t in _fill(rest, verts_left, leaves_left - 1):
-                out.append(PlanarTree((ETA,) + t.children))
-    else:
-        for nv in range(1, verts_left + 1):
-            for nl in range(0, leaves_left + 1):
-                subs = planar_trees(nv, nl)
-                if not subs:
-                    continue
-                tails = _fill(rest, verts_left - nv, leaves_left - nl)
-                for s in subs:
-                    for t in tails:
-                        out.append(PlanarTree((s,) + t.children))
+        for t in _fill(rest, verts, leaves - 1) if leaves else ():
+            out.append((ETA,) + t)
+        return out
+    for nv in range(1, verts + 1):
+        for nl in range(0, leaves + 1):
+            subs = planar_trees(nv, nl)
+            tails = _fill(rest, verts - nv, leaves - nl) if subs else ()
+            for s in subs:
+                for t in tails:
+                    out.append((s,) + t)
     return out
 
 
@@ -490,9 +482,9 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def frac_from_obj(value):
-    """A rational field of a JSON object; a bool, 1/0, infinities and
-    decimal exponents beyond +-1000 are refused."""
-    if isinstance(value, bool):
+    """A rational field of a JSON object: an int or a string.  A float (read
+    at its binary value), a bool, 1/0 and exponents over +-1000 are refused."""
+    if type(value) not in (int, str):
         raise ValueError("expected a rational, got %s" % json.dumps(value))
     try:
         if isinstance(value, str):

@@ -656,10 +656,13 @@ def test_cacti_with_a_huge_lobe_count_is_invalid(tmp_path, capsys):
         assert code == 2 and message in json.loads(out)["error"]
 
 
-# a zero denominator, a float that JSON reads as an infinity, and a
-# decimal exponent that would take seconds to expand
+# a zero denominator, a float that JSON reads as an infinity, a float
+# (Fraction would read it at its binary value), null, and a decimal
+# exponent that would take seconds to expand
 BAD_RATIONALS = [pytest.param('"1/0"', '"1/0"', id="zero-denominator"),
                  pytest.param("1e400", "Infinity", id="infinity"),
+                 pytest.param("0.1", "0.1", id="float"),
+                 pytest.param("null", "null", id="null"),
                  pytest.param('"1e-10000000"', '"1e-10000000"',
                               id="huge-exponent"),
                  pytest.param("true", "true", id="bool")]
@@ -792,3 +795,23 @@ def test_caterpillar_0_is_refused_by_the_builder(capsys):
     assert code == 2
     assert json.loads(out) == {
         "error": "ValueError: caterpillar needs an int count >= 1, got 0"}
+
+
+def test_a_shorthand_count_too_long_for_int_is_a_structured_error(capsys):
+    # int() refuses a string of more than 4300 digits
+    rest = "1" * 5000
+    code, out = run(capsys, "brackets", "enumerate", "--tree",
+                    "caterpillar:" + rest)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "caterpillar:N needs an integer 1 <= N <= 10000, got %r"
+                 % rest}
+
+
+@pytest.mark.parametrize("rest", ["0003", pytest.param("0" * 5000 + "3",
+                                                      id="5000-zeros-3")])
+def test_a_shorthand_count_may_have_leading_zeros(capsys, rest):
+    code, out = run(capsys, "brackets", "enumerate", "--tree",
+                    "caterpillar:" + rest, "--max")
+    assert code == 0
+    assert json.loads(out)["tree"] == T.tree_to_obj(caterpillar(3))
