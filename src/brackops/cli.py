@@ -126,9 +126,11 @@ def cmd_brackets(args):
 
 def cmd_operation(args):
     read, op, write, operands, _ = OPERATIONS[args.command, args.action]
-    _emit(write(_apply(op, *[args.slot if name == "slot"
-                             else _load(getattr(args, name), read)
-                             for name in operands])))
+    result = _apply(op, *[args.slot if name == "slot"
+                          else _load(getattr(args, name), read)
+                          for name in operands])
+    # a writer refuses a number of over 4300 digits
+    _emit(_apply(write, result))
     return 0
 
 

@@ -11,6 +11,7 @@ vertexless tree has the single edge ("leaf", 0)."""
 from __future__ import annotations
 
 import itertools
+import json
 
 from . import trees as T
 from .trees import ETA
@@ -349,6 +350,15 @@ def _edge_obj(e):
     return [e[0], e[1]]
 
 
+def _edge_from_obj(obj):
+    "The edge of a [kind, int] pair, kind 'leaf' or 'out'."
+    if (type(obj) is not list or len(obj) != 2
+            or obj[0] not in ("leaf", "out") or type(obj[1]) is not int):
+        raise ValueError('expected an edge ["leaf" or "out", int], got %s'
+                         % json.dumps(obj))
+    return obj[0], obj[1]
+
+
 def morphism_to_obj(g):
     return {"source": T.tree_to_obj(g.source),
             "target": T.tree_to_obj(g.target),
@@ -363,10 +373,10 @@ def morphism_from_obj(obj):
     tgt = T.tree_from_obj(obj["target"])
     em = {}
     for a, b in obj["edges"]:
-        a = (a[0], T.int_from_obj(a[1]))
+        a = _edge_from_obj(a)
         if a in em:
             raise ValueError("edge %r is listed twice" % (a,))
-        em[a] = (b[0], T.int_from_obj(b[1]))
+        em[a] = _edge_from_obj(b)
     g = OmegaMorphism(src, tgt, em)
     if [frozenset(map(T.int_from_obj, s))
             for s in obj["vertices"]] != list(g.vertex_images):

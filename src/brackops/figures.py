@@ -54,19 +54,34 @@ def _pt(cx, cy, r, k, n):
     return cx + r * math.cos(ang), cy + r * math.sin(ang)
 
 
+def _cycle_slots(n, edges):
+    """Each vertex's slot on the circle: its place on the polygon's one
+    cycle of edges, walked from vertex 0 to its smaller neighbour."""
+    nbrs = [set() for _ in range(n)]
+    for e in edges:
+        i, j = e["endpoints"]
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    cycle = [0]
+    while len(cycle) < n:
+        cycle.append(min(nbrs[cycle[-1]] - set(cycle[-2:])))
+    return [cycle.index(v) for v in range(n)]
+
+
 def _polygon_svg(data):
     n = len(data["vertices"])
+    slot = _cycle_slots(n, data["edges"])
     cx = cy = 150.0
     r = 110.0
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="300" height="300">']
     for e in data["edges"]:
         i, j = e["endpoints"]
-        x1, y1 = _pt(cx, cy, r, i, n)
-        x2, y2 = _pt(cx, cy, r, j, n)
+        x1, y1 = _pt(cx, cy, r, slot[i], n)
+        x2, y2 = _pt(cx, cy, r, slot[j], n)
         parts.append('<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
                      'stroke="black"/>' % (x1, y1, x2, y2))
     for k, v in enumerate(data["vertices"]):
-        x, y = _pt(cx, cy, r, k, n)
+        x, y = _pt(cx, cy, r, slot[k], n)
         parts.append('<circle cx="%.2f" cy="%.2f" r="4" fill="black"/>' % (x, y))
         label = ";".join("".join(str(u) for u in b) for b in v)
         parts.append('<text x="%.2f" y="%.2f" font-size="10" '

@@ -588,18 +588,30 @@ def suite_witness(cfg, rng):
 # ---------------------------------------------------------------------------
 # Suite: coherence of the cactus action.
 
-def _chain_eval(xs, interval, brackets):
-    "Evaluate a maximal bracketing of a caterpillar as a parenthesization."
-    a, b = interval
-    if a == b:
-        return xs[a]
-    for c in range(a, b):
-        lf = frozenset(range(a, c + 1))
-        rf = frozenset(range(c + 1, b + 1))
-        if (len(lf) == 1 or lf in brackets) and (len(rf) == 1 or rf in brackets):
-            return cact1_compose(_chain_eval(xs, (a, c), brackets), 1,
-                                 _chain_eval(xs, (c + 1, b), brackets))
-    raise ValueError("not a maximal bracketing of a chain")
+def _corner_value(tree, brackets, xs, S):
+    """The value of the region S (a bracket, or every vertex) at a
+    maximal bracketing with every weight 1, from regions and Cact^1
+    composition alone: S's maximal inner brackets and its other vertices
+    are two pieces joined by one edge, and the upper piece's value goes
+    in at that edge's leaf of the lower piece's region tree.  A region's
+    root is its least DFS id."""
+    if len(S) == 1:
+        return xs[min(S)]
+    inner = [b for b in brackets if b < S]
+    top = [b for b in inner if not any(b < c for c in inner)]
+    pieces = top + [frozenset([v]) for v in S.difference(*top)]
+    if len(pieces) != 2:
+        raise ValueError("not a maximal bracketing: %d pieces in %s"
+                         % (len(pieces), sorted(S)))
+    low, up = pieces if min(S) in pieces[0] else pieces[::-1]
+    joint = ("out", min(up))
+    exits = T.region(tree, low)[2]
+    if [e for e in exits if e[0] == "out" and e[1] in up] != [joint]:
+        raise ValueError("not a maximal bracketing: %s and %s are not "
+                         "joined by one edge" % (sorted(low), sorted(up)))
+    return cact1_compose(_corner_value(tree, brackets, xs, low),
+                         exits.index(joint) + 1,
+                         _corner_value(tree, brackets, xs, up))
 
 
 def _coherence_configs(shapes, weight_choices, rng):
@@ -634,18 +646,18 @@ def suite_coherence(cfg, rng):
     shapes = _shapes(3, 4, min_arity=1)
 
     def corner_cases():
-        for n in (3, 4):
-            tree = caterpillar(n)
+        for tree in _shapes(4, 5, min_arity=1):
+            every = frozenset(range(tree.vertex_count))
             for br in maximal_bracketings(tree):
+                xs = [R.random_cactus(a, rng) for a in T.arities(tree)]
                 e = BOElement(OElement(tree), WeightedBracketing(
                     tree, {b: 1 for b in br.brackets}))
-                for _ in range(3):
-                    xs = [R.random_cactus(2, rng) for _ in range(n)]
-                    want = _chain_eval(xs, (0, n - 1), br.brackets)
-                    yield ("corner %r" % (sorted(map(sorted, br.brackets)),),
-                           bo_action.lam(e, xs) == want)
+                yield ("corner %r on %r" % (sorted(map(sorted, br.brackets)),
+                                            tree),
+                       bo_action.lam(e, xs)
+                       == _corner_value(tree, br.brackets, xs, every))
 
-    yield "coherence/corners", corner_cases()
+    yield "coherence/corners-every-tree", corner_cases()
 
     def comp_cases(weight_choices):
         configs = _coherence_configs(shapes, weight_choices, rng)

@@ -483,7 +483,9 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 def frac_from_obj(value):
     """A rational field of a JSON object: an int or a string.  A float (read
-    at its binary value), a bool, 1/0 and exponents over +-1000 are refused."""
+    at its binary value), a bool, 1/0, exponents over +-1000 and whatever
+    Fraction refuses (a malformed string, a part over int()'s limit of
+    4300 digits) are refused alike."""
     if type(value) not in (int, str):
         raise ValueError("expected a rational, got %s" % json.dumps(value))
     try:
@@ -493,7 +495,7 @@ def frac_from_obj(value):
             if len(digits) > 4 or int(digits or 0) > 1000:
                 raise OverflowError("decimal exponent out of range")
         return Fraction(value)
-    except (ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError("expected a rational, got %s"
                          % json.dumps(value)) from exc
 

@@ -30,7 +30,7 @@ COUNTS = {
         "coend/ms-compose-pointwise": 1000,
     },
     "bo-action-coherence": {
-        "coherence/corners": 21,
+        "coherence/corners-every-tree": 4190,
         "coherence/interpolated": 4814,
         "coherence/sigma-equivariance": 50,
         "coherence/weight-1": 4814,

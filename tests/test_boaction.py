@@ -13,6 +13,7 @@ from brackops.plmaps import (identity_map, pl_compose, pl_convex_combination,
 from brackops.bracketings import (WeightedBracketing, chain_levels,
                                   enumerate_bracketings, maximal_bracketings)
 from brackops import bo_action as A
+from brackops import suites
 from brackops import randomgen as R
 from action_reference import _ms_action as reference_ms_action
 from nests import nest_augment
@@ -278,28 +279,6 @@ def test_weight_one_corners_on_four_chain():
     assert got == want
 
 
-def _corner_value(t, brackets, xs, S):
-    """The value of the region S (a bracket or the whole tree) at a
-    maximal bracketing with every weight 1, from regions and Cact^1
-    composition alone: S's maximal inner brackets and its other vertices
-    are two pieces joined by one edge, and the upper piece's value goes
-    in at that edge's leaf of the lower piece's region tree."""
-    if len(S) == 1:
-        return xs[min(S)]
-    inner = [b for b in brackets if b < S]
-    top = [b for b in inner if not any(b < c for c in inner)]
-    pieces = top + [frozenset([v]) for v in S.difference(*top)]
-    assert len(pieces) == 2, (t, brackets, S)
-    root = T.region(t, S)[1][0]
-    low, up = pieces if root in pieces[0] else pieces[::-1]
-    joint = ("out", T.region(t, up)[1][0])
-    exits = T.region(t, low)[2]
-    assert [e for e in exits if e[0] == "out" and e[1] in up] == [joint]
-    return cact1_compose(_corner_value(t, brackets, xs, low),
-                         exits.index(joint) + 1,
-                         _corner_value(t, brackets, xs, up))
-
-
 def test_weight_one_corners_on_every_small_tree():
     """Every tree with 2-4 vertices, 1-4 leaves and no nullary vertex,
     every maximal bracketing with every weight 1, one draw of cacti: lam
@@ -315,7 +294,7 @@ def test_weight_one_corners_on_every_small_tree():
                     xs = [R.random_cactus(a, rng) for a in T.arities(t)]
                     e = BOElement(OElement(t), WeightedBracketing(
                         t, {b: 1 for b in br.brackets}))
-                    assert A.lam(e, xs) == _corner_value(
+                    assert A.lam(e, xs) == suites._corner_value(
                         t, br.brackets, xs, _all(t)), (t, br.brackets)
                     cases += 1
     assert cases == 1398

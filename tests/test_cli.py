@@ -1,6 +1,8 @@
 import argparse
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -153,6 +155,22 @@ def test_cacti_metric_of_the_zero_lobe_point(tmp_path, capsys):
     p = write(tmp_path, "e.json", json.dumps(cactus_to_obj(EMPTY_CACTUS)))
     code, out = run(capsys, "cacti", "metric", "--lhs", p, "--rhs", p)
     assert code == 0 and json.loads(out) == {"distance": "0/1"}
+
+
+def test_a_distance_too_long_to_write_is_a_structured_error(tmp_path,
+                                                           capsys):
+    # cuts at 1/(3p) with coprime p of 3001 digits: the distance's
+    # denominator is longer than int's 4300-digit limit for str()
+    paths = []
+    for n, p in enumerate([10 ** 3000 + 3, 10 ** 3000 + 7]):
+        s = F(1, 3 * p)
+        x = Cactus(2, [(0, s, 1), (s, s + F(1, 2), 2), (s + F(1, 2), 1, 1)])
+        paths.append(write(tmp_path, "x%d.json" % n,
+                           json.dumps(cactus_to_obj(x))))
+    code, out = run(capsys, "cacti", "metric", "--lhs", paths[0],
+                    "--rhs", paths[1])
+    assert code == 2
+    assert json.loads(out)["error"].startswith("ValueError: Exceeds the limit")
 
 
 @pytest.mark.parametrize("tree, inputs, vertex", [
@@ -434,7 +452,25 @@ def test_omega_image_of_a_too_short_edge_name_is_a_structured_error(
     g = write(tmp_path, "g.json", json.dumps(obj))
     code, out = run(capsys, "omega", "image", "--input", g)
     assert code == 2
-    assert "IndexError" in json.loads(out)["error"]
+    assert json.loads(out)["error"].endswith(
+        'ValueError: expected an edge ["leaf" or "out", int], got ["out"]')
+
+
+# each end of an edge entry is read by one reader, which names it
+@pytest.mark.parametrize("end", [0, 1], ids=["source", "target"])
+@pytest.mark.parametrize("edge", [{"out": 0}, 0, ["out"]],
+                         ids=["dict", "int", "short"])
+def test_omega_compose_refuses_an_edge_that_is_no_pair(tmp_path, capsys,
+                                                       end, edge):
+    obj = D.tilde_to_obj(D.OmegaTildeMorphism(
+        D.collapse_morphism(caterpillar(3), [{1, 2}])))
+    obj["edges"][0][end] = edge
+    path = write(tmp_path, "m.json", json.dumps(obj))
+    code, out = run(capsys, "omega", "compose", "--lhs", path, "--rhs", path)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": '%s: ValueError: expected an edge ["leaf" or "out", int], '
+                 'got %s' % (path, json.dumps(edge))}
 
 
 def test_omega_image_of_an_edge_listed_twice_is_a_structured_error(
@@ -569,6 +605,26 @@ def test_figure_export(tmp_path, capsys):
     assert (tmp_path / "cact-composition.svg").exists()
 
 
+@pytest.mark.parametrize("name", ["pentagon", "hexagon"])
+def test_figure_lines_join_neighbours_on_the_circle(tmp_path, capsys, name):
+    # the polygon is drawn without crossings: every line joins two dots
+    # next to each other in the order round the circle
+    run(capsys, "figure", name, "--out", str(tmp_path))
+    svg = (tmp_path / (name + ".svg")).read_text()
+    num = r'"(-?[0-9.]+)"'
+    dots = [(float(x), float(y)) for x, y in re.findall(
+        "<circle cx=%s cy=%s" % (num, num), svg)]
+    lines = [tuple(map(float, m)) for m in re.findall(
+        "<line x1=%s y1=%s x2=%s y2=%s" % (num, num, num, num), svg)]
+    n = len(dots)
+    round_order = sorted(dots, key=lambda d: math.atan2(d[1] - 150,
+                                                        d[0] - 150))
+    rank = {d: k for k, d in enumerate(round_order)}
+    assert n == {"pentagon": 5, "hexagon": 6}[name] == len(lines)
+    for x1, y1, x2, y2 in lines:
+        assert (rank[x1, y1] - rank[x2, y2]) % n in (1, n - 1)
+
+
 def test_figure_out_below_a_file_is_a_structured_error(tmp_path, capsys):
     blocker = write(tmp_path, "file", "")
     code, out = run(capsys, "figure", "pentagon", "--out",
@@ -665,7 +721,10 @@ BAD_RATIONALS = [pytest.param('"1/0"', '"1/0"', id="zero-denominator"),
                  pytest.param("null", "null", id="null"),
                  pytest.param('"1e-10000000"', '"1e-10000000"',
                               id="huge-exponent"),
-                 pytest.param("true", "true", id="bool")]
+                 pytest.param("true", "true", id="bool"),
+                 # int() refuses a part of over 4300 digits
+                 pytest.param('"1/%s"' % ("3" * 5000), '"1/%s"' % ("3" * 5000),
+                              id="over-4300-digits")]
 
 
 def with_bad_rational(obj, token):

@@ -1,6 +1,8 @@
 import pytest
 
-from brackops import suites
+from brackops import bo_action, suites
+from brackops import randomgen as R
+from brackops.plmaps import IDENTITY
 from brackops.suites import SUITES, RunConfig, run_suite
 
 
@@ -89,6 +91,26 @@ def test_euler_suite_fails_on_a_poset_that_is_not_a_sphere(monkeypatch):
     report = run_suite("euler-characteristic", RunConfig(limit=4))
     assert report["passed"] is False
     assert "chi=1, want" in report["checks"][0]["counterexample"]
+
+
+@pytest.mark.parametrize("mutant", ["invert-is-identity", "compose-swapped"])
+def test_the_corner_check_fails_under_each_action_mutant(monkeypatch,
+                                                         mutant):
+    """At seed 0, an action whose bracket maps never undo a sub-action's
+    reparametrization fails 234 of the 4190 corner cases.  One that
+    composes its PL maps the other way round fails 6, all on trees with
+    5 leaves, so a grid of at most 4 leaves would miss it."""
+    compose = bo_action.pl_compose
+    if mutant == "invert-is-identity":
+        monkeypatch.setattr(bo_action, "pl_invert", lambda m: IDENTITY)
+    else:
+        monkeypatch.setattr(bo_action, "pl_compose",
+                            lambda f, g: compose(g, f))
+    cid, cases = next(suites.suite_coherence(RunConfig(), R.rng_from_seed(0)))
+    record = suites._record(cid, cases)
+    assert cid == "coherence/corners-every-tree"
+    assert record["count"] == 4190
+    assert record["passed"] is False
 
 
 def test_reports_are_deterministic():
