@@ -42,7 +42,7 @@ def canonical_weights(weights):
     pairs in canonical order of their sets, with weight 0 dropped;
     refuses a weight that is not an int or a Fraction, one outside [0,1]
     and a set given twice."""
-    keyed = []
+    pairs = []
     for vset, w in (weights.items() if isinstance(weights, dict) else weights):
         w = as_fraction(w, "weights")
         p, q = w.as_integer_ratio()
@@ -50,13 +50,21 @@ def canonical_weights(weights):
             continue
         if not 0 < p <= q:
             raise ValueError("weight %s outside (0,1]" % w)
-        vset = frozenset(vset)
-        keyed.append((vset_key(vset), vset, w))
-    keyed.sort(key=itemgetter(0))
-    # the key is injective, so a repeated set sorts next to itself
-    if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
+        pairs.append((frozenset(vset), w))
+    items = in_canonical_order(pairs)
+    # a repeated set sorts next to itself
+    if any(a[0] == b[0] for a, b in zip(items, items[1:])):
         raise ValueError("duplicate bracket")
-    return tuple([(vset, w) for _, vset, w in keyed])
+    return items
+
+
+def in_canonical_order(pairs):
+    """(frozenset, weight) pairs as a tuple sorted by `vset_key` of their
+    sets: the one canonical order of a bracket family, which
+    canonical_weights puts outside input in and the derived constructors
+    put derived families in."""
+    keyed = sorted([(vset_key(v), v, w) for v, w in pairs], key=itemgetter(0))
+    return tuple([(v, w) for _, v, w in keyed])
 
 
 def _all_vertices(tree):
@@ -110,6 +118,16 @@ class WeightedBracketing:
     def __repr__(self):
         return "WeightedBracketing(%s)" % (
             [(sorted(v), str(w)) for v, w in self.weights],)
+
+
+def _weighted_in_order(tree, merged):
+    """The weighted bracketing of a dict {vertex set: weight in (0,1]}
+    that a library operation derived from already checked values: put
+    in canonical order, not checked again."""
+    wb = object.__new__(WeightedBracketing)
+    wb.tree = tree
+    wb.weights = in_canonical_order(merged.items())
+    return wb
 
 
 def merge_brackets(items, size):

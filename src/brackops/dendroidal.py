@@ -16,10 +16,10 @@ import json
 from . import trees as T
 from .trees import ETA
 from .bracketings import (
-    ONE, WeightedBracketing, canonical_weights, check_brackets,
-    merge_brackets,
+    ONE, _weighted_in_order, canonical_weights, check_brackets,
+    in_canonical_order, merge_brackets,
 )
-from .operads import OElement, BOElement
+from .operads import BOElement, _labelled
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +257,17 @@ class OmegaTildeMorphism:
             [[(sorted(B), str(w)) for B, w in fam] for fam in self.brackets])
 
 
+def _tilde_in_order(base, fams):
+    """The thickened morphism of dicts {vertex set: weight in (0,1]}, one
+    per source vertex, that a library operation derived from already
+    checked morphisms: put in canonical order, not checked again."""
+    m = object.__new__(OmegaTildeMorphism)
+    object.__setattr__(m, "base", base)
+    object.__setattr__(m, "brackets", tuple(
+        [in_canonical_order(fam.items()) for fam in fams]))
+    return m
+
+
 def compose_omega_tilde(G, F):
     """Composite in the thickened category: the brackets over a source
     vertex w collect the images of G's brackets, the images of the
@@ -274,7 +285,7 @@ def compose_omega_tilde(G, F):
             items.append((frozenset(u2 for u in B
                                     for u2 in G.base.vertex_images[u]), t))
         fams.append(merge_brackets(items, len(base.vertex_images[w])))
-    return OmegaTildeMorphism(base, fams)
+    return _tilde_in_order(base, fams)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +306,7 @@ def q_morphism(gs):
     for g in reversed(gs[:-1]):
         corollas += total.vertex_images
         total = compose_omega(total, g)
-    return OmegaTildeMorphism(total, [
+    return _tilde_in_order(total, [
         {S: ONE for S in corollas if len(S) >= 2 and S < img}
         for img in total.vertex_images])
 
@@ -323,10 +334,12 @@ def phi_morphism(P, m, values):
         rt, old, exits = T.region(base.target, img)
         new = {u: j for j, u in enumerate(old)}
         ins = [base.edge_map[e] for e in idxS.child_entries[v]]
-        tau = tuple(exits.index(e) for e in ins)
-        wb = WeightedBracketing(
-            rt, {frozenset(new[u] for u in B): w for B, w in m.brackets[v]})
-        elem = BOElement(OElement(rt, tau=tau), wb)
+        tau = tuple([exits.index(e) for e in ins])
+        # old is increasing, so the relabelled brackets stay nested,
+        # connected and in canonical order
+        wb = _weighted_in_order(
+            rt, {frozenset([new[u] for u in B]): w for B, w in m.brackets[v]})
+        elem = BOElement(_labelled(rt, tuple(range(len(old))), tau), wb)
         out.append(P.act(elem, [values[u] for u in old]))
     return tuple(out)
 
@@ -367,21 +380,42 @@ def morphism_to_obj(g):
             "vertices": [sorted(s) for s in g.vertex_images]}
 
 
+def _list_from_obj(obj, what):
+    "A field that must be a JSON list; anything else is refused by name."
+    if type(obj) is not list:
+        raise ValueError("expected %s, got %s" % (what, json.dumps(obj)))
+    return obj
+
+
+def _pair_from_obj(obj, what):
+    "A field that must be a JSON list of two entries."
+    if type(obj) is not list or len(obj) != 2:
+        raise ValueError("expected %s, got %s" % (what, json.dumps(obj)))
+    return obj
+
+
+def _vset_from_obj(obj):
+    "A vertex set: a JSON list of ints."
+    return frozenset(map(T.int_from_obj, _list_from_obj(
+        obj, "a list of vertex ids")))
+
+
 def morphism_from_obj(obj):
     "The morphism of an object; its vertices must be those of its edges."
     src = T.tree_from_obj(obj["source"])
     tgt = T.tree_from_obj(obj["target"])
     em = {}
-    for a, b in obj["edges"]:
+    for pair in _list_from_obj(obj["edges"], "a list of edge pairs"):
+        a, b = _pair_from_obj(pair, "an edge pair [edge, edge]")
         a = _edge_from_obj(a)
         if a in em:
             raise ValueError("edge %r is listed twice" % (a,))
         em[a] = _edge_from_obj(b)
     g = OmegaMorphism(src, tgt, em)
-    if [frozenset(map(T.int_from_obj, s))
-            for s in obj["vertices"]] != list(g.vertex_images):
+    vertices = _list_from_obj(obj["vertices"], "a list of vertex images")
+    if [_vset_from_obj(s) for s in vertices] != list(g.vertex_images):
         raise ValueError("vertices %s do not match the edge map, which "
-                         "gives %s" % (obj["vertices"],
+                         "gives %s" % (vertices,
                                        [sorted(s) for s in g.vertex_images]))
     return g
 
@@ -393,11 +427,19 @@ def tilde_to_obj(m):
     return obj
 
 
+def _family_from_obj(fam):
+    "One source vertex's brackets: a list of [vertices, weight] pairs."
+    out = []
+    for entry in _list_from_obj(fam, "a list of [vertices, weight] pairs"):
+        B, w = _pair_from_obj(entry, "a [vertices, weight] pair")
+        out.append((_vset_from_obj(B), T.frac_from_obj(w)))
+    return out
+
+
 def tilde_from_obj(obj):
     base = morphism_from_obj(obj)
-    fams = [[(frozenset(map(T.int_from_obj, B)), T.frac_from_obj(w))
-             for B, w in fam]
-            for fam in obj.get("brackets", [])]
+    fams = [_family_from_obj(fam) for fam in _list_from_obj(
+        obj.get("brackets", []), "a list of bracket families")]
     if not fams:
         return OmegaTildeMorphism(base)
     return OmegaTildeMorphism(base, fams)

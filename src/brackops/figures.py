@@ -11,16 +11,22 @@ from .cacti import Cactus, cact1_compose, cactus_to_obj
 
 
 def _lattice(tree, name):
-    """Vertices are the maximal bracketings, edges the single-bracket
-    ones; an edge joins the maximal bracketings refining it."""
+    """Vertices are the maximal bracketings, edges the bracketings with
+    one bracket fewer (nv - 3, read off the enumeration's graded order);
+    an edge joins the two maximal bracketings refining it, and is named
+    by its one bracket when it has one, else by its list of brackets."""
     verts = sorted(bracketing_to_obj(b) for b in maximal_bracketings(tree))
+    rank = tree.vertex_count - 3
     edges = []
     for b in enumerate_bracketings(tree):
-        if len(b.brackets) != 1:
+        if len(b.brackets) < rank:
             continue
-        bo = bracketing_to_obj(b)[0]
-        ends = sorted(i for i, v in enumerate(verts) if bo in v)
-        edges.append({"bracket": bo, "endpoints": ends})
+        if len(b.brackets) > rank:
+            break
+        bo = bracketing_to_obj(b)
+        ends = [i for i, v in enumerate(verts) if all(x in v for x in bo)]
+        edges.append({"bracket": bo[0] if rank == 1 else bo,
+                      "endpoints": ends})
     edges.sort(key=lambda e: e["bracket"])
     return {"figure": name, "tree": tree_to_obj(tree),
             "vertices": verts, "edges": edges}

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from . import trees as T
 from .bracketings import (
-    WeightedBracketing, merge_brackets, weighted_from_obj, weighted_to_obj,
+    WeightedBracketing, _weighted_in_order, merge_brackets,
+    weighted_from_obj, weighted_to_obj,
 )
 from .trees import ETA, corolla
 
@@ -70,6 +71,16 @@ class OElement:
         return "OElement(%r, sigma=%s, tau=%s)" % (self.tree, self.sigma, self.tau)
 
 
+def _labelled(tree, sigma, tau):
+    """The element of labelling tuples that a library operation derived
+    from already checked elements: not checked again."""
+    a = object.__new__(OElement)
+    a.tree = tree
+    a.sigma = sigma
+    a.tau = tau
+    return a
+
+
 def o_unit(n):
     "The corolla with the canonical left-to-right labellings."
     return OElement(corolla(n))
@@ -114,14 +125,14 @@ def compose_O_with_maps(a, i, b):
     if m != b.leaf_count:
         raise ValueError("arity mismatch: slot has arity %d, argument has %d leaves"
                          % (m, b.leaf_count))
-    res = T.substitute_with_maps(a.tree, a.sigma[i - 1], b.tree, tau=b.tau)
+    res = T._substitute(a.tree, a.sigma[i - 1], b.tree, b.tau)
     # the host's slots before i, the guest's, then the host's after i
     host, guest = res.vmap_host, res.vmap_guest
-    sigma = ([host[u] for u in a.sigma[:i - 1]]
-             + [guest[u] for u in b.sigma]
-             + [host[u] for u in a.sigma[i:]])
-    tau = tuple(res.leafmap_host[p] for p in a.tau)
-    return OElement(res.tree, sigma, tau), host, guest
+    sigma = tuple([host[u] for u in a.sigma[:i - 1]]
+                  + [guest[u] for u in b.sigma]
+                  + [host[u] for u in a.sigma[i:]])
+    tau = tuple([res.leafmap_host[p] for p in a.tau])
+    return _labelled(res.tree, sigma, tau), host, guest
 
 
 def compose_O(a, i, b):
@@ -199,7 +210,7 @@ def compose_BO(a, i, b):
     items += [(frozenset(vmap_b[u] for u in vset), w)
               for vset, w in b.weighted.weights]
     items.append((guest, Fraction(1)))
-    return BOElement(base, WeightedBracketing(
+    return BOElement(base, _weighted_in_order(
         base.tree, merge_brackets(items, base.arity)))
 
 

@@ -121,6 +121,73 @@ def suite_bracket_counts(cfg, rng):
                [("expected %d maximal bracketings, got %d" % (want, got),
                  got == want)])
 
+    def tubing_cases():
+        for nv in range(1, 7):
+            for tree in T.planar_trees(nv, 0):
+                got = (len(enumerate_bracketings(tree)),
+                       len(maximal_bracketings(tree)))
+                want = tubing_counts(tree)
+                yield ("tree %r: (all, maximal) bracketings %s, tubings %s"
+                       % (tree, got, want), got == want)
+
+    yield "tubings/inner-edges-leq-6-vertices", tubing_cases()
+
+
+def tubing_counts(tree):
+    """(all, maximal) tubings of the line graph of the tree's inner
+    edges (Carr-Devadoss 2006), by backtracking, without the bracketing
+    code.  A tube is a proper, nonempty, connected set of inner edges;
+    two tubes are compatible when nested, or disjoint and sharing no
+    vertex.  Edges are (parent, child) pairs of vertices numbered in
+    depth-first order, read off the children tuples."""
+    edges = []
+    _inner_edges(tree, 0, edges)
+    tubes = [t for r in range(1, len(edges))
+             for t in map(frozenset,
+                          itertools.combinations(range(len(edges)), r))
+             if _edges_connected(edges, t)]
+    ends = [frozenset().union(*[edges[e] for e in t]) for t in tubes]
+    # fits[i]: the other tubes compatible with tube i, as a bit mask
+    fits = [sum(1 << j for j, b in enumerate(tubes) if j != i and (
+        a <= b or b <= a or not ends[i] & ends[j]))
+        for i, a in enumerate(tubes)]
+    counts = [0, 0]
+    _extend_tubings(fits, counts, (1 << len(tubes)) - 1, 0)
+    return tuple(counts)
+
+
+def _inner_edges(node, v, edges):
+    "Append the inner edges at and above vertex v; the next free id."
+    nxt = v + 1
+    for c in node.children:
+        if not c.is_eta:
+            edges.append(frozenset((v, nxt)))
+            nxt = _inner_edges(c, nxt, edges)
+    return nxt
+
+
+def _edges_connected(edges, tube):
+    "Whether the tube's edges, given by index, form one connected set."
+    seen, todo = set(), [min(tube)]
+    while todo:
+        e = todo.pop()
+        if e not in seen:
+            seen.add(e)
+            todo += [f for f in tube if edges[e] & edges[f]]
+    return seen == tube
+
+
+def _extend_tubings(fits, counts, free, start):
+    """Count a tubing, whose unchosen tubes compatible with all of it are
+    the bit mask `free`, as maximal too when there are none; then its
+    extensions by the free tubes from `start` on."""
+    counts[0] += 1
+    if not free:
+        counts[1] += 1
+    for i in range(start, len(fits)):
+        if free >> i & 1:
+            _extend_tubings(fits, counts, free & fits[i], i + 1)
+
 
 # ---------------------------------------------------------------------------
 # Suite: Euler characteristic of the bracketing poset's order complex.

@@ -275,6 +275,13 @@ def substitute_with_maps(t, v, t2, tau=None):
                          % (m, t2.leaf_count))
     tau = tuple(range(m)) if tau is None else as_labelling(
         tau, m, "tau is not a permutation of 0..%d" % (m - 1))
+    return _substitute(t, v, t2, tau)
+
+
+def _substitute(t, v, t2, tau):
+    """substitute_with_maps of a vertex and a tau tuple already known to
+    fit it, as an element's slot and leaf labelling do: not checked
+    again."""
     tree, labels, leafmap_host = splice([(t, {v: (1, tau)}), (t2, {})])
     vmaps = {}, {}
     for new, (side, old) in enumerate(labels):

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from . import trees as T
 from .bracketings import ONE, WeightedBracketing, merge_brackets
-from .operads import BOElement, OElement, eta_element, o_from_obj, o_to_obj
+from .operads import (
+    BOElement, OElement, _labelled, eta_element, o_from_obj, o_to_obj,
+)
 
 
 class WTree:
@@ -165,8 +167,8 @@ def project_with_provenance(w):
     for pos in w.leaf_order:
         v, s = idx.leaf_at[pos]
         sigma.append(new[v, decos[v].sigma[s]])
-    tau = [leaves[p] for p in decos[0].tau]
-    return OElement(tree, sigma, tau), [v for v, _ in labels]
+    tau = tuple([leaves[p] for p in decos[0].tau])
+    return _labelled(tree, tuple(sigma), tau), [v for v, _ in labels]
 
 
 def psi(w):

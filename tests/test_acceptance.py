@@ -45,6 +45,7 @@ COUNTS = {
         "max-bracketings/caterpillar-7": 1,
         "max-bracketings/star-5": 1,
         "max-bracketings/star-6": 1,
+        "tubings/inner-edges-leq-6-vertices": 65,
     },
     "nerve": {
         "nerve/functorial": 400,

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +9,7 @@ from brackops.bracketings import (Bracketing, WeightedBracketing,
                                   weighted_to_obj, weighted_from_obj)
 from brackops import bracketings as B
 from brackops import trees as T
+from brackops.suites import tubing_counts
 from poset_reference import nerve_statistics as reference_nerve_statistics
 
 
@@ -96,65 +96,12 @@ def test_maximal_bracketings_match_the_pairwise_definition():
         assert maximal_bracketings(t) == _maximal_pairwise(t)
 
 
-def _tubing_counts(tree):
-    """(all, maximal) tubings of the line graph of the tree's inner
-    edges (Carr-Devadoss 2006), by backtracking, without the bracketing
-    code.  A tube is a proper, nonempty, connected set of inner edges;
-    two tubes are compatible when nested, or disjoint and sharing no
-    vertex.  Edges are (parent, child) pairs of vertices numbered in
-    depth-first order, read off the children tuples."""
-    edges = []
-
-    def walk(node, v):
-        nxt = v + 1
-        for c in node.children:
-            if not c.is_eta:
-                edges.append(frozenset((v, nxt)))
-                nxt = walk(c, nxt)
-        return nxt
-
-    walk(tree, 0)
-    subsets = [frozenset(s) for r in range(1, len(edges))
-               for s in itertools.combinations(range(len(edges)), r)]
-
-    def connected(tube):
-        seen, todo = set(), [min(tube)]
-        while todo:
-            e = todo.pop()
-            if e not in seen:
-                seen.add(e)
-                todo += [f for f in tube if edges[e] & edges[f]]
-        return seen == tube
-
-    def ends(tube):
-        return frozenset().union(*(edges[e] for e in tube))
-
-    tubes = [t for t in subsets if connected(t)]
-
-    def compatible(a, b):
-        return a <= b or b <= a or not ends(a) & ends(b)
-
-    counts = [0, 0]
-
-    def extend(chosen, start):
-        counts[0] += 1
-        if not any(t not in chosen and all(compatible(t, c) for c in chosen)
-                   for t in tubes):
-            counts[1] += 1
-        for i in range(start, len(tubes)):
-            if all(compatible(tubes[i], c) for c in chosen):
-                extend(chosen + [tubes[i]], i + 1)
-
-    extend([], 0)
-    return tuple(counts)
-
-
 def test_bracketing_counts_match_the_tubings_of_the_inner_edges():
     trees = [t for nv in range(1, 7) for t in planar_trees(nv, 0)]
     assert len(trees) == 1 + 1 + 2 + 5 + 14 + 42
     total = 0
     for t in trees:
-        want = _tubing_counts(t)
+        want = tubing_counts(t)
         assert (len(enumerate_bracketings(t)),
                 len(maximal_bracketings(t))) == want
         total += want[0]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from brackops import bo_action, suites
+from brackops import bo_action, figures, suites
 from brackops import dendroidal as D
 from brackops import trees as T
 from brackops import cli
@@ -473,6 +473,45 @@ def test_omega_compose_refuses_an_edge_that_is_no_pair(tmp_path, capsys,
                  'got %s' % (path, json.dumps(edge))}
 
 
+def _set_in(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+# every field of a thickened morphism's file that is not of its shape is
+# refused by name: `expected <what the field holds>, got <the field>`
+@pytest.mark.parametrize("action, path, value, expected", [
+    ("image", ("edges", 0), [["out", 0]], "an edge pair [edge, edge]"),
+    ("image", ("edges",), {"a": 1}, "a list of edge pairs"),
+    ("image", ("vertices", 0), 0, "a list of vertex ids"),
+    ("image", ("vertices", 0), {"a": 0}, "a list of vertex ids"),
+    ("image", ("vertices",), 3, "a list of vertex images"),
+    ("compose", ("brackets", 1), {"a": 1},
+     "a list of [vertices, weight] pairs"),
+    ("compose", ("brackets", 1), 5, "a list of [vertices, weight] pairs"),
+    ("compose", ("brackets", 1, 0), [[1, 2]], "a [vertices, weight] pair"),
+    ("compose", ("brackets", 1, 0), {"v": [1, 2]},
+     "a [vertices, weight] pair"),
+    ("compose", ("brackets", 1, 0, 0), 1, "a list of vertex ids"),
+    ("compose", ("brackets",), {"a": 1}, "a list of bracket families"),
+], ids=["edge-entry", "edges", "vertices-int", "vertices-dict", "vertices",
+        "family-dict", "family-int", "bracket-short", "bracket-dict",
+        "bracket-vertices", "brackets"])
+def test_omega_refuses_a_field_of_the_wrong_shape_by_name(
+        tmp_path, capsys, action, path, value, expected):
+    obj = D.tilde_to_obj(D.OmegaTildeMorphism(
+        D.collapse_morphism(caterpillar(4), [{1, 2, 3}]),
+        [{}, {frozenset({1, 2}): F(1, 2)}]))
+    _set_in(obj, path, value)
+    m = write(tmp_path, "m.json", json.dumps(obj))
+    args = ["--input", m] if action == "image" else ["--lhs", m, "--rhs", m]
+    code, out = run(capsys, "omega", action, *args)
+    assert code == 2
+    assert json.loads(out) == {"error": "%s: ValueError: expected %s, got %s"
+                               % (m, expected, json.dumps(value))}
+
+
 def test_omega_image_of_an_edge_listed_twice_is_a_structured_error(
         tmp_path, capsys):
     obj = D.morphism_to_obj(D.identity_omega(caterpillar(2)))
@@ -623,6 +662,14 @@ def test_figure_lines_join_neighbours_on_the_circle(tmp_path, capsys, name):
     assert n == {"pentagon": 5, "hexagon": 6}[name] == len(lines)
     for x1, y1, x2, y2 in lines:
         assert (rank[x1, y1] - rank[x2, y2]) % n in (1, n - 1)
+
+
+def test_every_lattice_edge_has_two_endpoints():
+    # the associahedron K5 of caterpillar(5): its edges are the 21
+    # bracketings with nv - 3 = 2 brackets
+    data = figures._lattice(caterpillar(5), "k5")
+    assert (len(data["vertices"]), len(data["edges"])) == (14, 21)
+    assert all(len(e["endpoints"]) == 2 for e in data["edges"])
 
 
 def test_figure_out_below_a_file_is_a_structured_error(tmp_path, capsys):

@@ -11,6 +11,8 @@ from brackops import dendroidal as D
 from brackops.algebras import TerminalAlgebra, EndoAlgebra, CactusAlgebra
 from brackops.cacti import cact1_compose
 from brackops import randomgen as R
+from brackops.bracketings import WeightedBracketing, enumerate_bracketings
+from brackops.operads import OElement
 
 from omega_reference import (reference_collapse_morphism,
                              reference_isomorphisms, reference_outer_face,
@@ -767,3 +769,130 @@ def test_compose_omega_matches_the_checking_constructor():
         assert hash(got) == hash(want)
         pairs += 1
     assert pairs == 5508 + 31  # the 31 pairs into η too
+
+
+# Derived thickened morphisms are put in order, not checked again; on a
+# grid of small morphisms the checking constructor must agree with them.
+
+GRID_TREES = [ETA] + [t for nv in (1, 2, 3) for nl in (0, 1, 2)
+                      for t in T.planar_trees(nv, nl)]
+
+
+def _grid_morphisms():
+    """(generators, morphisms) among the grid trees, η and the trees with
+    at most 3 vertices and at most 2 leaves: the generators are the face
+    composites, the degeneracies and the automorphisms, and the
+    morphisms are the generators and their composites of two."""
+    gens = set()
+    for t in GRID_TREES:
+        gens.update(D.isomorphisms(t, t))
+        for s in [] if t.is_eta else T.enumerate_subtrees(t):
+            for coll in [[]] + _collapse_families(t):
+                if all(c <= s.vertex_set for c in coll):
+                    gens.add(D.subtree_inclusion(t, s.vertex_set, coll))
+        gens.update(D.degeneracy(t, v) for v in range(t.vertex_count)
+                    if T.index(t).arity(v) == 1)
+    grid = set(GRID_TREES)
+    gens = {g for g in gens if g.source in grid and g.target in grid}
+    homs = set(gens)
+    homs.update(D.compose_omega(g, f) for g in gens for f in gens
+                if f.target == g.source)
+    return sorted(gens, key=repr), sorted(homs, key=repr)
+
+
+def _thickenings(m):
+    """Every thickening of m whose family over each vertex is read off
+    `enumerate_bracketings` of its image, each bracket of weight 1 or
+    1/2."""
+    per = []
+    for img in m.vertex_images:
+        rt, old, _ = T.region(m.target, img) if img else (ETA, (), ())
+        opts = []
+        for br in enumerate_bracketings(rt):
+            sets = [frozenset(old[u] for u in b) for b in br.sorted_brackets()]
+            for ws in itertools.product((1, F(1, 2)), repeat=len(sets)):
+                opts.append(dict(zip(sets, ws)))
+        per.append(opts)
+    return [D.OmegaTildeMorphism(m, list(fams))
+            for fams in itertools.product(*per)]
+
+
+def _by_target(homs):
+    into = {}
+    for f in homs:
+        into.setdefault(f.target, []).append(f)
+    return into
+
+
+def _grid():
+    "The grid morphisms, each with its thickenings, and by target."
+    homs = _grid_morphisms()[1]
+    return homs, {m: _thickenings(m) for m in homs}, _by_target(homs)
+
+
+def _refused_or_changed(m):
+    "Whether the checking constructor refuses m's families or changes them."
+    try:
+        return D.OmegaTildeMorphism(m.base, m.brackets) != m
+    except ValueError:
+        return True
+
+
+def test_derived_composites_match_the_checking_constructor():
+    homs, thick, into = _grid()
+    assert (len(homs), sum(map(len, thick.values()))) == (1744, 2480)
+    cases = bracketed = bad = 0
+    for g in homs:
+        for f in into.get(g.source, []):
+            for G in thick[g]:
+                for Fm in thick[f]:
+                    c = D.compose_omega_tilde(G, Fm)
+                    bad += _refused_or_changed(c)
+                    cases += 1
+                    bracketed += any(c.brackets)
+    assert (bad, cases, bracketed) == (0, 69560, 21872)
+
+
+def test_derived_q_morphisms_match_the_checking_constructor():
+    gens = _grid_morphisms()[0]
+    into = _by_target(gens)
+    chains = [[f, g] for g in gens for f in into.get(g.source, [])]
+    chains += [[e] + chain for chain in chains
+               for e in into.get(chain[0].source, [])]
+    bad = bracketed = 0
+    for chain in chains:
+        q = D.q_morphism(chain)
+        bad += _refused_or_changed(q)
+        bracketed += any(q.brackets)
+    assert (bad, len(chains), bracketed) == (0, 23979, 1482)
+
+
+class _Elements:
+    "A handle whose action is the bracketed element it acts by."
+
+    def unit(self):
+        return None
+
+    def act(self, elem, inputs):
+        return elem
+
+
+def test_pulled_back_elements_match_the_checking_constructors():
+    _, thick, _ = _grid()
+    bad = elements = bracketed = 0
+    for ms in thick.values():
+        for m in ms:
+            ident = tuple(range(m.base.target.vertex_count))
+            for e in D.phi_morphism(_Elements(), m, ident):
+                if e is None:
+                    continue
+                try:
+                    bad += (e.base != OElement(e.base.tree, e.base.sigma,
+                                               e.base.tau)
+                            or e.weighted != WeightedBracketing(
+                                e.weighted.tree, e.weighted.weights))
+                except ValueError:
+                    bad += 1
+                elements += 1
+                bracketed += bool(e.weighted.weights)
+    assert (bad, elements, bracketed) == (0, 3371, 736)

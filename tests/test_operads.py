@@ -10,6 +10,10 @@ from brackops.operads import (OElement, o_unit, eta_element,
                               compose_BO, sigma_act_O, sigma_act_BO,
                               bo_to_obj, bo_from_obj)
 from brackops import randomgen as R
+from brackops.bracketings import WeightedBracketing
+from brackops.suites import _decorate, _shapes
+
+F = Fraction
 
 
 def chain_elem(n, weights=()):
@@ -186,3 +190,30 @@ def test_forget_brackets_is_operad_map(seed):
     lhs = compose_BO(a, i, b).base
     rhs = compose_O(a.base, i, b.base)
     assert lhs == rhs
+
+
+def test_derived_composites_match_the_checking_constructors():
+    """compose_BO puts its composite's labellings and merged brackets in
+    order without checking them again; on the bo-associativity pool,
+    every composite with a pool element or η passes the checking
+    constructors unchanged."""
+    pool = [e for sh in _shapes(3, 2) for e in _decorate(sh, (1, F(1, 2)))]
+    by_leaves = {}
+    for e in pool:
+        by_leaves.setdefault(e.leaf_count, []).append(e)
+    bad = cases = bracketed = 0
+    for a in pool:
+        for i in range(1, a.arity + 1):
+            m = a.slot_arity(i)
+            for b in by_leaves.get(m, []) + ([eta_BO()] if m == 1 else []):
+                c = compose_BO(a, i, b)
+                try:
+                    bad += (c.base != OElement(c.base.tree, c.base.sigma,
+                                               c.base.tau)
+                            or c.weighted != WeightedBracketing(
+                                c.base.tree, c.weighted.weights))
+                except ValueError:
+                    bad += 1
+                cases += 1
+                bracketed += bool(c.weighted.weights)
+    assert (bad, cases, bracketed) == (0, 33361, 33002)

@@ -345,3 +345,18 @@ def test_compose_W_matches_the_nest_reference():
     assert any(w.decorations[0].tree.is_eta for w in pool)
     assert any(d.tree.is_eta for w in pool for d in w.decorations[1:])
     assert any(x == 0 for w in pool for x in w.lengths)
+
+
+def test_projected_elements_match_the_checking_constructor():
+    """project_with_provenance labels its composite without checking the
+    labellings again; on the splice test's grid they pass OElement's
+    checks unchanged."""
+    rng = R.rng_from_seed(12)
+    pool = [psi_inverse(R.random_bo_element(rng, max_vertices=4,
+                                            weight_choices=THIRDS))
+            for _ in range(300)]
+    pool += [w for w, _ in denormalized_trees(3, 300)]
+    pool.append(psi_inverse(eta_BO()))
+    for w in pool:
+        c = project_with_provenance(w)[0]
+        assert c == OElement(c.tree, c.sigma, c.tau), w
